@@ -13,13 +13,11 @@ from .explore import (ExchangeGraph, FiniteTypeLabel, explore,
 from .quiver import (Arrow, BoundQuiver, StringWord, check_gentle,
                      detect_even_full_cycle, cartan_matrix, type_c_quiver,
                      check_qb_conditions)
-from .modules import (QuiverRep, string_module, projective_module, hom_dim,
-                      ar_translate, is_tau_rigid, enumerate_tau_rigid)
+from .modules import (QuiverRep, StringInventory, string_module,
+                      projective_module, hom_dim, ar_translate, is_tau_rigid,
+                      enumerate_tau_rigid)
 from .tiling import (TilingComplex, DiscTiling, PermissibleArc, ArcMultiset,
-                     classify_tiles, forbidden_tile_scan, tiling_algebra,
-                     enumerate_permissible_arcs, intersection_vector,
-                     arcs_compatible, seg_profile, local_global_equal,
-                     disc_tilings, one_holed_disc_tiling,
+                     seg_profile, disc_tilings, one_holed_disc_tiling,
                      one_holed_disc_tilings, b_matrix_from_triangulation)
 from .verify import (VerifyReport, write_report, verify_thm1, verify_thm2,
                      verify_fvector_injectivity, verify_denominator,

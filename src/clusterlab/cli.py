@@ -17,7 +17,7 @@ from .exchange import ExchangeMatrix, parse_mutation_sequence
 from .explore import classify_finite_type, enumerate_monomials, explore
 from .quiver import BoundQuiver, cartan_matrix, check_gentle, \
     detect_even_full_cycle
-from .modules import enumerate_tau_rigid
+from .modules import StringInventory, enumerate_tau_rigid
 from .tracking import ClusterMonomial, d_matrix, run_walk, \
     vectors_of_monomial
 from .tiling import DiscTiling, TilingComplex, one_holed_disc_tiling
@@ -209,7 +209,7 @@ def analyze(quiver_path, cap, fmt, out):
         result["cartan_determinant"] = det
     except Exception as exc:  # infinite-dimensional
         result["cartan_matrix"] = f"unavailable: {exc}"
-    rigid, truncated = enumerate_tau_rigid(q, cap)
+    rigid, truncated = enumerate_tau_rigid(StringInventory(q), cap)
     result["tau_rigid_truncated"] = truncated
     result["tau_rigid"] = [
         {"word": [f"{a}^-1" if inv else a for a, inv in w.letters]
@@ -265,21 +265,6 @@ def arcs(tiling_path, cap, fmt, out):
                  for a in arcs_list],
     }
     _emit(result, fmt, out)
-
-
-@tiling.command("verify-thm1")
-@click.option("--marked-max", default=8, show_default=True)
-@click.option("--mult-cap", default=3, show_default=True)
-@click.option("--report-dir", default=None, type=click.Path())
-@format_options
-def tiling_verify_thm1(marked_max, mult_cap, report_dir, fmt, out):
-    """Exhaustive intersection-vector injectivity over disc tilings."""
-    report = verify_mod.verify_thm1(marked_max=marked_max, mult_cap=mult_cap)
-    if report_dir:
-        verify_mod.write_report(report, report_dir)
-    _emit(report.to_dict(), fmt, out)
-    if report.verdict == "fail":
-        sys.exit(1)
 
 
 @main.group()

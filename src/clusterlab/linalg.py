@@ -46,13 +46,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    return all(len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-               for ra, rb in zip(a, b))
-
-
 def rref(rows, ncols):
     """Reduced row echelon form of a copy of `rows`.
 

@@ -434,14 +434,16 @@ class StringInventory:
         return self._compat[key]
 
 
-def enumerate_tau_rigid(q: BoundQuiver, cap=None):
-    """(sorted list of (StringWord, dim vector), truncated flag).
+def enumerate_tau_rigid(inv: StringInventory, cap=None):
+    """(sorted list of (StringWord, dim vector), truncated flag) for the
+    algebra of the inventory, which keeps the modules and translates.
 
     Strings are enumerated up to the cap (default: twice the arrow count
     plus two) and filtered by tau-rigidity of the string module.
     """
     from .quiver import enumerate_strings, letter_graph_acyclic
 
+    q = inv.q
     if cap is None:
         acyclic, longest = letter_graph_acyclic(q)
         cap = longest if acyclic else 2 * len(q.arrows) + 2
@@ -451,22 +453,9 @@ def enumerate_tau_rigid(q: BoundQuiver, cap=None):
         import warnings
         warnings.warn("string enumeration reached the length cap; "
                       "the tau-rigid list may be incomplete")
-    inv = StringInventory(q)
     out = []
     for w in strings:
         if inv.rigid(w):
             out.append((w, inv.module(w).dim_vector()))
     out.sort(key=lambda t: (len(t[0].letters), t[0].letters, t[0].base))
     return out, truncated
-
-
-def multiset_is_tau_rigid(inv: StringInventory, multiset):
-    """A multiset of rigid strings is rigid iff all pairs are compatible."""
-    words = list(multiset)
-    for i, w1 in enumerate(words):
-        if not inv.rigid(w1):
-            return False
-        for w2 in words[i + 1:]:
-            if not inv.compatible(w1, w2):
-                return False
-    return True

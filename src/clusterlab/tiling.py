@@ -437,15 +437,6 @@ def seg_profile(t: TilingComplex, multiset: ArcMultiset):
     return {k: v for k, v in prof.items() if v}
 
 
-def local_global_equal(t: TilingComplex, m1: ArcMultiset, m2: ArcMultiset):
-    """Whether the two multisets have identical segment profiles."""
-    return seg_profile(t, m1) == seg_profile(t, m2)
-
-
-def intersection_vector(t: TilingComplex, arc: PermissibleArc):
-    return arc.intersection
-
-
 # ---------------------------------------------------------------------------
 # discs
 
@@ -529,26 +520,6 @@ def disc_tilings(m):
             chosen.pop()
 
     yield from rec(0, [])
-
-
-def classify_tiles(t: TilingComplex):
-    return t.classify_tiles()
-
-
-def forbidden_tile_scan(t: TilingComplex):
-    return t.forbidden_tile_scan()
-
-
-def tiling_algebra(t: TilingComplex) -> BoundQuiver:
-    return t.algebra()[0]
-
-
-def enumerate_permissible_arcs(t: TilingComplex, cap=None):
-    return t.enumerate_permissible_arcs(cap)
-
-
-def arcs_compatible(t: TilingComplex, a1, a2):
-    return t.arcs_compatible(a1, a2)
 
 
 def b_matrix_from_triangulation(t: TilingComplex):

@@ -79,18 +79,25 @@ def _timed(fn):
 # intersection-vector injectivity over disc tilings
 
 
-def _compatible_multisets(arcs, compat, cap):
-    """All pairwise compatible multisets of total multiplicity <= cap,
-    including the empty one; entries are ((arc index, multiplicity), ...)."""
+def _compatible_multisets(compat, cap):
+    """Yield every pairwise compatible multiset of total multiplicity <= cap
+    over the indices of the square matrix `compat`, the empty one first;
+    each is ((index, multiplicity), ...) with increasing indices.
+
+    Index i extends the multisets found over indices < i in the order they
+    were found; the witnesses callers report depend on this order.
+    """
+    yield ()
     states = [((), 0)]
-    for i in range(len(arcs)):
+    for i in range(len(compat)):
         new_states = []
         for chosen, total in states:
             if all(compat[i][j] for j, _ in chosen):
                 for mult in range(1, cap - total + 1):
-                    new_states.append((chosen + ((i, mult),), total + mult))
+                    state = (chosen + ((i, mult),), total + mult)
+                    new_states.append(state)
+                    yield state[0]
         states.extend(new_states)
-    return [s for s, _ in states]
 
 
 @_timed
@@ -127,12 +134,11 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
                 _dual_path_check(disc, t, arcs)
             n_arcs = len(t.arcs)
             compat = [[t.arcs_compatible(a, b) for b in arcs] for a in arcs]
-            multis = _compatible_multisets(arcs, compat, mult_cap)
-            multisets_checked += len(multis)
             by_vec = {}
             by_profile = {}
             collision = None
-            for chosen in multis:
+            for chosen in _compatible_multisets(compat, mult_cap):
+                multisets_checked += 1
                 ms = ArcMultiset(tuple((arcs[i], mult) for i, mult in chosen))
                 vec = ms.intersection_vector(n_arcs)
                 if vec in by_vec and by_vec[vec] != chosen:
@@ -175,7 +181,9 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
         report.witnesses.append({"converse": converse_found[0]})
     octagon_square = any(w["tiling"] == (8, ((1, 3), (1, 7), (3, 5), (5, 7)))
                          for w in converse_found)
-    if marked_max >= 8 and not octagon_square:
+    # the smallest octagon witness sets two arcs against two others, so
+    # none exists below total multiplicity 2
+    if marked_max >= 8 and mult_cap >= 2 and not octagon_square:
         report.fail({"converse": "no collision found on the octagon "
                                  "central-square tiling"})
     return report
@@ -247,16 +255,6 @@ def _connected(n, grid):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == n
-
-
-def _canonical_digraph(n, grid):
-    best = None
-    for perm in itertools.permutations(range(n)):
-        enc = tuple(sorted(((perm[i], perm[j]), c)
-                           for (i, j), c in grid.items()))
-        if best is None or enc < best[0]:
-            best = (enc, perm)
-    return best
 
 
 def _relation_choices(n, arrows):
@@ -352,25 +350,18 @@ def enumerate_gentle_algebras(vertex_max, arrow_max):
     return out
 
 
-def _dim_collision(q, rigid, inv, cap):
-    """Search for two compatible multisets with the same total dimension."""
+def _dim_collision(rigid, inv, cap):
+    """The first collision of total dimension vectors among compatible
+    multisets: (earlier multiset, later multiset, vector), or None."""
     words = [w for w, _ in rigid]
     dims = [d for _, d in rigid]
     compat = [[inv.compatible(a, b) for b in words] for a in words]
-    states = [((), 0)]
     by_vec = {}
-    for i in range(len(words)):
-        new_states = []
-        for chosen, total in states:
-            if all(compat[i][j] for j, _ in chosen):
-                for mult in range(1, cap - total + 1):
-                    new_states.append((chosen + ((i, mult),), total + mult))
-        states.extend(new_states)
-    for chosen, _ in states:
+    for chosen in _compatible_multisets(compat, cap):
         if not chosen:
             continue
         vec = tuple(sum(mult * dims[i][r] for i, mult in chosen)
-                    for r in range(q.n))
+                    for r in range(inv.q.n))
         if vec in by_vec and by_vec[vec] != chosen:
             return (by_vec[vec], chosen, vec)
         by_vec.setdefault(vec, chosen)
@@ -403,11 +394,11 @@ def verify_thm2(vertex_max=4, arrow_max=6, mult_cap=3):
                          "quiver": q.to_json(), "det": det,
                          "even_cycle": cycle})
             continue
-        rigid, _ = enumerate_tau_rigid(q)
         inv = StringInventory(q)
+        rigid, _ = enumerate_tau_rigid(inv)
         if cycle is None:
             without_cycle += 1
-            coll = _dim_collision(q, rigid, inv, mult_cap)
+            coll = _dim_collision(rigid, inv, mult_cap)
             if coll is not None:
                 report.fail({"check": "injectivity broken without even cycle",
                              "quiver": q.to_json(), "vector": coll[2]})
@@ -415,7 +406,7 @@ def verify_thm2(vertex_max=4, arrow_max=6, mult_cap=3):
             with_cycle += 1
             found = None
             for cap in range(2, max(mult_cap, q.n + 2) + 1):
-                found = _dim_collision(q, rigid, inv, cap)
+                found = _dim_collision(rigid, inv, cap)
                 if found is not None:
                     max_cap_needed = max(max_cap_needed, cap)
                     break
@@ -573,49 +564,31 @@ def verify_denominator_duality(n_max=3, degree_cap=3, initial_seeds="root"):
 # type C categorification
 
 
-def _tau_rigid_pairs(q, rigid, inv, cap):
+def _tau_rigid_pairs(rigid, inv, cap):
     """(module multiset, projective multiset) pairs of total degree <= cap.
 
     The projective part P(i)^c needs Hom(P(i), M) = 0, i.e. the module part
-    vanishes at vertex i.
+    vanishes at vertex i; projectives are pairwise compatible.
     """
+    n = inv.q.n
     words = [w for w, _ in rigid]
     dims = [d for _, d in rigid]
     compat = [[inv.compatible(a, b) for b in words] for a in words]
-    module_parts = [((), 0)]
-    for i in range(len(words)):
-        new_states = []
-        for chosen, total in module_parts:
-            if all(compat[i][j] for j, _ in chosen):
-                for mult in range(1, cap - total + 1):
-                    new_states.append((chosen + ((i, mult),), total + mult))
-        module_parts.extend(new_states)
     pairs = []
-    for chosen, total in module_parts:
-        mdim = [0] * q.n
+    for chosen in _compatible_multisets(compat, cap):
+        total = sum(mult for _, mult in chosen)
+        mdim = [0] * n
         for i, mult in chosen:
-            for r in range(q.n):
+            for r in range(n):
                 mdim[r] += mult * dims[i][r]
-        allowed = [v for v in range(q.n)
+        allowed = [v for v in range(n)
                    if all(dims[i][v] == 0 for i, _ in chosen)]
-        budget = cap - total
-        for proj in _proj_multisets(allowed, budget):
-            if total + sum(c for _, c in proj) >= 1:
+        all_compatible = [[True] * len(allowed)] * len(allowed)
+        for part in _compatible_multisets(all_compatible, cap - total):
+            if chosen or part:
+                proj = tuple((allowed[k], c) for k, c in part)
                 pairs.append((chosen, proj, tuple(mdim)))
     return pairs
-
-
-def _proj_multisets(allowed, budget):
-    out = [()]
-    states = [((), 0)]
-    for v in allowed:
-        new_states = []
-        for chosen, total in states:
-            for mult in range(1, budget - total + 1):
-                new_states.append((chosen + ((v, mult),), total + mult))
-        states.extend(new_states)
-        out.extend(s for s, _ in new_states)
-    return out
 
 
 @_timed
@@ -637,7 +610,8 @@ def verify_type_c_categorification(n_max=2, degree_cap=3):
                          "result": cond})
         if detect_even_full_cycle(q) is not None:
             report.fail({"rank": n, "check": "unexpected even full cycle"})
-        rigid, truncated = enumerate_tau_rigid(q)
+        inv = StringInventory(q)
+        rigid, truncated = enumerate_tau_rigid(inv)
         if truncated:
             report.verdict = "truncated"
             continue
@@ -653,8 +627,7 @@ def verify_type_c_categorification(n_max=2, degree_cap=3):
             report.fail({"rank": n, "check": "indecomposable bijection",
                          "module_side": adjusted, "cluster_side": dvecs})
         # pair level, degree by degree
-        inv = StringInventory(q)
-        pairs = _tau_rigid_pairs(q, rigid, inv, degree_cap)
+        pairs = _tau_rigid_pairs(rigid, inv, degree_cap)
         module_vectors = {}
         for chosen, proj, mdim in pairs:
             deg = sum(m for _, m in chosen) + sum(c for _, c in proj)

@@ -139,14 +139,14 @@ def test_hom_invariant_under_realization():
 
 def test_enumerate_tau_rigid_a2():
     q = a2_path()
-    rigid, truncated = enumerate_tau_rigid(q)
+    rigid, truncated = enumerate_tau_rigid(StringInventory(q))
     assert not truncated
     assert sorted(d for _, d in rigid) == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_enumerate_tau_rigid_loop():
     q = loop_algebra()
-    rigid, _ = enumerate_tau_rigid(q)
+    rigid, _ = enumerate_tau_rigid(StringInventory(q))
     assert [d for _, d in rigid] == [(2,)]
 
 
@@ -154,7 +154,7 @@ def test_enumerate_tau_rigid_two_cycle():
     # both projectives share the dimension vector (1, 1): the dichotomy
     # witness; the simples are tau-rigid too (tau S_i = S_{3-i}, Hom = 0)
     q = two_cycle_full()
-    rigid, _ = enumerate_tau_rigid(q)
+    rigid, _ = enumerate_tau_rigid(StringInventory(q))
     dims = sorted(d for _, d in rigid)
     assert dims == [(0, 1), (1, 0), (1, 1), (1, 1)]
 
@@ -163,7 +163,7 @@ def test_direct_sum_rigidity_matches_multiset_rule():
     q = four_cycle_full()
     inv = StringInventory(q)
     words = {}
-    rigid, _ = enumerate_tau_rigid(q)
+    rigid, _ = enumerate_tau_rigid(inv)
     for w, d in rigid:
         words[d] = w
     # adjacent projectives around the cycle are compatible

@@ -43,6 +43,14 @@ def test_thm1_finds_octagon_converse():
     assert r.counts["forbidden"] == 2
 
 
+def test_thm1_cap_one_skips_converse_check():
+    # no converse witness exists below total multiplicity 2, so its absence
+    # is no failure
+    r = verify_thm1(8, 1, geometric_cross_check=False)
+    assert r.verdict == "pass"
+    assert r.counts["converse_witnesses"] == 0
+
+
 def test_thm2_small_bounds():
     r = verify_thm2(2, 3)
     assert r.verdict == "pass"
