@@ -7,7 +7,7 @@ usual indexing of matrix rows by 1..n); internal arithmetic is 0-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -99,18 +99,37 @@ class ExchangeMatrix:
     """An n x n skew-symmetrizable integer matrix with zero diagonal."""
 
     b: tuple  # tuple of row tuples
+    # the minimal skew-symmetrizer; equality and hashing read b only
+    _s: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in row) for row in self.b)
         object.__setattr__(self, "b", rows)
-        find_skew_symmetrizer(rows)  # raises if not skew-symmetrizable
+        # raises if not skew-symmetrizable
+        object.__setattr__(self, "_s", find_skew_symmetrizer(rows))
+
+    @classmethod
+    def _with_symmetrizer(cls, rows, s):
+        """The matrix with integer rows `rows` and the minimal symmetrizer
+        s, which is checked rather than derived; raises if s does not
+        skew-symmetrize the rows."""
+        n = len(rows)
+        for i in range(n):
+            for j in range(i, n):
+                if s[i] * rows[i][j] != -s[j] * rows[j][i]:
+                    raise NotSkewSymmetrizableError(
+                        f"symmetrizer {s} fails at ({i + 1},{j + 1})")
+        m = object.__new__(cls)
+        object.__setattr__(m, "b", rows)
+        object.__setattr__(m, "_s", s)
+        return m
 
     @property
     def n(self):
         return len(self.b)
 
     def skew_symmetrizer(self):
-        return find_skew_symmetrizer(self.b)
+        return self._s
 
     def entry(self, i, j):
         """Entry b_{ij} with 1-based indices."""
@@ -133,7 +152,12 @@ class ExchangeMatrix:
 
 
 def mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation in direction k (1-based)."""
+    """Matrix mutation in direction k (1-based).
+
+    Mutation keeps the minimal skew-symmetrizer (it keeps the set of
+    symmetrizers and the components of the support graph), so the result
+    is checked against the input's instead of deriving its own.
+    """
     n = m.n
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
@@ -147,7 +171,8 @@ def mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
             else:
                 new[i][j] = b[i][j] + _pos(b[i][kk]) * b[kk][j] \
                     + b[i][kk] * _pos(-b[kk][j])
-    return ExchangeMatrix(tuple(tuple(r) for r in new))
+    return ExchangeMatrix._with_symmetrizer(tuple(map(tuple, new)),
+                                            m.skew_symmetrizer())
 
 
 def cartan_counterpart(m: ExchangeMatrix):

@@ -34,9 +34,8 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import UnclassifiableTileError
-from .modules import StringInventory
-from .quiver import Arrow, BoundQuiver, StringWord, check_gentle, \
-    enumerate_strings, letter_graph_acyclic, word_vertices
+from .modules import StringInventory, enumerate_tau_rigid
+from .quiver import Arrow, BoundQuiver, StringWord, check_gentle, word_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +331,19 @@ class TilingComplex:
             endpoints=(pt_start, pt_end))
 
     def enumerate_permissible_arcs(self, cap=None):
-        """Self-compatible permissible arcs, via tau-rigid strings.
-
-        The default cap is twice the arc count plus two; when the string set
-        is finite the exact longest-word bound is used instead so the list
-        is complete.  A cap that truncates the enumeration warns.
+        """Self-compatible permissible arcs: the arcs of the tau-rigid strings
+        of `enumerate_tau_rigid`, in its order and under its string-length
+        cap.  A cap that truncates the enumeration warns.
         """
-        q, _ = self.algebra()
         if cap in self._arcs_cache:
             return self._arcs_cache[cap]
-        acyclic, longest = letter_graph_acyclic(q)
-        eff_cap = cap if cap is not None else 2 * len(self.arcs) + 2
-        if acyclic:
-            eff_cap = min(eff_cap, longest)
-        strings, truncated = enumerate_strings(q, eff_cap)
-        if truncated or (not acyclic and cap is None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # reworded for arcs below
+            rigid, truncated = enumerate_tau_rigid(self.inventory(), cap)
+        if truncated:
             warnings.warn("arc enumeration reached the string-length cap; "
                           "the arc list may be incomplete")
-        inv = self.inventory()
-        arcs = [self.arc_from_word(w) for w in strings if inv.rigid(w)]
-        arcs.sort(key=lambda a: (len(a.word.letters), a.word.letters, a.word.base))
-        result = (arcs, truncated)
+        result = ([self.arc_from_word(w) for w, _ in rigid], truncated)
         self._arcs_cache[cap] = result
         return result
 

@@ -9,12 +9,14 @@ identical reports.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import linalg
 from .errors import UnclassifiableTileError
@@ -35,6 +37,8 @@ class VerifyReport:
     witnesses: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
     duration_s: float = 0.0
+    # seconds per phase; timing, so neither a count nor part of the result
+    phases: dict = field(default_factory=dict)
 
     def fail(self, witness):
         self.verdict = "fail"
@@ -43,7 +47,8 @@ class VerifyReport:
     def to_dict(self):
         return {"experiment": self.experiment, "params": self.params,
                 "verdict": self.verdict, "witnesses": self.witnesses,
-                "counts": self.counts, "duration_s": round(self.duration_s, 3)}
+                "counts": self.counts, "duration_s": round(self.duration_s, 3),
+                "phases": {k: round(v, 3) for k, v in self.phases.items()}}
 
     def to_json(self):
         return json.dumps(self.to_dict(), default=str)
@@ -63,6 +68,16 @@ def write_report(report: VerifyReport, directory):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     return path
+
+
+@contextlib.contextmanager
+def _phase(report, name):
+    """Add the time the block takes to report.phases[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        report.phases[name] += time.perf_counter() - start
 
 
 def _timed(fn):
@@ -290,57 +305,98 @@ def _relation_choices(n, arrows):
         yield frozenset().union(*combo)
 
 
-def _canonical_bound_quiver(n, grid, relations, arrow_names):
-    """Canonical encoding of (quiver, relations) under vertex permutations
-    and permutations of parallel arrows."""
-    best = None
+class _QuiverShape(NamedTuple):
+    """The relation-independent parts of a quiver's canonical form."""
+
+    degrees: list    # per vertex: (out-degree, in-degree, loops)
+    outs: list       # per vertex: the target of each arrow leaving it
+    ins: list        # per vertex: the source of each arrow entering it
+    tgt: dict        # arrow id -> target
+    orderings: list  # per group of parallel arrows: ((i, j), orderings)
+
+
+def _quiver_shape(n, arrows):
+    degrees = [[0, 0, 0] for _ in range(n)]
+    outs = [[] for _ in range(n)]
+    ins = [[] for _ in range(n)]
+    tgt = {}
     groups = {}
-    for name, (i, j) in arrow_names.items():
-        groups.setdefault((i, j), []).append(name)
-    for perm in itertools.permutations(range(n)):
-        relabeled_groups = {}
-        for (i, j), names in groups.items():
-            relabeled_groups.setdefault((perm[i], perm[j]), []).extend([names])
-        # orderings of parallel arrows within each group
-        group_items = sorted(relabeled_groups.items())
-        pools = []
-        for _, name_lists in group_items:
-            names = [x for lst in name_lists for x in lst]
-            pools.append(list(itertools.permutations(names)))
-        for assignment in itertools.product(*pools):
-            mapping = {}
-            idx = 0
-            arrow_enc = []
-            for ((i, j), _), names in zip(group_items, assignment):
-                for name in names:
-                    mapping[name] = idx
-                    arrow_enc.append((i, j))
-                    idx += 1
-            rel_enc = tuple(sorted((mapping[a], mapping[b])
-                                   for (a, b) in relations))
-            enc = (tuple(arrow_enc), rel_enc)
-            if best is None or enc < best:
-                best = enc
-    return best
+    for a in arrows:
+        degrees[a.src][0] += 1
+        degrees[a.tgt][1] += 1
+        degrees[a.src][2] += a.src == a.tgt
+        outs[a.src].append(a.tgt)
+        ins[a.tgt].append(a.src)
+        tgt[a.id] = a.tgt
+        groups.setdefault((a.src, a.tgt), []).append(a.id)
+    return _QuiverShape(
+        [tuple(d) for d in degrees], outs, ins, tgt,
+        [(ij, list(itertools.permutations(names)))
+         for ij, names in sorted(groups.items())])
+
+
+def _canonical_bound_quiver(shape, relations):
+    """Canonical encoding of (quiver, relations) under vertex permutations
+    and permutations of parallel arrows: the least (arrows, relations)
+    encoding over the labellings that keep a vertex colouring in order.
+
+    A vertex's colour is its (out-degree, in-degree, loops, relations through
+    it), then the sorted colours of its out- and in-neighbours, one per
+    arrow.  Isomorphisms preserve colours, so isomorphic bound quivers have
+    the same candidate encodings and hence the same least one.
+    """
+    n = len(shape.degrees)
+    through = [0] * n
+    for a, _ in relations:
+        through[shape.tgt[a]] += 1
+    local = [shape.degrees[v] + (through[v],) for v in range(n)]
+    colour = [(local[v], sorted(local[w] for w in shape.outs[v]),
+               sorted(local[w] for w in shape.ins[v])) for v in range(n)]
+    order = sorted(range(n), key=colour.__getitem__)
+    blocks = [tuple(g) for _, g in
+              itertools.groupby(order, key=colour.__getitem__)]
+    # the arrow encoding is decided by the labelling alone, and compares
+    # first; orderings of parallel arrows only matter for the least ones
+    best_arrows = None
+    candidates = []
+    for choice in itertools.product(*map(itertools.permutations, blocks)):
+        label = [0] * n
+        for lab, v in enumerate(itertools.chain.from_iterable(choice)):
+            label[v] = lab
+        groups = sorted(((label[i], label[j]), pool)
+                        for (i, j), pool in shape.orderings)
+        arrows = tuple(ij for ij, pool in groups for _ in pool[0])
+        if best_arrows is None or arrows < best_arrows:
+            best_arrows = arrows
+            candidates = [groups]
+        elif arrows == best_arrows:
+            candidates.append(groups)
+    best_relations = None
+    for groups in candidates:
+        for assignment in itertools.product(*(pool for _, pool in groups)):
+            index = {name: k for k, name in
+                     enumerate(itertools.chain.from_iterable(assignment))}
+            rels = tuple(sorted((index[a], index[b]) for a, b in relations))
+            if best_relations is None or rels < best_relations:
+                best_relations = rels
+    return best_arrows, best_relations
 
 
 def enumerate_gentle_algebras(vertex_max, arrow_max):
-    """Connected gentle bound quivers up to isomorphism, by brute force."""
+    """Connected gentle bound quivers up to isomorphism: the first gentle
+    member of each class, in enumeration order (vertex count, then arrow
+    grid, then relation set)."""
     seen = set()
     out = []
     for n in range(1, vertex_max + 1):
         for grid in _arrow_grids(n, arrow_max):
             if not _connected(n, grid):
                 continue
-            arrows = []
-            arrow_names = {}
-            for (i, j), c in sorted(grid.items()):
-                for k in range(c):
-                    name = f"a{i}_{j}_{k}"
-                    arrows.append(Arrow(name, i, j))
-                    arrow_names[name] = (i, j)
+            arrows = [Arrow(f"a{i}_{j}_{k}", i, j)
+                      for (i, j), c in sorted(grid.items()) for k in range(c)]
+            shape = _quiver_shape(n, arrows)
             for rels in _relation_choices(n, arrows):
-                key = (n, _canonical_bound_quiver(n, grid, rels, arrow_names))
+                key = (n, _canonical_bound_quiver(shape, rels))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -376,7 +432,10 @@ def verify_thm2(vertex_max=4, arrow_max=6, mult_cap=3):
         "thm2-dimension-dichotomy",
         {"vertex_max": vertex_max, "arrow_max": arrow_max,
          "mult_cap": mult_cap})
-    algebras = enumerate_gentle_algebras(vertex_max, arrow_max)
+    # collisions include the Hom computations of the compatibility tests
+    report.phases = dict.fromkeys(("enumerate", "tau", "collisions"), 0.0)
+    with _phase(report, "enumerate"):
+        algebras = enumerate_gentle_algebras(vertex_max, arrow_max)
     finite = skipped = with_cycle = without_cycle = 0
     max_cap_needed = 0
     for q in algebras:
@@ -394,22 +453,25 @@ def verify_thm2(vertex_max=4, arrow_max=6, mult_cap=3):
                          "quiver": q.to_json(), "det": det,
                          "even_cycle": cycle})
             continue
-        inv = StringInventory(q)
-        rigid, _ = enumerate_tau_rigid(inv)
+        with _phase(report, "tau"):
+            inv = StringInventory(q)
+            rigid, _ = enumerate_tau_rigid(inv)
         if cycle is None:
             without_cycle += 1
-            coll = _dim_collision(rigid, inv, mult_cap)
+            with _phase(report, "collisions"):
+                coll = _dim_collision(rigid, inv, mult_cap)
             if coll is not None:
                 report.fail({"check": "injectivity broken without even cycle",
                              "quiver": q.to_json(), "vector": coll[2]})
         else:
             with_cycle += 1
             found = None
-            for cap in range(2, max(mult_cap, q.n + 2) + 1):
-                found = _dim_collision(rigid, inv, cap)
-                if found is not None:
-                    max_cap_needed = max(max_cap_needed, cap)
-                    break
+            with _phase(report, "collisions"):
+                for cap in range(2, max(mult_cap, q.n + 2) + 1):
+                    found = _dim_collision(rigid, inv, cap)
+                    if found is not None:
+                        max_cap_needed = max(max_cap_needed, cap)
+                        break
             if found is None:
                 report.fail({"check": "no collision despite even cycle",
                              "quiver": q.to_json()})

@@ -185,19 +185,25 @@ def test_criterion_9_fbar_injectivity():
                   "pentagon and hexagon triangulations", ok, r.duration_s)
 
 
+# Monomials checked and clusters re-rooted from, per series and rank bound.
+DENOMINATOR_COUNTS = {
+    ("A", 3): {"monomials": 1740, "reroots": 19},
+    ("B", 2): {"monomials": 252, "reroots": 6},
+    ("C", 3): {"monomials": 3318, "reroots": 26}}
+
+
 def test_criterion_10_denominator_injectivity():
     start = time.perf_counter()
     ok = True
-    verdicts = {}
-    for series, n_max in (("A", 3), ("B", 2), ("C", 3)):
+    for (series, n_max), counts in DENOMINATOR_COUNTS.items():
         r = verify_denominator(series=series, n_max=n_max, degree_cap=3,
                                initial_seeds="all")
-        verdicts[series] = r.verdict
-        if r.verdict != "pass":
+        if r.verdict != "pass" or r.counts != counts:
             ok = False
     dual = verify_denominator_duality(n_max=3, degree_cap=3,
                                       initial_seeds="root")
-    if dual.verdict != "pass":
+    if dual.verdict != "pass" or \
+            dual.counts != {"verdicts": {"B": "pass", "C": "pass"}}:
         ok = False
     _criterion(10, "d-vectors separate degree <= 3 monomials for A2, A3, "
                    "B2, C2, C3 from every cluster, with independent "

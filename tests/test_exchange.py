@@ -62,6 +62,9 @@ def test_skew_symmetrizer_type_c():
 def test_skew_symmetrizer_failure():
     with pytest.raises(NotSkewSymmetrizableError):
         find_skew_symmetrizer([[0, 1], [1, 0]])
+    # a mutated matrix is checked against the symmetrizer it inherits
+    with pytest.raises(NotSkewSymmetrizableError):
+        ExchangeMatrix._with_symmetrizer(((0, 1), (-2, 0)), (1, 1))
 
 
 def test_skew_symmetrizer_preserved_by_mutation():
@@ -71,6 +74,7 @@ def test_skew_symmetrizer_preserved_by_mutation():
         s = m.skew_symmetrizer()
         for _ in range(8):
             m = mutate_matrix(m, rng.randint(1, m.n))
+            assert m.skew_symmetrizer() == find_skew_symmetrizer(m.b) == s
             for i in range(m.n):
                 for j in range(m.n):
                     assert s[i] * m.b[i][j] == -s[j] * m.b[j][i]

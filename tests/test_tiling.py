@@ -141,6 +141,16 @@ def test_pentagon_arcs_and_vectors():
     assert tuple(sorted(p + 1 for p in by_vec[(0, 1)].endpoints)) == (3, 5)
 
 
+def test_truncating_cap_warns_once():
+    t = complex_of(6, [(1, 3), (1, 4), (1, 5)])
+    with pytest.warns(UserWarning) as record:
+        arcs, truncated = t.enumerate_permissible_arcs(1)
+    assert truncated and len(arcs) < len(t.enumerate_permissible_arcs()[0])
+    assert [str(w.message) for w in record] == [
+        "arc enumeration reached the string-length cap; "
+        "the arc list may be incomplete"]
+
+
 def test_pentagon_algebra_is_a2_path():
     q, _ = complex_of(5, [(1, 3), (1, 4)]).algebra()
     assert len(q.arrows) == 1 and not q.relations

@@ -1,14 +1,80 @@
+import functools
+import itertools
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from clusterlab.cli import main
+from clusterlab.quiver import Arrow, BoundQuiver, check_gentle
 from clusterlab.verify import (
-    VerifyReport, enumerate_gentle_algebras, verify_denominator,
+    VerifyReport, _arrow_grids, _canonical_bound_quiver, _connected,
+    _quiver_shape, _relation_choices, enumerate_gentle_algebras, verify_denominator,
     verify_denominator_duality, verify_fvector_injectivity, verify_thm1,
     verify_thm2, verify_type_c_categorification, write_report,
 )
+
+
+def _brute_canonical(n, grid, relations, arrow_names):
+    """Reference canonical encoding of (quiver, relations): the minimum over
+    every vertex permutation and every ordering of parallel arrows."""
+    best = None
+    groups = {}
+    for name, (i, j) in arrow_names.items():
+        groups.setdefault((i, j), []).append(name)
+    for perm in itertools.permutations(range(n)):
+        relabeled_groups = {}
+        for (i, j), names in groups.items():
+            relabeled_groups.setdefault((perm[i], perm[j]), []).extend([names])
+        # orderings of parallel arrows within each group
+        group_items = sorted(relabeled_groups.items())
+        pools = []
+        for _, name_lists in group_items:
+            names = [x for lst in name_lists for x in lst]
+            pools.append(list(itertools.permutations(names)))
+        for assignment in itertools.product(*pools):
+            mapping = {}
+            idx = 0
+            arrow_enc = []
+            for ((i, j), _), names in zip(group_items, assignment):
+                for name in names:
+                    mapping[name] = idx
+                    arrow_enc.append((i, j))
+                    idx += 1
+            rel_enc = tuple(sorted((mapping[a], mapping[b])
+                                   for (a, b) in relations))
+            enc = (tuple(arrow_enc), rel_enc)
+            if best is None or enc < best:
+                best = enc
+    return best
+
+
+def _brute_gentle_algebras(vertex_max, arrow_max):
+    """The first gentle member of each isomorphism class, deduplicated by
+    `_brute_canonical` over the enumeration's own grids and relation sets."""
+    seen = set()
+    out = []
+    for n in range(1, vertex_max + 1):
+        for grid in _arrow_grids(n, arrow_max):
+            if not _connected(n, grid):
+                continue
+            arrows = []
+            arrow_names = {}
+            for (i, j), c in sorted(grid.items()):
+                for k in range(c):
+                    name = f"a{i}_{j}_{k}"
+                    arrows.append(Arrow(name, i, j))
+                    arrow_names[name] = (i, j)
+            for rels in _relation_choices(n, arrows):
+                key = (n, _brute_canonical(n, grid, rels, arrow_names))
+                if key in seen:
+                    continue
+                seen.add(key)
+                q = BoundQuiver(n, arrows, rels)
+                if check_gentle(q).ok:
+                    out.append(q)
+    return out
 
 
 def test_report_round_trip(tmp_path):
@@ -58,6 +124,14 @@ def test_thm2_small_bounds():
     assert r.counts["without_even_cycle"] >= 2
 
 
+def test_thm2_reports_phase_timings():
+    r = verify_thm2(2, 3)
+    phases = r.to_dict()["phases"]
+    assert set(phases) == {"enumerate", "tau", "collisions"}
+    assert all(v >= 0 for v in phases.values())
+    assert "phases" not in r.counts
+
+
 def test_gentle_enumeration_small():
     algs = enumerate_gentle_algebras(1, 1)
     # one vertex: the trivial algebra (no arrows is excluded; a loop with
@@ -66,6 +140,40 @@ def test_gentle_enumeration_small():
     algs = enumerate_gentle_algebras(2, 2)
     names = {(len(q.arrows), len(q.relations)) for q in algs}
     assert (2, 2) in names  # the 2-cycle with full relations appears
+
+
+def test_gentle_enumeration_matches_brute_force():
+    # same isomorphism classes, same representatives, same order
+    got = [q.to_json() for q in enumerate_gentle_algebras(4, 4)]
+    want = [q.to_json() for q in _brute_gentle_algebras(4, 4)]
+    assert len(want) == 312
+    assert got == want
+
+
+@functools.cache
+def _small_gentle():
+    return enumerate_gentle_algebras(3, 4)
+
+
+def _key(q):
+    return _canonical_bound_quiver(
+        _quiver_shape(q.n, list(q.arrows.values())), q.relations)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_canonical_key_ignores_labels(data):
+    q = data.draw(st.sampled_from(_small_gentle()))
+    perm = data.draw(st.permutations(range(q.n)))
+    arrows = data.draw(st.permutations(sorted(q.arrows)))
+    # new names in a random order, so parallel arrows trade names
+    names = dict(zip(arrows, data.draw(
+        st.permutations([f"b{k}" for k in range(len(arrows))]))))
+    relabeled = BoundQuiver(
+        q.n, [Arrow(names[a], perm[q.arrow(a).src], perm[q.arrow(a).tgt])
+              for a in arrows],
+        [(names[a], names[b]) for a, b in q.relations])
+    assert _key(relabeled) == _key(q)
 
 
 def test_fvector_harness():
