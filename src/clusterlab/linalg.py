@@ -3,8 +3,13 @@
 Matrices are lists of lists (row-major) holding ints or Fractions; nothing
 here ever touches floats.  A linear map f: Q^s -> Q^t is stored as a t x s
 matrix whose columns are the images of the standard basis.  Sizes stay small
-(tens of rows), so plain Gauss-Jordan is fine; ranks and determinants of
-integer matrices take the fraction-free Bareiss route for speed.
+(tens of rows), so plain Gauss-Jordan is fine.  Elimination keeps the
+caller's integers: a pivot row is divided by its pivot with `//` wherever
+the division is exact, and a Fraction appears only where the pivot does not
+divide an entry, so integer input whose pivots divide their rows (every
+0/1 module of a gentle algebra) is reduced without a single Fraction.
+Ranks and determinants of integer matrices take the fraction-free Bareiss
+route.
 """
 
 from __future__ import annotations
@@ -49,9 +54,11 @@ def transpose(a):
 def rref(rows, ncols):
     """Reduced row echelon form of a copy of `rows`.
 
-    Returns (reduced_rows, pivot_cols).  Zero rows are dropped.
+    Returns (reduced_rows, pivot_cols).  Zero rows are dropped.  Entries
+    stay ints wherever the pivot divides them exactly (see the module
+    docstring).
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -65,7 +72,7 @@ def rref(rows, ncols):
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
         if pv != 1:
-            m[r] = [x / pv for x in m[r]]
+            m[r] = [_divide(x, pv) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 factor = m[i][c]
@@ -75,6 +82,13 @@ def rref(rows, ncols):
         if r == len(m):
             break
     return m[:r], pivots
+
+
+def _divide(x, pv):
+    # divmod is exact for ints and Fractions alike, and an exact quotient
+    # comes back as an int
+    quot, rem = divmod(x, pv)
+    return Fraction(x, pv) if rem else quot
 
 
 def rank(rows, ncols=None):
@@ -118,13 +132,13 @@ def _int_rank(m, ncols):
 
 
 def nullspace(rows, ncols):
-    """Basis of {v : A v = 0} as a list of length-`ncols` Fraction vectors."""
+    """Basis of {v : A v = 0} as a list of length-`ncols` vectors."""
     red, pivots = rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
@@ -139,7 +153,7 @@ def solve(a, b, ncols=None):
     red, pivots = rref(aug, ncols + 1)
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
@@ -156,15 +170,15 @@ def column_space_projection(vectors, dim):
     free = [c for c in range(dim) if c not in pivots]
     proj = []
     for e in range(dim):
-        v = [Fraction(1) if j == e else Fraction(0) for j in range(dim)]
+        v = [1 if j == e else 0 for j in range(dim)]
         for r, pc in enumerate(pivots):
             if v[pc] != 0:
                 f = v[pc]
                 v = [x - f * y for x, y in zip(v, red[r])]
         proj.append([v[c] for c in free])
     proj = transpose(proj)
-    section = [[Fraction(1) if free[q] == i else Fraction(0)
-                for q in range(len(free))] for i in range(dim)]
+    section = [[1 if free[q] == i else 0 for q in range(len(free))]
+               for i in range(dim)]
     return proj, section
 
 

@@ -3,7 +3,9 @@
 Representations are left modules over the bound path algebra: a vector space
 per vertex and a matrix per arrow mapping the source space to the target
 space, with every relation composing to zero.  All linear algebra is exact
-(ints and Fractions).
+and stays in ints: string modules, projectives, syzygies, cokernels and
+translates are built from 0/1 seeds, and `linalg` makes a Fraction only on
+a pivot division that is not exact.
 
 The translate is computed from first principles: minimal projective
 presentation (projective cover of the module, then of the syzygy), transpose
@@ -13,8 +15,6 @@ an independent check on the combinatorics built on top.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import linalg
 from .quiver import BoundQuiver, StringWord, projective_paths, validate_word, word_vertices
@@ -133,7 +133,8 @@ def hom_dim(q: BoundQuiver, m: QuiverRep, n: QuiverRep) -> int:
     """Dimension of Hom(M, N): nullity of the intertwiner system.
 
     Unknowns are the entries of the per-vertex maps f_v; each arrow imposes
-    f_tgt M_a = N_a f_src.
+    f_tgt M_a = N_a f_src.  `linalg.rank` takes integer rows through Bareiss
+    elimination and rows holding a Fraction through `rref`.
     """
     offsets = []
     total = 0
@@ -159,21 +160,10 @@ def hom_dim(q: BoundQuiver, m: QuiverRep, n: QuiverRep) -> int:
                     if na[i][k]:
                         row[offsets[a.src] + k * dms + j] -= na[i][k]
                 if any(row):
-                    rows.append(_clear_denominators(row))
+                    rows.append(row)
     if not rows:
         return total
     return total - linalg.rank(rows, total)
-
-
-def _clear_denominators(row):
-    denoms = [x.denominator for x in row if isinstance(x, Fraction)]
-    if not denoms:
-        return row
-    from math import lcm
-    mult = 1
-    for d in denoms:
-        mult = lcm(mult, d)
-    return [int(x * mult) for x in row]
 
 
 def top_generators(q: BoundQuiver, m: QuiverRep):
@@ -196,8 +186,8 @@ def top_generators(q: BoundQuiver, m: QuiverRep):
         _, pivots = linalg.rref(rad_rows, m.dims[v]) if rad_rows else ([], [])
         for c in range(m.dims[v]):
             if c not in pivots:
-                vec = [Fraction(0)] * m.dims[v]
-                vec[c] = Fraction(1)
+                vec = [0] * m.dims[v]
+                vec[c] = 1
                 gens.append((v, vec))
     return gens
 
@@ -265,8 +255,7 @@ def minimal_presentation(q: BoundQuiver, m: QuiverRep):
         for i in range(m.dims[v]):
             rows.append([image[el][i] for el in basis])
         kern = linalg.nullspace(rows, len(basis)) if rows else \
-            [[Fraction(1) if i == j else Fraction(0) for j in range(len(basis))]
-             for i in range(len(basis))]
+            linalg.identity(len(basis))
         kernel_basis[v] = kern
     kdims = [len(kernel_basis[v]) for v in range(q.n)]
     # kernel as a representation: arrows act through P0
@@ -295,7 +284,7 @@ def minimal_presentation(q: BoundQuiver, m: QuiverRep):
     # vertex tops1[l]; express it in the (summand, path) basis of P0
     entries = {}
     for l, (v, kvec) in enumerate(kgens):
-        coords = [Fraction(0)] * len(p0.vertex_basis[v])
+        coords = [0] * len(p0.vertex_basis[v])
         for t, kb in enumerate(kernel_basis[v]):
             if kvec[t]:
                 for j in range(len(coords)):
@@ -308,7 +297,7 @@ def minimal_presentation(q: BoundQuiver, m: QuiverRep):
 
 
 def _p0_arrow_apply(p0: _ProjectiveSum, q: BoundQuiver, coords, arrow):
-    out = [Fraction(0)] * p0.dims[arrow.tgt]
+    out = [0] * p0.dims[arrow.tgt]
     for j, el in enumerate(p0.vertex_basis[arrow.src]):
         if coords[j]:
             img = p0.arrow_image(el, arrow.id)
@@ -338,7 +327,7 @@ def ar_translate(q: BoundQuiver, m: QuiverRep) -> QuiverRep:
     image_vectors = {v: [] for v in range(q.n)}
     for (i, path0), (v, off) in src.pos.items():
         # image of basis element (i, path0): for each l, (rev entry) then path0
-        out = [Fraction(0)] * dst.dims[v]
+        out = [0] * dst.dims[v]
         for l in range(len(tops1)):
             for path, coef in entries.get((i, l), ()):
                 rev = tuple(reversed(path))
@@ -366,7 +355,7 @@ def ar_translate(q: BoundQuiver, m: QuiverRep) -> QuiverRep:
         mat = linalg.zeros(cdims[a.tgt], cdims[a.src])
         for cj in range(cdims[a.src]):
             lift = [sect[a.src][i][cj] for i in range(dst.dims[a.src])]
-            acted = [Fraction(0)] * dst.dims[a.tgt]
+            acted = [0] * dst.dims[a.tgt]
             for j, el in enumerate(dst.vertex_basis[a.src]):
                 if lift[j]:
                     img = dst.arrow_image(el, aid)

@@ -4,7 +4,8 @@ Each harness enumerates a finite instance family exhaustively, checks the
 claimed property with exact arithmetic, and returns a VerifyReport.  Failures
 always carry a concrete witness; truncations name the exceeded bound.
 Enumeration order is deterministic, so identical parameters reproduce
-identical reports.
+identical verdicts, counts and witnesses, and hence the same result digest;
+only the timings differ between runs.
 """
 
 from __future__ import annotations
@@ -44,11 +45,23 @@ class VerifyReport:
         self.verdict = "fail"
         self.witnesses.append(witness)
 
+    @property
+    def result_digest(self):
+        """sha256 of the verdict, counts and witnesses as they read in the
+        JSON report, keys sorted; timings are left out, so equal results
+        give equal digests across runs."""
+        core = json.loads(json.dumps(
+            {"verdict": self.verdict, "counts": self.counts,
+             "witnesses": self.witnesses}, default=str))
+        return hashlib.sha256(
+            json.dumps(core, sort_keys=True).encode()).hexdigest()
+
     def to_dict(self):
         return {"experiment": self.experiment, "params": self.params,
                 "verdict": self.verdict, "witnesses": self.witnesses,
                 "counts": self.counts, "duration_s": round(self.duration_s, 3),
-                "phases": {k: round(v, 3) for k, v in self.phases.items()}}
+                "phases": {k: round(v, 3) for k, v in self.phases.items()},
+                "result_digest": self.result_digest}
 
     def to_json(self):
         return json.dumps(self.to_dict(), default=str)
@@ -123,6 +136,8 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
     report = VerifyReport(
         "thm1-intersection-injectivity",
         {"marked_max": marked_max, "mult_cap": mult_cap})
+    # timed once per tiling; multisets include the compatibility tests
+    report.phases = dict.fromkeys(("arcs", "multisets"), 0.0)
     tilings = unclassifiable = passing = failing = 0
     multisets_checked = 0
     converse_found = []
@@ -139,34 +154,38 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
                 unclassifiable += 1
                 continue
             tilings += 1
-            arcs, truncated = t.enumerate_permissible_arcs()
+            with _phase(report, "arcs"):
+                arcs, truncated = t.enumerate_permissible_arcs()
+                if not truncated and geometric_cross_check:
+                    _dual_path_check(disc, t, arcs)
             if truncated:
                 report.verdict = "truncated"
                 report.witnesses.append(
                     {"bound": "string cap", "tiling": disc.chords})
                 continue
-            if geometric_cross_check:
-                _dual_path_check(disc, t, arcs)
             n_arcs = len(t.arcs)
-            compat = [[t.arcs_compatible(a, b) for b in arcs] for a in arcs]
             by_vec = {}
             by_profile = {}
             collision = None
-            for chosen in _compatible_multisets(compat, mult_cap):
-                multisets_checked += 1
-                ms = ArcMultiset(tuple((arcs[i], mult) for i, mult in chosen))
-                vec = ms.intersection_vector(n_arcs)
-                if vec in by_vec and by_vec[vec] != chosen:
-                    collision = (by_vec[vec], chosen, vec)
-                by_vec.setdefault(vec, chosen)
-                if include_key_lemma:
-                    prof = tuple(sorted(seg_profile(t, ms).items()))
-                    if prof in by_profile and by_profile[prof] != chosen:
-                        report.fail({
-                            "check": "seg-profile collision",
-                            "tiling": disc.chords,
-                            "multisets": [by_profile[prof], chosen]})
-                    by_profile.setdefault(prof, chosen)
+            with _phase(report, "multisets"):
+                compat = [[t.arcs_compatible(a, b) for b in arcs]
+                          for a in arcs]
+                for chosen in _compatible_multisets(compat, mult_cap):
+                    multisets_checked += 1
+                    ms = ArcMultiset(
+                        tuple((arcs[i], mult) for i, mult in chosen))
+                    vec = ms.intersection_vector(n_arcs)
+                    if vec in by_vec and by_vec[vec] != chosen:
+                        collision = (by_vec[vec], chosen, vec)
+                    by_vec.setdefault(vec, chosen)
+                    if include_key_lemma:
+                        prof = tuple(sorted(seg_profile(t, ms).items()))
+                        if prof in by_profile and by_profile[prof] != chosen:
+                            report.fail({
+                                "check": "seg-profile collision",
+                                "tiling": disc.chords,
+                                "multisets": [by_profile[prof], chosen]})
+                        by_profile.setdefault(prof, chosen)
             forbidden_ok = t.forbidden_tile_scan()
             if forbidden_ok:
                 passing += 1
@@ -272,35 +291,40 @@ def _connected(n, grid):
     return len(seen) == n
 
 
+@functools.cache
+def _local_relation_patterns(n_in, n_out):
+    """The G2/G3-admissible relation sets at a vertex with n_in incoming and
+    n_out outgoing arrows, as tuples of (in position, out position) pairs:
+    smaller sets first, then in `itertools.combinations` order.
+
+    Positions within the in- and the out-arrows are distinct arrows (a loop
+    takes one position on each side), so the admissible sets depend only on
+    the two counts.
+    """
+    pairs = [(i, j) for i in range(n_in) for j in range(n_out)]
+    options = []
+    for subset in itertools.chain.from_iterable(
+            itertools.combinations(pairs, k) for k in range(len(pairs) + 1)):
+        per_in = [0] * n_in
+        per_out = [0] * n_out
+        for i, j in subset:
+            per_in[i] += 1
+            per_out[j] += 1
+        if all(c <= 1 and n_out - c <= 1 for c in per_in) and \
+                all(c <= 1 and n_in - c <= 1 for c in per_out):
+            options.append(subset)
+    return tuple(options)
+
+
 def _relation_choices(n, arrows):
     """All G2/G3-admissible relation sets for the arrow list."""
     by_vertex = []
     for v in range(n):
-        ins = [a for a in arrows if a.tgt == v]
-        outs = [a for a in arrows if a.src == v]
-        pairs = [(a.id, b.id) for a in ins for b in outs]
-        if not pairs:
-            by_vertex.append([frozenset()])
-            continue
-        options = []
-        for subset in itertools.chain.from_iterable(
-                itertools.combinations(pairs, k) for k in range(len(pairs) + 1)):
-            rels = frozenset(subset)
-            ok = True
-            for a in ins:
-                cnt = sum(1 for b in outs if (a.id, b.id) in rels)
-                if cnt > 1 or len(outs) - cnt > 1:
-                    ok = False
-                    break
-            if ok:
-                for b in outs:
-                    cnt = sum(1 for a in ins if (a.id, b.id) in rels)
-                    if cnt > 1 or len(ins) - cnt > 1:
-                        ok = False
-                        break
-            if ok:
-                options.append(rels)
-        by_vertex.append(options)
+        ins = [a.id for a in arrows if a.tgt == v]
+        outs = [a.id for a in arrows if a.src == v]
+        by_vertex.append([
+            frozenset((ins[i], outs[j]) for i, j in subset)
+            for subset in _local_relation_patterns(len(ins), len(outs))])
     for combo in itertools.product(*by_vertex):
         yield frozenset().union(*combo)
 

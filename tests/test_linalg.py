@@ -63,3 +63,85 @@ def test_quotient_projection_section():
     # the subspace maps to zero
     for v in vectors:
         assert linalg.mat_vec(proj, v) == [0]
+
+
+def reference_rref(rows, ncols):
+    """Textbook Gauss-Jordan over Fractions: the reference for `rref`."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def reference_nullspace(rows, ncols):
+    red, pivots = reference_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _random_int_matrices(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        # the wider range gives non-unit pivots, the narrow one mostly unit
+        # ones
+        span = rng.choice((1, 5))
+        yield [[rng.randint(-span, span) for _ in range(cols)]
+               for _ in range(rows)], cols
+
+
+def test_rref_matches_fraction_reference():
+    inexact = 0
+    for m, cols in _random_int_matrices(11, 1500):
+        red, pivots = linalg.rref(m, cols)
+        assert (red, pivots) == reference_rref(m, cols), m
+        inexact += any(isinstance(x, Fraction) for row in red for x in row)
+    assert inexact > 100  # the inexact pivot division ran
+
+
+def test_rref_keeps_ints_on_exact_pivot_division():
+    # the pivots 2 and 1 divide their rows exactly
+    red, pivots = linalg.rref([[2, 4, 6], [1, 3, 2], [2, 5, 5]], 3)
+    assert pivots == [0, 1]
+    assert red == [[1, 0, 5], [0, 1, -1]]
+    assert all(type(x) is int for row in red for x in row)
+    red, _ = linalg.rref([[2, 3]], 2)
+    assert red == [[1, Fraction(3, 2)]] and type(red[0][0]) is int
+
+
+def test_nullspace_matches_fraction_reference():
+    for m, cols in _random_int_matrices(12, 800):
+        basis = linalg.nullspace(m, cols)
+        assert basis == reference_nullspace(m, cols), m
+        for v in basis:
+            assert linalg.mat_vec(m, v) == [0] * len(m)
+
+
+def test_column_space_projection_random():
+    for vectors, dim in _random_int_matrices(13, 800):
+        proj, sect = linalg.column_space_projection(vectors, dim)
+        q = dim - len(reference_rref(vectors, dim)[0])
+        assert len(proj) == q and len(sect) == dim
+        if q:
+            assert linalg.mat_mul(proj, sect) == linalg.identity(q), vectors
+        for v in vectors:
+            assert linalg.mat_vec(proj, v) == [0] * q, vectors

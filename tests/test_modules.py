@@ -1,10 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
 from clusterlab.modules import (
     QuiverRep, StringInventory, ar_translate, enumerate_tau_rigid, hom_dim,
-    is_tau_rigid, projective_module, string_module, zero_rep,
+    is_tau_rigid, minimal_presentation, projective_module, string_module,
+    zero_rep,
 )
-from clusterlab.quiver import Arrow, BoundQuiver, StringWord
+from clusterlab.quiver import (
+    Arrow, BoundQuiver, StringWord, enumerate_strings, letter_graph_acyclic,
+)
+from clusterlab.verify import enumerate_gentle_algebras
 
 
 def loop_algebra():
@@ -135,6 +141,44 @@ def test_hom_invariant_under_realization():
     t1, t2 = ar_translate(q, m1), ar_translate(q, m2)
     assert t1.dim_vector() == t2.dim_vector()
     assert hom_dim(q, m1, t1) == hom_dim(q, m2, t2)
+
+
+def test_translates_stay_integer():
+    # string modules have 0/1 entries, and every pivot division on the way
+    # to their translates is exact
+    translated = 0
+    for q in enumerate_gentle_algebras(3, 4):
+        acyclic, longest = letter_graph_acyclic(q)
+        if not acyclic:
+            continue
+        inv = StringInventory(q)
+        for w in enumerate_strings(q, max(longest, 1))[0]:
+            _, _, entries = minimal_presentation(q, inv.module(w))
+            coefs = [c for terms in entries.values() for _, c in terms]
+            tau = inv.tau(w)
+            coefs += [x for mat in tau.mats.values() for row in mat
+                      for x in row]
+            assert all(type(x) is int for x in coefs), (q.to_json(), w)
+            translated += 1
+    assert translated == 550  # over 44 algebras
+
+
+def test_hom_with_fraction_entries():
+    # Kronecker modules of dimension (1, 1) are the points (a : b) of the
+    # projective line; Hom between two of them is 1 when the points agree
+    q = BoundQuiver(2, [Arrow("a", 0, 1), Arrow("b", 0, 1)], [])
+
+    def point(a, b):
+        return QuiverRep(q, (1, 1), {"a": [[a]], "b": [[b]]})
+
+    m = point(Fraction(1, 2), Fraction(1, 3))
+    assert hom_dim(q, m, m) == 1
+    assert hom_dim(q, m, point(3, 2)) == 1
+    assert hom_dim(q, point(3, 2), m) == 1
+    assert hom_dim(q, m, point(1, 1)) == 0
+    assert hom_dim(q, m, point(Fraction(2, 3), Fraction(1, 2))) == 0
+    assert hom_dim(q, simple(q, 1), m) == 1
+    assert hom_dim(q, m, simple(q, 1)) == 0
 
 
 def test_enumerate_tau_rigid_a2():

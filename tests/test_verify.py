@@ -1,6 +1,8 @@
 import functools
+import importlib
 import itertools
 import json
+import pathlib
 
 import pytest
 from click.testing import CliRunner
@@ -50,30 +52,56 @@ def _brute_canonical(n, grid, relations, arrow_names):
     return best
 
 
-def _brute_gentle_algebras(vertex_max, arrow_max):
-    """The first gentle member of each isomorphism class, deduplicated by
-    `_brute_canonical` over the enumeration's own grids and relation sets."""
-    seen = set()
-    out = []
+def _brute_relation_choices(n, arrows):
+    """Reference G2/G3-admissible relation sets: every subset of each
+    vertex's in x out arrow pairs, filtered, in `_relation_choices` order."""
+    by_vertex = []
+    for v in range(n):
+        ins = [a for a in arrows if a.tgt == v]
+        outs = [a for a in arrows if a.src == v]
+        pairs = [(a.id, b.id) for a in ins for b in outs]
+        options = []
+        for subset in itertools.chain.from_iterable(
+                itertools.combinations(pairs, k)
+                for k in range(len(pairs) + 1)):
+            rels = frozenset(subset)
+            if all(sum((a.id, b.id) in rels for b in outs) <= 1 and
+                   sum((a.id, b.id) not in rels for b in outs) <= 1
+                   for a in ins) and \
+                    all(sum((a.id, b.id) in rels for a in ins) <= 1 and
+                        sum((a.id, b.id) not in rels for a in ins) <= 1
+                        for b in outs):
+                options.append(rels)
+        by_vertex.append(options)
+    for combo in itertools.product(*by_vertex):
+        yield frozenset().union(*combo)
+
+
+def _connected_grid_arrows(vertex_max, arrow_max):
     for n in range(1, vertex_max + 1):
         for grid in _arrow_grids(n, arrow_max):
-            if not _connected(n, grid):
+            if _connected(n, grid):
+                yield n, grid, [Arrow(f"a{i}_{j}_{k}", i, j)
+                                for (i, j), c in sorted(grid.items())
+                                for k in range(c)]
+
+
+def _brute_gentle_algebras(vertex_max, arrow_max):
+    """The first gentle member of each isomorphism class, deduplicated by
+    `_brute_canonical` over the enumeration's own grids and the reference
+    relation sets."""
+    seen = set()
+    out = []
+    for n, grid, arrows in _connected_grid_arrows(vertex_max, arrow_max):
+        arrow_names = {a.id: (a.src, a.tgt) for a in arrows}
+        for rels in _brute_relation_choices(n, arrows):
+            key = (n, _brute_canonical(n, grid, rels, arrow_names))
+            if key in seen:
                 continue
-            arrows = []
-            arrow_names = {}
-            for (i, j), c in sorted(grid.items()):
-                for k in range(c):
-                    name = f"a{i}_{j}_{k}"
-                    arrows.append(Arrow(name, i, j))
-                    arrow_names[name] = (i, j)
-            for rels in _relation_choices(n, arrows):
-                key = (n, _brute_canonical(n, grid, rels, arrow_names))
-                if key in seen:
-                    continue
-                seen.add(key)
-                q = BoundQuiver(n, arrows, rels)
-                if check_gentle(q).ok:
-                    out.append(q)
+            seen.add(key)
+            q = BoundQuiver(n, arrows, rels)
+            if check_gentle(q).ok:
+                out.append(q)
     return out
 
 
@@ -132,6 +160,41 @@ def test_thm2_reports_phase_timings():
     assert "phases" not in r.counts
 
 
+def test_thm1_reports_phase_timings():
+    r = verify_thm1(5, 2, geometric_cross_check=False)
+    phases = r.to_dict()["phases"]
+    assert set(phases) == {"arcs", "multisets"}
+    assert all(v >= 0 for v in phases.values())
+    # the "multisets" count stays a count
+    assert r.counts["multisets"] == 51 and "phases" not in r.counts
+
+
+def _bench_report_digest(monkeypatch):
+    """`report_digest` from the benchmark's runner, which digests the
+    reports the CLI prints."""
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    return importlib.import_module("run").report_digest
+
+
+def test_result_digest_matches_bench_recipe(monkeypatch):
+    res = CliRunner().invoke(main, ["verify", "thm2", "--vertex-max", "2",
+                                    "--arrow-max", "3", "--format", "json"])
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert data["result_digest"] == _bench_report_digest(monkeypatch)(data)
+
+
+def test_result_digest_ignores_timing():
+    first, second = verify_thm2(2, 3), verify_thm2(2, 3)
+    second.duration_s = first.duration_s + 1.0
+    assert first.to_dict()["duration_s"] != second.to_dict()["duration_s"]
+    assert first.result_digest == second.result_digest
+    assert first.to_dict()["result_digest"] == first.result_digest
+    second.counts["algebras"] += 1
+    assert first.result_digest != second.result_digest
+
+
 def test_gentle_enumeration_small():
     algs = enumerate_gentle_algebras(1, 1)
     # one vertex: the trivial algebra (no arrows is excluded; a loop with
@@ -148,6 +211,17 @@ def test_gentle_enumeration_matches_brute_force():
     want = [q.to_json() for q in _brute_gentle_algebras(4, 4)]
     assert len(want) == 312
     assert got == want
+
+
+def test_relation_choices_match_subset_filter():
+    # the same relation sets in the same order on every connected grid of
+    # the acceptance family (4 vertices, 6 arrows)
+    total = 0
+    for n, _, arrows in _connected_grid_arrows(4, 6):
+        got = list(_relation_choices(n, arrows))
+        assert got == list(_brute_relation_choices(n, arrows)), arrows
+        total += len(got)
+    assert total == 56604
 
 
 @functools.cache
