@@ -8,8 +8,8 @@ caller's integers: a pivot row is divided by its pivot with `//` wherever
 the division is exact, and a Fraction appears only where the pivot does not
 divide an entry, so integer input whose pivots divide their rows (every
 0/1 module of a gentle algebra) is reduced without a single Fraction.
-Ranks and determinants of integer matrices take the fraction-free Bareiss
-route.
+Ranks come from that same elimination; determinants of integer matrices
+take the fraction-free Bareiss route.
 """
 
 from __future__ import annotations
@@ -92,43 +92,12 @@ def _divide(x, pv):
 
 
 def rank(rows, ncols=None):
-    """Rank of the matrix; integer input goes through Bareiss elimination."""
+    """Rank of the matrix: the number of nonzero rows of its `rref`."""
     if not rows:
         return 0
     if ncols is None:
         ncols = len(rows[0])
-    if all(isinstance(x, int) for row in rows for x in row):
-        return _int_rank([row[:] for row in rows], ncols)
     return len(rref(rows, ncols)[0])
-
-
-def _int_rank(m, ncols):
-    # fraction-free (Bareiss) elimination; every row below the pivot is
-    # rescaled even when its pivot-column entry vanishes, or the exact
-    # divisions further right break
-    nrows = len(m)
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, nrows):
-            row_i, row_r = m[i], m[r]
-            f = row_i[c]
-            for j in range(c, ncols):
-                row_i[j] = (pv * row_i[j] - f * row_r[j]) // prev
-        prev = pv
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 def nullspace(rows, ncols):

@@ -133,8 +133,8 @@ def hom_dim(q: BoundQuiver, m: QuiverRep, n: QuiverRep) -> int:
     """Dimension of Hom(M, N): nullity of the intertwiner system.
 
     Unknowns are the entries of the per-vertex maps f_v; each arrow imposes
-    f_tgt M_a = N_a f_src.  `linalg.rank` takes integer rows through Bareiss
-    elimination and rows holding a Fraction through `rref`.
+    f_tgt M_a = N_a f_src.  `linalg.rank` reduces the integer rows with
+    `rref`, which keeps them integers wherever its pivots divide exactly.
     """
     offsets = []
     total = 0

@@ -415,7 +415,9 @@ def seg_profile(t: TilingComplex, multiset: ArcMultiset):
     """Counts of crossing segments per angle and of endpoint configurations.
 
     Keys are ("p2", face, corner) and ("p1", face, corner); absent keys are
-    zero.  Additive over multiset union by construction.
+    zero.  Additive over multiset union by construction; `verify_thm1`
+    relies on this, taking the profile of each arc once and summing them as
+    its sweep extends a multiset.
     """
     prof = {}
     for arc, mult in multiset.items:

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -107,32 +108,76 @@ def _timed(fn):
 # intersection-vector injectivity over disc tilings
 
 
-def _compatible_multisets(compat, cap):
-    """Yield every pairwise compatible multiset of total multiplicity <= cap
-    over the indices of the square matrix `compat`, the empty one first;
-    each is ((index, multiplicity), ...) with increasing indices.
+def _compatible_multisets(compatible, weights, cap):
+    """Yield (multiset, weight) for every pairwise compatible multiset of
+    total multiplicity <= cap over the indices of `weights`, the empty one
+    first.  A multiset is ((index, multiplicity), ...) with increasing
+    indices; its weight is the entrywise sum of multiplicity * weights[index].
 
+    `compatible(i, j)` is asked once for each j < i, when index i is
+    reached, so a consumer that stops early asks no further questions.
     Index i extends the multisets found over indices < i in the order they
     were found; the witnesses callers report depend on this order.
     """
-    yield ()
-    states = [((), 0)]
-    for i in range(len(compat)):
+    zero = (0,) * len(weights[0]) if weights else ()
+    yield (), zero
+    # extendable states: (multiset, total, bitmask of its indices, weight)
+    states = [((), 0, 0, zero)] if cap > 0 else []
+    for i, row in enumerate(weights):
+        clash = 0
+        for j in range(i):
+            if not compatible(i, j):
+                clash |= 1 << j
         new_states = []
-        for chosen, total in states:
-            if all(compat[i][j] for j, _ in chosen):
-                for mult in range(1, cap - total + 1):
-                    state = (chosen + ((i, mult),), total + mult)
-                    new_states.append(state)
-                    yield state[0]
+        for chosen, total, mask, weight in states:
+            if mask & clash:
+                continue
+            for mult in range(1, cap - total + 1):
+                weight = tuple(map(operator.add, weight, row))
+                child = chosen + ((i, mult),)
+                yield child, weight
+                if total + mult < cap:
+                    new_states.append(
+                        (child, total + mult, mask | 1 << i, weight))
         states.extend(new_states)
+
+
+def _arc_weights(t, arcs, mult_cap, with_profiles):
+    """Weight rows for the thm1 sweep, and the profile layout (keys, width).
+
+    A row is the arc's intersection vector, followed when `with_profiles`
+    by its `seg_profile` packed into one int by `_pack_profile` over the
+    sorted keys of all the arcs' profiles.  Each field holds mult_cap times
+    the largest count, so sums of at most mult_cap rows never carry; as
+    profiles are additive, a multiset's last weight entry packs its profile.
+    """
+    if not with_profiles:
+        return [arc.intersection for arc in arcs], ([], 0)
+    profiles = [seg_profile(t, ArcMultiset(((arc, 1),))) for arc in arcs]
+    keys = sorted(set().union(*profiles))
+    top = max((c for p in profiles for c in p.values()), default=0)
+    width = (mult_cap * top).bit_length()
+    return [arc.intersection + (_pack_profile(p, keys, width),)
+            for arc, p in zip(arcs, profiles)], (keys, width)
+
+
+def _pack_profile(profile, keys, width):
+    """The profile's count at keys[k] in bits k * width onwards of one int;
+    keys outside `keys` are left out."""
+    return sum(profile.get(key, 0) << (width * k)
+               for k, key in enumerate(keys))
 
 
 @_timed
 def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
                 geometric_cross_check=True):
     """Intersection vectors determine compatible multisets on admissible
-    disc tilings; even type V tilings yield explicit counterexamples."""
+    disc tilings; even type V tilings yield explicit counterexamples.
+
+    The intersection vector and the segment profile of each multiset are
+    accumulated arc by arc as the sweep extends it (see `_arc_weights`);
+    neither is recomputed from the whole multiset.
+    """
     report = VerifyReport(
         "thm1-intersection-injectivity",
         {"marked_max": marked_max, "mult_cap": mult_cap})
@@ -168,24 +213,26 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
             by_profile = {}
             collision = None
             with _phase(report, "multisets"):
-                compat = [[t.arcs_compatible(a, b) for b in arcs]
-                          for a in arcs]
-                for chosen in _compatible_multisets(compat, mult_cap):
+                weights, _ = _arc_weights(
+                    t, arcs, mult_cap, include_key_lemma)
+                for chosen, weight in _compatible_multisets(
+                        lambda i, j: t.arcs_compatible(arcs[i], arcs[j]),
+                        weights, mult_cap):
                     multisets_checked += 1
-                    ms = ArcMultiset(
-                        tuple((arcs[i], mult) for i, mult in chosen))
-                    vec = ms.intersection_vector(n_arcs)
-                    if vec in by_vec and by_vec[vec] != chosen:
+                    vec = weight[:n_arcs]
+                    if vec in by_vec:
                         collision = (by_vec[vec], chosen, vec)
-                    by_vec.setdefault(vec, chosen)
+                    else:
+                        by_vec[vec] = chosen
                     if include_key_lemma:
-                        prof = tuple(sorted(seg_profile(t, ms).items()))
-                        if prof in by_profile and by_profile[prof] != chosen:
+                        prof = weight[n_arcs]
+                        if prof in by_profile:
                             report.fail({
                                 "check": "seg-profile collision",
                                 "tiling": disc.chords,
                                 "multisets": [by_profile[prof], chosen]})
-                        by_profile.setdefault(prof, chosen)
+                        else:
+                            by_profile[prof] = chosen
             forbidden_ok = t.forbidden_tile_scan()
             if forbidden_ok:
                 passing += 1
@@ -435,16 +482,14 @@ def _dim_collision(rigid, inv, cap):
     multisets: (earlier multiset, later multiset, vector), or None."""
     words = [w for w, _ in rigid]
     dims = [d for _, d in rigid]
-    compat = [[inv.compatible(a, b) for b in words] for a in words]
+    multisets = _compatible_multisets(
+        lambda i, j: inv.compatible(words[i], words[j]), dims, cap)
+    next(multisets)  # the empty multiset
     by_vec = {}
-    for chosen in _compatible_multisets(compat, cap):
-        if not chosen:
-            continue
-        vec = tuple(sum(mult * dims[i][r] for i, mult in chosen)
-                    for r in range(inv.q.n))
-        if vec in by_vec and by_vec[vec] != chosen:
+    for chosen, vec in multisets:
+        if vec in by_vec:
             return (by_vec[vec], chosen, vec)
-        by_vec.setdefault(vec, chosen)
+        by_vec[vec] = chosen
     return None
 
 
@@ -659,21 +704,16 @@ def _tau_rigid_pairs(rigid, inv, cap):
     n = inv.q.n
     words = [w for w, _ in rigid]
     dims = [d for _, d in rigid]
-    compat = [[inv.compatible(a, b) for b in words] for a in words]
     pairs = []
-    for chosen in _compatible_multisets(compat, cap):
+    for chosen, mdim in _compatible_multisets(
+            lambda i, j: inv.compatible(words[i], words[j]), dims, cap):
         total = sum(mult for _, mult in chosen)
-        mdim = [0] * n
-        for i, mult in chosen:
-            for r in range(n):
-                mdim[r] += mult * dims[i][r]
-        allowed = [v for v in range(n)
-                   if all(dims[i][v] == 0 for i, _ in chosen)]
-        all_compatible = [[True] * len(allowed)] * len(allowed)
-        for part in _compatible_multisets(all_compatible, cap - total):
+        allowed = [v for v in range(n) if mdim[v] == 0]
+        for part, _ in _compatible_multisets(
+                lambda i, j: True, [()] * len(allowed), cap - total):
             if chosen or part:
                 proj = tuple((allowed[k], c) for k, c in part)
-                pairs.append((chosen, proj, tuple(mdim)))
+                pairs.append((chosen, proj, mdim))
     return pairs
 
 

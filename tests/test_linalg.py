@@ -29,7 +29,7 @@ def test_int_rank_matches_fraction_rank():
 
 
 def test_int_rank_regression_full_rank_with_zero_pivot_entries():
-    # needs the Bareiss rescaling even on rows whose pivot entry is zero
+    # full rank, with zeros in the pivot column of several rows
     m = [[0, -3, 2, 1, -3, -2], [3, 1, 2, 1, -2, 0], [0, -1, 0, -3, -2, 0],
          [1, 2, -2, 0, -3, -1], [-1, 2, 2, 2, 3, -2], [2, 2, -3, -3, -3, 2]]
     assert linalg.rank(m, 6) == 6

@@ -9,10 +9,14 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from clusterlab.cli import main
+from clusterlab.errors import UnclassifiableTileError
 from clusterlab.quiver import Arrow, BoundQuiver, check_gentle
+from clusterlab.tiling import ArcMultiset, disc_tilings, seg_profile
 from clusterlab.verify import (
-    VerifyReport, _arrow_grids, _canonical_bound_quiver, _connected,
-    _quiver_shape, _relation_choices, enumerate_gentle_algebras, verify_denominator,
+    VerifyReport, _arc_weights, _arrow_grids, _canonical_bound_quiver,
+    _compatible_multisets, _connected, _pack_profile, _quiver_shape,
+    _relation_choices,
+    enumerate_gentle_algebras, verify_denominator,
     verify_denominator_duality, verify_fvector_injectivity, verify_thm1,
     verify_thm2, verify_type_c_categorification, write_report,
 )
@@ -103,6 +107,100 @@ def _brute_gentle_algebras(vertex_max, arrow_max):
             if check_gentle(q).ok:
                 out.append(q)
     return out
+
+
+def _brute_multisets(compat, cap):
+    """Reference multiset generator over a full compatibility matrix: every
+    state re-tests its chosen indices against the new one."""
+    yield ()
+    states = [((), 0)]
+    for i in range(len(compat)):
+        new_states = []
+        for chosen, total in states:
+            if all(compat[i][j] for j, _ in chosen):
+                for mult in range(1, cap - total + 1):
+                    state = (chosen + ((i, mult),), total + mult)
+                    new_states.append(state)
+                    yield state[0]
+        states.extend(new_states)
+
+
+@st.composite
+def _multiset_problems(draw):
+    n = draw(st.integers(0, 8))
+    compat = [[True] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            compat[i][j] = compat[j][i] = draw(st.booleans())
+    width = draw(st.integers(0, 3))
+    weights = [tuple(draw(st.integers(-5, 5)) for _ in range(width))
+               for _ in range(n)]
+    return compat, weights, draw(st.integers(0, 4))
+
+
+@given(_multiset_problems())
+@settings(max_examples=300, deadline=None)
+def test_compatible_multisets_match_brute_force(problem):
+    compat, weights, cap = problem
+    asked = []
+
+    def compatible(i, j):
+        asked.append((i, j))
+        return compat[i][j]
+
+    sweep = _compatible_multisets(compatible, weights, cap)
+    first = next(sweep)
+    assert asked == []  # nothing is asked before index 0 is reached
+    out = [first] + list(sweep)
+    assert [chosen for chosen, _ in out] == list(_brute_multisets(compat, cap))
+    width = len(weights[0]) if weights else 0
+    for chosen, weight in out:
+        assert weight == tuple(
+            sum(mult * weights[i][r] for i, mult in chosen)
+            for r in range(width))
+    n = len(weights)
+    assert sorted(asked) == [(i, j) for i in range(n) for j in range(i)]
+
+
+def _admissible_disc_complexes(m_max):
+    for m in range(4, m_max + 1):
+        for disc in disc_tilings(m):
+            t = disc.to_complex()
+            try:
+                t.classify_tiles()
+            except UnclassifiableTileError:
+                continue
+            if t.forbidden_tile_scan():
+                yield t
+
+
+def test_thm1_weights_split_into_vector_and_profile():
+    tilings = multisets = 0
+    for t in _admissible_disc_complexes(6):
+        tilings += 1
+        arcs, _ = t.enumerate_permissible_arcs()
+        weights, (keys, width) = _arc_weights(t, arcs, 3, True)
+        n_arcs = len(t.arcs)
+        for chosen, weight in _compatible_multisets(
+                lambda i, j: t.arcs_compatible(arcs[i], arcs[j]), weights, 3):
+            multisets += 1
+            ms = ArcMultiset(tuple((arcs[i], mult) for i, mult in chosen))
+            prof = seg_profile(t, ms)
+            # every count fits its field, so the packing is injective
+            assert set(prof) <= set(keys)
+            assert all(c < 1 << width for c in prof.values())
+            assert weight == ms.intersection_vector(n_arcs) + (
+                _pack_profile(prof, keys, width),)
+    # the admissible tilings and multisets of verify_thm1(6, 3)
+    assert (tilings, multisets) == (21, 836)
+
+
+def test_generator_callers_keep_their_results():
+    # digests read before the generator tracked masks and running weights
+    assert verify_thm2(4, 4, 3).result_digest == (
+        "8089693f3a2f89e387d11e909f49dd7c0842638da56a165dc2f9def4d057ccda")
+    assert verify_type_c_categorification(3, 3).result_digest == (
+        "72454f22b3e406190fad316db3498b33778341d5954b3b3513eecf55611e776d")
 
 
 def test_report_round_trip(tmp_path):
