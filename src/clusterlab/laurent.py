@@ -51,10 +51,6 @@ class LaurentPoly:
         return cls(n_vars, {(0,) * n_vars: 1})
 
     @classmethod
-    def constant(cls, n_vars, c):
-        return cls(n_vars, {(0,) * n_vars: c})
-
-    @classmethod
     def variable(cls, n_vars, i):
         """The coordinate monomial x_{i+1} (index `i` is 0-based)."""
         exps = [0] * n_vars
@@ -73,9 +69,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self._terms
-
-    def is_one(self):
-        return self._terms == {(0,) * self.n_vars: 1}
 
     def is_monomial(self):
         return len(self._terms) == 1

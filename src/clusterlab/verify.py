@@ -18,7 +18,6 @@ import json
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from . import linalg
 from .errors import UnclassifiableTileError
@@ -376,101 +375,75 @@ def _relation_choices(n, arrows):
         yield frozenset().union(*combo)
 
 
-class _QuiverShape(NamedTuple):
-    """The relation-independent parts of a quiver's canonical form."""
+def _grid_key(n, grid):
+    """The least sorted arrow list, one (source, target) pair per arrow, over
+    all vertex permutations of the arrow-count grid; two grids get the same
+    key exactly when they are isomorphic."""
+    arrows = [ij for ij, c in grid.items() for _ in range(c)]
+    return tuple(min(sorted([(p[i], p[j]) for i, j in arrows])
+                     for p in itertools.permutations(range(n))))
 
-    degrees: list    # per vertex: (out-degree, in-degree, loops)
-    outs: list       # per vertex: the target of each arrow leaving it
-    ins: list        # per vertex: the source of each arrow entering it
-    tgt: dict        # arrow id -> target
-    orderings: list  # per group of parallel arrows: ((i, j), orderings)
 
-
-def _quiver_shape(n, arrows):
-    degrees = [[0, 0, 0] for _ in range(n)]
-    outs = [[] for _ in range(n)]
-    ins = [[] for _ in range(n)]
-    tgt = {}
+def _automorphisms(n, arrows):
+    """The quiver's automorphisms as arrow-id maps: each vertex permutation
+    that fixes the arrow-count grid, combined with each ordering of each
+    group of parallel arrows."""
     groups = {}
     for a in arrows:
-        degrees[a.src][0] += 1
-        degrees[a.tgt][1] += 1
-        degrees[a.src][2] += a.src == a.tgt
-        outs[a.src].append(a.tgt)
-        ins[a.tgt].append(a.src)
-        tgt[a.id] = a.tgt
         groups.setdefault((a.src, a.tgt), []).append(a.id)
-    return _QuiverShape(
-        [tuple(d) for d in degrees], outs, ins, tgt,
-        [(ij, list(itertools.permutations(names)))
-         for ij, names in sorted(groups.items())])
+    maps = []
+    for p in itertools.permutations(range(n)):
+        images = [groups.get((p[i], p[j]), ()) for i, j in groups]
+        if any(len(ids) != len(image)
+               for ids, image in zip(groups.values(), images)):
+            continue
+        for orders in itertools.product(*map(itertools.permutations, images)):
+            maps.append({a: b for ids, order in zip(groups.values(), orders)
+                         for a, b in zip(ids, order)})
+    return maps
 
 
-def _canonical_bound_quiver(shape, relations):
-    """Canonical encoding of (quiver, relations) under vertex permutations
-    and permutations of parallel arrows: the least (arrows, relations)
-    encoding over the labellings that keep a vertex colouring in order.
-
-    A vertex's colour is its (out-degree, in-degree, loops, relations through
-    it), then the sorted colours of its out- and in-neighbours, one per
-    arrow.  Isomorphisms preserve colours, so isomorphic bound quivers have
-    the same candidate encodings and hence the same least one.
-    """
-    n = len(shape.degrees)
-    through = [0] * n
-    for a, _ in relations:
-        through[shape.tgt[a]] += 1
-    local = [shape.degrees[v] + (through[v],) for v in range(n)]
-    colour = [(local[v], sorted(local[w] for w in shape.outs[v]),
-               sorted(local[w] for w in shape.ins[v])) for v in range(n)]
-    order = sorted(range(n), key=colour.__getitem__)
-    blocks = [tuple(g) for _, g in
-              itertools.groupby(order, key=colour.__getitem__)]
-    # the arrow encoding is decided by the labelling alone, and compares
-    # first; orderings of parallel arrows only matter for the least ones
-    best_arrows = None
-    candidates = []
-    for choice in itertools.product(*map(itertools.permutations, blocks)):
-        label = [0] * n
-        for lab, v in enumerate(itertools.chain.from_iterable(choice)):
-            label[v] = lab
-        groups = sorted(((label[i], label[j]), pool)
-                        for (i, j), pool in shape.orderings)
-        arrows = tuple(ij for ij, pool in groups for _ in pool[0])
-        if best_arrows is None or arrows < best_arrows:
-            best_arrows = arrows
-            candidates = [groups]
-        elif arrows == best_arrows:
-            candidates.append(groups)
-    best_relations = None
-    for groups in candidates:
-        for assignment in itertools.product(*(pool for _, pool in groups)):
-            index = {name: k for k, name in
-                     enumerate(itertools.chain.from_iterable(assignment))}
-            rels = tuple(sorted((index[a], index[b]) for a, b in relations))
-            if best_relations is None or rels < best_relations:
-                best_relations = rels
-    return best_arrows, best_relations
+def _canonical_bound_quiver(automorphisms, relations):
+    """The least image of the relation set under the quiver's automorphisms:
+    equal for two relation sets on one quiver exactly when an automorphism
+    maps one to the other."""
+    return min(tuple(sorted((g[a], g[b]) for a, b in relations))
+               for g in automorphisms)
 
 
 def enumerate_gentle_algebras(vertex_max, arrow_max):
     """Connected gentle bound quivers up to isomorphism: the first gentle
     member of each class, in enumeration order (vertex count, then arrow
-    grid, then relation set)."""
-    seen = set()
+    grid, then relation set).
+
+    Only the first grid of each isomorphism class of grids is visited, and
+    on it only the first relation set of each automorphism orbit (orderly
+    generation).  This still finds the first member of every class:
+    isomorphic bound quivers have isomorphic grids, and each bound quiver on
+    a later grid of a class has an isomorphic copy on the first grid of that
+    class, so every class first appears there; and two relation sets on one
+    grid give isomorphic bound quivers exactly when an automorphism of the
+    grid's quiver maps one to the other.
+    """
     out = []
     for n in range(1, vertex_max + 1):
+        grid_classes = set()
         for grid in _arrow_grids(n, arrow_max):
             if not _connected(n, grid):
                 continue
+            grid_key = _grid_key(n, grid)
+            if grid_key in grid_classes:
+                continue
+            grid_classes.add(grid_key)
             arrows = [Arrow(f"a{i}_{j}_{k}", i, j)
                       for (i, j), c in sorted(grid.items()) for k in range(c)]
-            shape = _quiver_shape(n, arrows)
+            automorphisms = _automorphisms(n, arrows)
+            orbits = set()
             for rels in _relation_choices(n, arrows):
-                key = (n, _canonical_bound_quiver(shape, rels))
-                if key in seen:
+                key = _canonical_bound_quiver(automorphisms, rels)
+                if key in orbits:
                     continue
-                seen.add(key)
+                orbits.add(key)
                 q = BoundQuiver(n, arrows, rels)
                 if check_gentle(q).ok:
                     out.append(q)
@@ -640,32 +613,43 @@ def _check_d_columns_independent(graph, where, report):
 @_timed
 def verify_denominator(series="C", n_max=3, degree_cap=3, initial_seeds="all"):
     """Denominator vectors separate bounded-degree cluster monomials, from
-    every cluster of every explored finite-type pattern in the series."""
+    every cluster of every explored finite-type pattern in the series.
+
+    The explored graph and both checks depend only on the exchange matrix,
+    and rerooted matrices repeat, so each distinct matrix is explored and
+    checked once; its monomial count is added at every reroot.
+    """
     report = VerifyReport(
         "thm4-denominator-injectivity",
         {"series": series, "n_max": n_max, "degree_cap": degree_cap,
          "initial_seeds": initial_seeds})
     monomials = 0
     reroots = 0
+
+    def check(matrix, where):
+        graph = explore(matrix)
+        count = _check_d_injectivity(graph, degree_cap, where, report)
+        _check_d_columns_independent(graph, where, report)
+        return graph, count
+
     for n in range(2, n_max + 1):
         if report.verdict == "fail":
             break  # fail fast
         base = standard_matrix(series, n)
-        graph = explore(base)
-        monomials += _check_d_injectivity(
-            graph, degree_cap, f"{series}{n} root", report)
-        _check_d_columns_independent(graph, f"{series}{n} root", report)
+        graph, count = check(base, f"{series}{n} root")
+        monomials += count
+        # matrix -> monomial count; counts, not graphs, to keep memory flat
+        counted = {base: count}
         if initial_seeds == "all":
             for vid in range(graph.cluster_count()):
                 if report.verdict == "fail":
                     break
                 b_t = graph.reps[vid].matrix()
-                regraph = explore(b_t)
+                if b_t not in counted:
+                    counted[b_t] = check(
+                        b_t, f"{series}{n} cluster {vid}")[1]
                 reroots += 1
-                monomials += _check_d_injectivity(
-                    regraph, degree_cap, f"{series}{n} cluster {vid}", report)
-                _check_d_columns_independent(
-                    regraph, f"{series}{n} cluster {vid}", report)
+                monomials += counted[b_t]
     report.counts = {"monomials": monomials, "reroots": reroots}
     return report
 

@@ -1,8 +1,11 @@
 import functools
+import hashlib
 import importlib
 import itertools
 import json
+import math
 import pathlib
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -13,9 +16,9 @@ from clusterlab.errors import UnclassifiableTileError
 from clusterlab.quiver import Arrow, BoundQuiver, check_gentle
 from clusterlab.tiling import ArcMultiset, disc_tilings, seg_profile
 from clusterlab.verify import (
-    VerifyReport, _arc_weights, _arrow_grids, _canonical_bound_quiver,
-    _compatible_multisets, _connected, _pack_profile, _quiver_shape,
-    _relation_choices,
+    VerifyReport, _arc_weights, _arrow_grids, _automorphisms,
+    _canonical_bound_quiver, _compatible_multisets, _connected, _grid_key,
+    _pack_profile, _relation_choices,
     enumerate_gentle_algebras, verify_denominator,
     verify_denominator_duality, verify_fvector_injectivity, verify_thm1,
     verify_thm2, verify_type_c_categorification, write_report,
@@ -327,25 +330,53 @@ def _small_gentle():
     return enumerate_gentle_algebras(3, 4)
 
 
-def _key(q):
-    return _canonical_bound_quiver(
-        _quiver_shape(q.n, list(q.arrows.values())), q.relations)
+def _moves_along_a_vertex_permutation(q, g):
+    """Whether the arrow map g moves every source and target along one
+    permutation of the vertices."""
+    p = {}
+    for a in q.arrows.values():
+        b = q.arrow(g[a.id])
+        for v, w in ((a.src, b.src), (a.tgt, b.tgt)):
+            if p.setdefault(v, w) != w:
+                return False
+    return sorted(p.values()) == list(range(q.n))
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_canonical_key_ignores_labels(data):
     q = data.draw(st.sampled_from(_small_gentle()))
+    grid = dict(Counter((a.src, a.tgt) for a in q.arrows.values()))
+    # the grid key ignores vertex labels
     perm = data.draw(st.permutations(range(q.n)))
-    arrows = data.draw(st.permutations(sorted(q.arrows)))
-    # new names in a random order, so parallel arrows trade names
-    names = dict(zip(arrows, data.draw(
-        st.permutations([f"b{k}" for k in range(len(arrows))]))))
-    relabeled = BoundQuiver(
-        q.n, [Arrow(names[a], perm[q.arrow(a).src], perm[q.arrow(a).tgt])
-              for a in arrows],
-        [(names[a], names[b]) for a, b in q.relations])
-    assert _key(relabeled) == _key(q)
+    moved = {(perm[i], perm[j]): c for (i, j), c in grid.items()}
+    assert _grid_key(q.n, moved) == _grid_key(q.n, grid)
+    # one automorphism per grid-fixing vertex permutation and ordering of
+    # each group of parallel arrows
+    automorphisms = _automorphisms(q.n, list(q.arrows.values()))
+    fixing = sum(
+        {(p[i], p[j]): c for (i, j), c in grid.items()} == grid
+        for p in itertools.permutations(range(q.n)))
+    orderings = math.prod(map(math.factorial, grid.values()))
+    assert len(automorphisms) == fixing * orderings
+    # the orbit key is constant on orbits, parallel-arrow swaps included
+    g = data.draw(st.sampled_from(automorphisms))
+    assert sorted(g) == sorted(g.values()) == sorted(q.arrows)
+    assert _moves_along_a_vertex_permutation(q, g)
+    image = frozenset((g[a], g[b]) for a, b in q.relations)
+    assert _canonical_bound_quiver(automorphisms, image) == \
+        _canonical_bound_quiver(automorphisms, q.relations)
+
+
+def test_gentle_enumeration_pinned_at_acceptance_bounds():
+    # sha256 of the to_json list of enumerate_gentle_algebras(4, 6) as
+    # found by canonicalising every relation set on every connected grid
+    algebras = enumerate_gentle_algebras(4, 6)
+    assert len(algebras) == 2209
+    digest = hashlib.sha256(
+        json.dumps([q.to_json() for q in algebras]).encode()).hexdigest()
+    assert digest == \
+        "e2ef497addea8d2cb7f9e58bb37cc18bf153b68d82a1a4a19d0665354471da79"
 
 
 def test_fvector_harness():
