@@ -385,7 +385,11 @@ def is_tau_rigid(q: BoundQuiver, m: QuiverRep) -> bool:
 
 
 class StringInventory:
-    """Cached per-algebra data: string modules, translates, rigidity, Hom."""
+    """Cached per-algebra data: string modules, translates, rigidity, Hom.
+
+    `tau_hits` and `tau_misses` count the translate lookups answered from
+    the cache and the ones that computed a translate.
+    """
 
     def __init__(self, q: BoundQuiver):
         self.q = q
@@ -393,6 +397,7 @@ class StringInventory:
         self._tau = {}
         self._rigid = {}
         self._compat = {}
+        self.tau_hits = self.tau_misses = 0
 
     def module(self, w: StringWord) -> QuiverRep:
         key = (w.letters, w.base)
@@ -402,7 +407,10 @@ class StringInventory:
 
     def tau(self, w: StringWord) -> QuiverRep:
         key = (w.letters, w.base)
-        if key not in self._tau:
+        if key in self._tau:
+            self.tau_hits += 1
+        else:
+            self.tau_misses += 1
             self._tau[key] = ar_translate(self.q, self.module(w))
         return self._tau[key]
 

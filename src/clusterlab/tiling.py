@@ -353,8 +353,14 @@ class TilingComplex:
         On disc tilings the chord-interleaving answer must agree; a mismatch
         raises immediately.
         """
-        inv = self.inventory()
-        ok = inv.compatible(a1.word, a2.word)
+        return self.check_compatibility(
+            a1, a2, self.inventory().compatible(a1.word, a2.word))
+
+    def check_compatibility(self, a1: "PermissibleArc", a2: "PermissibleArc",
+                            ok):
+        """Return `ok`, the module answer to whether the two arcs are
+        compatible, after checking it against chord interleaving on a disc
+        tiling; a mismatch raises."""
         if self.disc is not None:
             geo = chords_interleave(a1.endpoints, a2.endpoints) is False
             if geo != ok:

@@ -23,9 +23,10 @@ from . import linalg
 from .errors import UnclassifiableTileError
 from .explore import enumerate_monomials, explore, monomial_vectors, standard_matrix
 from .modules import StringInventory, enumerate_tau_rigid
-from .quiver import (Arrow, BoundQuiver, cartan_matrix, check_gentle,
-                     check_qb_conditions, detect_even_full_cycle,
-                     letter_graph_acyclic, type_c_quiver)
+from .quiver import (Arrow, BoundQuiver, StringWord, canonical_word,
+                     cartan_matrix, check_gentle, check_qb_conditions,
+                     detect_even_full_cycle, letter_graph_acyclic,
+                     type_c_quiver)
 from .tiling import (ArcMultiset, b_matrix_from_triangulation,
                      disc_tilings, geometric_disc_arcs, seg_profile)
 
@@ -40,6 +41,8 @@ class VerifyReport:
     duration_s: float = 0.0
     # seconds per phase; timing, so neither a count nor part of the result
     phases: dict = field(default_factory=dict)
+    # cache and reuse counts; how the work was shared, not part of the result
+    cache: dict = field(default_factory=dict)
 
     def fail(self, witness):
         self.verdict = "fail"
@@ -48,8 +51,8 @@ class VerifyReport:
     @property
     def result_digest(self):
         """sha256 of the verdict, counts and witnesses as they read in the
-        JSON report, keys sorted; timings are left out, so equal results
-        give equal digests across runs."""
+        JSON report, keys sorted; timings and cache counts are left out, so
+        equal results give equal digests across runs."""
         core = json.loads(json.dumps(
             {"verdict": self.verdict, "counts": self.counts,
              "witnesses": self.witnesses}, default=str))
@@ -61,6 +64,7 @@ class VerifyReport:
                 "verdict": self.verdict, "witnesses": self.witnesses,
                 "counts": self.counts, "duration_s": round(self.duration_s, 3),
                 "phases": {k: round(v, 3) for k, v in self.phases.items()},
+                "cache": self.cache,
                 "result_digest": self.result_digest}
 
     def to_json(self):
@@ -167,15 +171,135 @@ def _pack_profile(profile, keys, width):
                for k, key in enumerate(keys))
 
 
+def _signature_labellings(n, ends):
+    """Vertex labellings p (p[v] is the new label of vertex v) that list the
+    vertices by increasing signature (out-degree, in-degree, loops), in
+    every order within each block of equal signatures.  `ends` holds one
+    (source, target) pair per arrow.
+
+    Isomorphisms preserve signatures, so the least image of a quiver's
+    encoding over these labellings is a canonical form, just as the least
+    image over all n! labellings is.
+    """
+    out, inc, loops = [0] * n, [0] * n, [0] * n
+    for s, t in ends:
+        out[s] += 1
+        inc[t] += 1
+        loops[s] += s == t
+    sig = list(zip(out, inc, loops))
+    blocks = [list(block) for _, block in itertools.groupby(
+        sorted(range(n), key=sig.__getitem__), key=sig.__getitem__)]
+    for orders in itertools.product(*map(itertools.permutations, blocks)):
+        p = [0] * n
+        for label, v in enumerate(itertools.chain.from_iterable(orders)):
+            p[v] = label
+        yield p
+
+
+def _algebra_class(q):
+    """(key, p): the isomorphism class of the bound quiver and a vertex
+    labelling p attaining it.
+
+    The key is (vertex count, sorted (source, target) arrow list, sorted
+    relation pairs of such arrows), least over `_signature_labellings`.
+    Arrows are named by their ends, so parallel arrows raise ValueError
+    rather than let two classes share a key.
+    """
+    ends_of = {a.id: (a.src, a.tgt) for a in q.arrows.values()}
+    ends = list(ends_of.values())
+    if len(set(ends)) != len(ends):
+        raise ValueError("the class key cannot tell parallel arrows apart")
+    rels = [(ends_of[a], ends_of[b]) for a, b in q.relations]
+    best = None
+    for p in _signature_labellings(q.n, ends):
+        key = (q.n, tuple(sorted((p[s], p[t]) for s, t in ends)),
+               tuple(sorted(((p[s], p[t]), (p[u], p[v]))
+                            for (s, t), (u, v) in rels)))
+        if best is None or key < best[0]:
+            best = (key, p)
+    return best
+
+
+def _class_arrow(ends):
+    """Id of the arrow with these (source, target) ends in a class quiver."""
+    return f"a{ends[0]}_{ends[1]}"
+
+
+def _class_quiver(key):
+    """The canonical bound quiver of an `_algebra_class` key."""
+    n, ends, rels = key
+    return BoundQuiver(n, [Arrow(_class_arrow(e), *e) for e in ends],
+                       [(_class_arrow(a), _class_arrow(b)) for a, b in rels])
+
+
+def _class_record(key):
+    """(rigid words, truncated flag, clash masks) of the class quiver.
+
+    The words are `enumerate_tau_rigid`'s; bit j of clashes[i] is set when
+    words j < i are not compatible.  The inventory is dropped: the sweep asks
+    every such pair anyway, and one int per word is all it needs later.
+    """
+    inv = StringInventory(_class_quiver(key))
+    rigid, truncated = enumerate_tau_rigid(inv)
+    words = [w for w, _ in rigid]
+    clashes = [sum(1 << j for j in range(i)
+                   if not inv.compatible(w, words[j]))
+               for i, w in enumerate(words)]
+    return words, truncated, clashes
+
+
+def _tiling_arcs(t, classes):
+    """(arcs, truncated flag, compatible(i, j)) of the tiling, read from the
+    record of its algebra's class in `classes` (built on the class's first
+    tiling).
+
+    The class words are mapped onto the tiling algebra's arrows,
+    re-canonicalised there and sorted as `enumerate_tau_rigid` sorts, so the
+    arcs come in the order the tiling's own inventory would give.
+    `compatible` reads the clash bit and checks it against chord geometry.
+    """
+    q, _ = t.algebra()
+    key, p = _algebra_class(q)
+    if key not in classes:
+        classes[key] = _class_record(key)
+    words, truncated, clashes = classes[key]
+    vertex = {label: v for v, label in enumerate(p)}
+    arrow = {_class_arrow((p[a.src], p[a.tgt])): a.id
+             for a in q.arrows.values()}
+    mapped = []  # (word of q, index of its class word)
+    for k, w in enumerate(words):
+        letters = tuple((arrow[c], inv) for c, inv in w.letters)
+        mapped.append(
+            (canonical_word(q, StringWord(letters, vertex[w.base])), k))
+    mapped.sort(
+        key=lambda wk: (len(wk[0].letters), wk[0].letters, wk[0].base))
+    arcs = [t.arc_from_word(w) for w, _ in mapped]
+
+    def compatible(i, j):
+        a, b = mapped[i][1], mapped[j][1]
+        return t.check_compatibility(
+            arcs[i], arcs[j], not clashes[max(a, b)] >> min(a, b) & 1)
+
+    return arcs, truncated, compatible
+
+
 @_timed
 def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
                 geometric_cross_check=True):
     """Intersection vectors determine compatible multisets on admissible
     disc tilings; even type V tilings yield explicit counterexamples.
 
-    The intersection vector and the segment profile of each multiset are
-    accumulated arc by arc as the sweep extends it (see `_arc_weights`);
-    neither is recomputed from the whole multiset.
+    The tau-rigid strings and their pairwise compatibility depend only on
+    the isomorphism class of the tiling algebra, so they are computed once
+    per class (`_algebra_class`, `_class_record`); each tiling maps the
+    class words back onto its own arrows and builds its arcs from them, in
+    the order `enumerate_tau_rigid` gives (`_tiling_arcs`).  The
+    chord-geometry oracle and the dual-path check still run on every tiling,
+    and `TilingComplex.enumerate_permissible_arcs` and `arcs_compatible`
+    keep the per-tiling route for other callers.  The intersection vector
+    and the segment profile of each multiset are accumulated arc by arc as
+    the sweep extends it (see `_arc_weights`); neither is recomputed from
+    the whole multiset.
     """
     report = VerifyReport(
         "thm1-intersection-injectivity",
@@ -185,6 +309,7 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
     tilings = unclassifiable = passing = failing = 0
     multisets_checked = 0
     converse_found = []
+    classes = {}  # _algebra_class key -> _class_record
     for m in range(4, marked_max + 1):
         if report.verdict == "fail":
             break  # fail fast: the witness is already recorded
@@ -199,7 +324,7 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
                 continue
             tilings += 1
             with _phase(report, "arcs"):
-                arcs, truncated = t.enumerate_permissible_arcs()
+                arcs, truncated, compatible = _tiling_arcs(t, classes)
                 if not truncated and geometric_cross_check:
                     _dual_path_check(disc, t, arcs)
             if truncated:
@@ -215,8 +340,7 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
                 weights, _ = _arc_weights(
                     t, arcs, mult_cap, include_key_lemma)
                 for chosen, weight in _compatible_multisets(
-                        lambda i, j: t.arcs_compatible(arcs[i], arcs[j]),
-                        weights, mult_cap):
+                        compatible, weights, mult_cap):
                     multisets_checked += 1
                     vec = weight[:n_arcs]
                     if vec in by_vec:
@@ -257,6 +381,8 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
         "admissible": passing, "forbidden": failing,
         "multisets": multisets_checked,
         "converse_witnesses": len(converse_found)}
+    report.cache = {"algebra_classes": len(classes),
+                    "class_reuses": tilings - len(classes)}
     if converse_found:
         report.witnesses.append({"converse": converse_found[0]})
     octagon_square = any(w["tiling"] == (8, ((1, 3), (1, 7), (3, 5), (5, 7)))
@@ -377,11 +503,11 @@ def _relation_choices(n, arrows):
 
 def _grid_key(n, grid):
     """The least sorted arrow list, one (source, target) pair per arrow, over
-    all vertex permutations of the arrow-count grid; two grids get the same
-    key exactly when they are isomorphic."""
+    the `_signature_labellings` of the arrow-count grid; two grids get the
+    same key exactly when they are isomorphic."""
     arrows = [ij for ij, c in grid.items() for _ in range(c)]
-    return tuple(min(sorted([(p[i], p[j]) for i, j in arrows])
-                     for p in itertools.permutations(range(n))))
+    return min(tuple(sorted((p[i], p[j]) for i, j in arrows))
+               for p in _signature_labellings(n, arrows))
 
 
 def _automorphisms(n, arrows):
@@ -480,6 +606,7 @@ def verify_thm2(vertex_max=4, arrow_max=6, mult_cap=3):
         algebras = enumerate_gentle_algebras(vertex_max, arrow_max)
     finite = skipped = with_cycle = without_cycle = 0
     max_cap_needed = 0
+    report.cache = {"tau_hits": 0, "tau_misses": 0}
     for q in algebras:
         if report.verdict == "fail":
             break  # fail fast
@@ -517,6 +644,8 @@ def verify_thm2(vertex_max=4, arrow_max=6, mult_cap=3):
             if found is None:
                 report.fail({"check": "no collision despite even cycle",
                              "quiver": q.to_json()})
+        report.cache["tau_hits"] += inv.tau_hits
+        report.cache["tau_misses"] += inv.tau_misses
     report.counts = {"algebras": len(algebras),
                      "representation_finite": finite,
                      "representation_infinite_skipped": skipped,

@@ -150,7 +150,8 @@ def test_criterion_6_intersection_injectivity(thm1_report):
     ok = r.verdict == "pass" and r.counts == {
         "tilings": 252, "outside_taxonomy": 907, "admissible": 250,
         "forbidden": 2, "multisets": 63512, "converse_witnesses": 2} \
-        and r.witnesses == [THM1_CONVERSE]
+        and r.witnesses == [THM1_CONVERSE] and r.result_digest == \
+        "2854ceacf3c8cb1d2576b67fcfab1a0b2b4d2612018505363aa16d1eccb62d82"
     _criterion(6, "intersection vectors injective on all admissible disc "
                   "tilings (4..8 points, multiplicity <= 3) with octagon "
                   "converse witness", ok, r.duration_s)

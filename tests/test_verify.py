@@ -16,9 +16,10 @@ from clusterlab.errors import UnclassifiableTileError
 from clusterlab.quiver import Arrow, BoundQuiver, check_gentle
 from clusterlab.tiling import ArcMultiset, disc_tilings, seg_profile
 from clusterlab.verify import (
-    VerifyReport, _arc_weights, _arrow_grids, _automorphisms,
-    _canonical_bound_quiver, _compatible_multisets, _connected, _grid_key,
-    _pack_profile, _relation_choices,
+    VerifyReport, _algebra_class, _arc_weights, _arrow_grids,
+    _automorphisms, _canonical_bound_quiver, _class_arrow, _class_quiver,
+    _compatible_multisets, _connected, _grid_key, _pack_profile,
+    _relation_choices, _tiling_arcs,
     enumerate_gentle_algebras, verify_denominator,
     verify_denominator_duality, verify_fvector_injectivity, verify_thm1,
     verify_thm2, verify_type_c_categorification, write_report,
@@ -165,7 +166,7 @@ def test_compatible_multisets_match_brute_force(problem):
     assert sorted(asked) == [(i, j) for i in range(n) for j in range(i)]
 
 
-def _admissible_disc_complexes(m_max):
+def _classified_disc_complexes(m_max):
     for m in range(4, m_max + 1):
         for disc in disc_tilings(m):
             t = disc.to_complex()
@@ -173,8 +174,12 @@ def _admissible_disc_complexes(m_max):
                 t.classify_tiles()
             except UnclassifiableTileError:
                 continue
-            if t.forbidden_tile_scan():
-                yield t
+            yield t
+
+
+def _admissible_disc_complexes(m_max):
+    return (t for t in _classified_disc_complexes(m_max)
+            if t.forbidden_tile_scan())
 
 
 def test_thm1_weights_split_into_vector_and_profile():
@@ -196,6 +201,62 @@ def test_thm1_weights_split_into_vector_and_profile():
                 _pack_profile(prof, keys, width),)
     # the admissible tilings and multisets of verify_thm1(6, 3)
     assert (tilings, multisets) == (21, 836)
+
+
+def test_class_route_matches_per_tiling_inventories():
+    # every tiling verify_thm1(8, _) sweeps, through one shared class table,
+    # against a fresh inventory of its own algebra
+    classes = {}
+    tilings = 0
+    for t in _classified_disc_complexes(8):
+        tilings += 1
+        arcs, truncated, compatible = _tiling_arcs(t, classes)
+        want, want_truncated = t.enumerate_permissible_arcs()
+        assert truncated == want_truncated
+        assert [(a.endpoints, a.word, a.intersection) for a in arcs] == \
+            [(a.endpoints, a.word, a.intersection) for a in want]
+        inv = t.inventory()
+        for i in range(len(arcs)):
+            for j in range(i):
+                ok = inv.compatible(want[i].word, want[j].word)
+                assert compatible(i, j) == compatible(j, i) == ok
+    assert (tilings, len(classes)) == (252, 39)
+
+
+@functools.cache
+def _disc_tiling_algebras():
+    return [t.algebra()[0] for t in _classified_disc_complexes(8)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_algebra_class_ignores_labels(data):
+    q = data.draw(st.sampled_from(_disc_tiling_algebras()))
+    perm = data.draw(st.permutations(range(q.n)))
+    names = data.draw(st.permutations([f"b{k}" for k in range(len(q.arrows))]))
+    rename = dict(zip(sorted(q.arrows), names))
+    moved = BoundQuiver(
+        q.n, [Arrow(rename[a.id], perm[a.src], perm[a.tgt])
+              for a in q.arrows.values()],
+        [(rename[a], rename[b]) for a, b in q.relations])
+    key, p = _algebra_class(q)
+    moved_key, moved_p = _algebra_class(moved)
+    assert moved_key == key
+    # each labelling sends the arrows and relations onto the class quiver's
+    cq = _class_quiver(key)
+    for quiver, lab in ((q, p), (moved, moved_p)):
+        assert sorted(lab) == list(range(q.n))
+        image = {a.id: _class_arrow((lab[a.src], lab[a.tgt]))
+                 for a in quiver.arrows.values()}
+        assert sorted(image.values()) == sorted(cq.arrows)
+        assert {(image[a], image[b]) for a, b in quiver.relations} == \
+            cq.relations
+
+
+def test_algebra_class_rejects_parallel_arrows():
+    kronecker = BoundQuiver(2, [Arrow("a", 0, 1), Arrow("b", 0, 1)], [])
+    with pytest.raises(ValueError):
+        _algebra_class(kronecker)
 
 
 def test_generator_callers_keep_their_results():
@@ -259,6 +320,9 @@ def test_thm2_reports_phase_timings():
     assert set(phases) == {"enumerate", "tau", "collisions"}
     assert all(v >= 0 for v in phases.values())
     assert "phases" not in r.counts
+    cache = r.to_dict()["cache"]
+    assert set(cache) == {"tau_hits", "tau_misses"}
+    assert cache["tau_hits"] > 0 and cache["tau_misses"] > 0
 
 
 def test_thm1_reports_phase_timings():
@@ -268,6 +332,9 @@ def test_thm1_reports_phase_timings():
     assert all(v >= 0 for v in phases.values())
     # the "multisets" count stays a count
     assert r.counts["multisets"] == 51 and "phases" not in r.counts
+    # the 7 tilings of the square and the pentagon have 2 algebras up to
+    # isomorphism: one vertex, and an arrow between two
+    assert r.to_dict()["cache"] == {"algebra_classes": 2, "class_reuses": 5}
 
 
 def _bench_report_digest(monkeypatch):
@@ -292,6 +359,9 @@ def test_result_digest_ignores_timing():
     assert first.to_dict()["duration_s"] != second.to_dict()["duration_s"]
     assert first.result_digest == second.result_digest
     assert first.to_dict()["result_digest"] == first.result_digest
+    second.cache = {"tau_hits": 0, "tau_misses": 0}
+    assert first.to_dict()["cache"] != second.to_dict()["cache"]
+    assert first.result_digest == second.result_digest
     second.counts["algebras"] += 1
     assert first.result_digest != second.result_digest
 
