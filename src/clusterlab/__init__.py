@@ -1,6 +1,6 @@
 """Exact combinatorics of seed mutation, gentle algebras and tilings."""
 
-from .laurent import LaurentPoly, add, mul, divide_exact, denominator_vector
+from .laurent import LaurentPoly, divide_exact
 from .exchange import (ExchangeMatrix, Seed, mutate_matrix, mutate_seed,
                        find_skew_symmetrizer, cartan_counterpart,
                        langlands_dual)

@@ -131,14 +131,6 @@ class ExchangeMatrix:
     def skew_symmetrizer(self):
         return self._s
 
-    def entry(self, i, j):
-        """Entry b_{ij} with 1-based indices."""
-        return self.b[i - 1][j - 1]
-
-    def column(self, k):
-        """Column k (1-based) as a tuple."""
-        return tuple(row[k - 1] for row in self.b)
-
     def to_json(self):
         return json.dumps({"n": self.n, "B": [list(r) for r in self.b]})
 

@@ -194,17 +194,6 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-# -- module-level operation surface ------------------------------------------
-
-
-def add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
 def _leading(terms_dict):
     exps = max(terms_dict, key=_grlex_key)
     return exps, terms_dict[exps]
@@ -255,6 +244,3 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(n, {tuple(a + b for a, b in zip(e, shift)): c
                            for e, c in quotient.items()})
 
-
-def denominator_vector(p: LaurentPoly):
-    return p.denominator_vector()

@@ -21,6 +21,10 @@ arcs.  Each arrow comes from exactly one corner of one tile, and that corner
 is the angle its crossing segments cut out, so segment-profile counting keys
 directly off the arrow geometry.
 
+Disc tilings and one-holed-disc tilings (cut along their loop) are both sets
+of chords of a polygon; one chord model checks (`_check_chords`), enumerates
+(`_noncrossing_chord_sets`) and orders (`_polygon_fans`) them for both.
+
 Arcs not in the tiling are represented by strings of the tiling algebra;
 those whose string module is tau-rigid are the self-compatible permissible
 arcs, and their intersection vectors are the dimension vectors.  On discs an
@@ -362,24 +366,12 @@ class TilingComplex:
         compatible, after checking it against chord interleaving on a disc
         tiling; a mismatch raises."""
         if self.disc is not None:
-            geo = chords_interleave(a1.endpoints, a2.endpoints) is False
+            geo = not chords_interleave(a1.endpoints, a2.endpoints)
             if geo != ok:
                 raise AssertionError(
                     f"module compatibility {ok} disagrees with chord "
                     f"geometry for {a1.endpoints} / {a2.endpoints}")
         return ok
-
-    def geo_key(self, fid):
-        """Stable face key usable across independently built structures."""
-        f = self.faces[fid]
-        edges = []
-        for d in f.dedges:
-            if d[0] == "a":
-                edges.append(("a", d[1]))
-            else:
-                comp = self.boundary[d[1]]
-                edges.append(("s", comp[d[2]], comp[(d[2] + 1) % len(comp)]))
-        return frozenset(edges)
 
     def corner_point(self, corner):
         fid, pos = corner
@@ -445,7 +437,7 @@ class DiscTiling:
     """A partial triangulation of a disc with m marked boundary points.
 
     Chords use 1-based boundary indices and must be pairwise non-crossing
-    and non-adjacent.
+    and non-adjacent (`_check_chords`); they are stored sorted.
     """
 
     m: int
@@ -454,62 +446,60 @@ class DiscTiling:
     def __post_init__(self):
         if self.m < 4:
             raise ValueError("a disc needs at least four marked points")
-        norm = []
-        for (i, j) in self.chords:
-            i, j = min(i, j), max(i, j)
-            if not (1 <= i < j <= self.m):
-                raise ValueError(f"chord ({i},{j}) out of range")
-            if j - i < 2 or (i == 1 and j == self.m):
-                raise ValueError(f"chord ({i},{j}) joins adjacent points")
-            norm.append((i, j))
-        if len(set(norm)) != len(norm):
-            raise ValueError("duplicate chords")
-        for a in norm:
-            for b in norm:
-                if a < b and chords_interleave(a, b):
-                    raise ValueError(f"chords {a} and {b} cross")
-        object.__setattr__(self, "chords", tuple(sorted(norm)))
+        object.__setattr__(
+            self, "chords", tuple(sorted(_check_chords(self.m, self.chords))))
 
     def to_complex(self) -> TilingComplex:
         m = self.m
         arcs = [(f"t{idx}", i - 1, j - 1)
                 for idx, (i, j) in enumerate(self.chords)]
-        fans = {p: [] for p in range(m)}
-        for idx, (i, j) in enumerate(self.chords):
-            fans[i - 1].append((f"t{idx}", 0))
-            fans[j - 1].append((f"t{idx}", 1))
-        for p in range(m):
-            # anticlockwise order: nearer anticlockwise targets first
-            def ccw_dist(tok):
-                a, e = tok
-                i, j = self.arc_ends_of(a)
-                other = (j if e == 0 else i) - 1
-                return (other - p) % m
-            fans[p].sort(key=ccw_dist)
+        fans = {p: [(f"t{idx}", e) for idx, e in fan]
+                for p, fan in enumerate(_polygon_fans(m, self.chords))}
         return TilingComplex(m, [list(range(m))], arcs, fans, disc=self)
-
-    def arc_ends_of(self, arc_id):
-        idx = int(arc_id[1:])
-        return self.chords[idx]
 
 
 def chords_interleave(c1, c2):
     """Strict interleaving of two chords given by endpoint pairs (1-based)."""
     a, b = sorted(c1)
     c, d = sorted(c2)
-    if len({a, b, c, d}) < 4:
-        return False
-    return (a < c < b < d) or (c < a < d < b)
+    return a < c < b < d or c < a < d < b
 
 
-def disc_tilings(m):
-    """All DiscTilings of the m-gon: every non-crossing chord subset."""
-    chords = [(i, j) for i in range(1, m + 1) for j in range(i + 2, m + 1)
-              if not (i == 1 and j == m)]
+# -- the chord model shared by discs and cut one-holed discs ----------------
+
+
+def _check_chords(n, chords):
+    """The chords of the n-gon (points 1..n) as (min, max) pairs, in input
+    order.  Raises ValueError unless each is in range and joins non-adjacent
+    points, and no two repeat or cross."""
+    norm = []
+    for (i, j) in chords:
+        i, j = min(i, j), max(i, j)
+        if not (1 <= i < j <= n):
+            raise ValueError(f"chord ({i},{j}) out of range")
+        if j - i < 2 or (i == 1 and j == n):
+            raise ValueError(f"chord ({i},{j}) joins adjacent points")
+        norm.append((i, j))
+    if len(set(norm)) != len(norm):
+        raise ValueError("duplicate chords")
+    for a in norm:
+        for b in norm:
+            if a < b and chords_interleave(a, b):
+                raise ValueError(f"chords {a} and {b} cross")
+    return norm
+
+
+def _noncrossing_chord_sets(n):
+    """Every set of pairwise non-crossing chords of the n-gon, each a sorted
+    tuple of 1-based (i, j) pairs.  The order is fixed (each chord, in
+    sorted order, is first left out, then taken), and the witnesses the
+    harnesses report depend on it."""
+    chords = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)
+              if not (i == 1 and j == n)]
 
     def rec(idx, chosen):
         if idx == len(chords):
-            yield DiscTiling(m, tuple(chosen))
+            yield tuple(chosen)
             return
         yield from rec(idx + 1, chosen)
         c = chords[idx]
@@ -519,6 +509,26 @@ def disc_tilings(m):
             chosen.pop()
 
     yield from rec(0, [])
+
+
+def _polygon_fans(n, chords):
+    """The anticlockwise fans of the n-gon's points under `chords` (1-based
+    (i, j) pairs), the fan of point p at index p - 1: its (chord index, end)
+    pairs, end 0 at i and end 1 at j, the nearest anticlockwise target
+    first."""
+    fans = [[] for _ in range(n)]
+    for idx, (i, j) in enumerate(chords):
+        fans[i - 1].append((idx, 0))
+        fans[j - 1].append((idx, 1))
+    for p, fan in enumerate(fans, 1):
+        fan.sort(key=lambda tok: (chords[tok[0]][1 - tok[1]] - p) % n)
+    return fans
+
+
+def disc_tilings(m):
+    """All DiscTilings of the m-gon: every non-crossing chord subset."""
+    for chords in _noncrossing_chord_sets(m):
+        yield DiscTiling(m, chords)
 
 
 def b_matrix_from_triangulation(t: TilingComplex):
@@ -547,53 +557,37 @@ def one_holed_disc_tiling(m, q_chords=()):
     The loop sits at point 1 and encloses the hole; cutting along it leaves
     an (m+1)-gon whose vertices are the occurrences [1, 2, ..., m, 1'].
     `q_chords` are chords of that polygon given by occurrence indices
-    0..m (0 and m both map to point 1).
+    0..m (0 and m both map to point 1); they are checked as the chords
+    (u+1, v+1) of the (m+1)-gon, so errors name them that way, and become
+    the arcs q0, q1, ... in input order.
     """
     if m < 2:
         raise ValueError("need at least two marked points")
-    occ_point = [0] + list(range(1, m)) + [0]  # occurrence -> point id
-    n_occ = m + 1
-
-    def q_interleave(c1, c2):
-        a, b = sorted(c1)
-        c, d = sorted(c2)
-        if len({a, b, c, d}) < 4:
-            return False
-        return (a < c < b < d) or (c < a < d < b)
-
-    norm = []
-    for (u, v) in q_chords:
-        u, v = min(u, v), max(u, v)
-        if not (0 <= u < v <= m) or v - u < 2 or (u == 0 and v == m):
-            raise ValueError(f"occurrence chord ({u},{v}) is not admissible")
-        norm.append((u, v))
-    for a in norm:
-        for b in norm:
-            if a < b and q_interleave(a, b):
-                raise ValueError(f"occurrence chords {a} and {b} cross")
-
-    arcs = [("loop", 0, 0)]
-    for idx, (u, v) in enumerate(norm):
-        arcs.append((f"q{idx}", occ_point[u], occ_point[v]))
-
-    # per-occurrence anticlockwise chord ends, by the disc rule inside the
-    # cut polygon
-    occ_tokens = {o: [] for o in range(n_occ)}
-    for idx, (u, v) in enumerate(norm):
-        occ_tokens[u].append((f"q{idx}", 0, v))
-        occ_tokens[v].append((f"q{idx}", 1, u))
-    for o in range(n_occ):
-        occ_tokens[o].sort(key=lambda tok: (tok[2] - o) % n_occ)
-
-    fans = {p: [] for p in range(m)}
-    fans[0] = [(a, e) for a, e, _ in occ_tokens[0]] + \
-              [("loop", 0), ("loop", 1)] + \
-              [(a, e) for a, e, _ in occ_tokens[m]]
-    for o in range(1, m):
-        fans[occ_point[o]] = [(a, e) for a, e, _ in occ_tokens[o]]
-
+    cut = _check_chords(m + 1, [(u + 1, v + 1) for u, v in q_chords])
+    # occurrence o sits at point o % m; occurrence o is cut-polygon point o+1
+    arcs = [("loop", 0, 0)] + [(f"q{idx}", (i - 1) % m, (j - 1) % m)
+                               for idx, (i, j) in enumerate(cut)]
+    occ_fans = [[(f"q{idx}", e) for idx, e in fan]
+                for fan in _polygon_fans(m + 1, cut)]
+    fans = dict(enumerate(occ_fans[:m]))
+    fans[0] = occ_fans[0] + [("loop", 0), ("loop", 1)] + occ_fans[m]
     return TilingComplex(m, [list(range(m))], arcs, fans,
                          holes={("loop", 0): 1})
+
+
+def one_holed_disc_tilings(m):
+    """All valid loop-based tilings of the one-holed disc with m points.
+
+    Streams every non-crossing chord subset of the cut (m+1)-gon whose
+    derived tiles all classify to types I-V.
+    """
+    for chords in _noncrossing_chord_sets(m + 1):
+        t = one_holed_disc_tiling(m, [(i - 1, j - 1) for i, j in chords])
+        try:
+            t.classify_tiles()
+        except UnclassifiableTileError:
+            continue
+        yield t
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +630,6 @@ def _cell_edges(disc, cell):
     return edges
 
 
-def _cell_key(disc, cell):
-    return frozenset(_cell_edges(disc, cell))
-
-
 def _crossing_sequence(disc, p, q):
     """T-chords crossed by the arc p-q, ordered from p."""
     crossed = [c for c in disc.chords if chords_interleave((p, q), c)]
@@ -661,22 +651,20 @@ def geometric_disc_arcs(disc: DiscTiling):
     """Permissible arcs of a disc tiling straight from chord geometry.
 
     Returns a list of records with endpoints, crossing vector, and profile
-    entries keyed by (cell vertices, marked point); used as the independent
-    oracle against the string route.
+    entries keyed by (cell key, marked point), a cell key being the
+    frozenset of its edges; used as the independent oracle against the
+    string route.  Each cell's edges and key are built once per call.
     """
-    cells = disc_cells(disc)
+    edges_of = {cell: _cell_edges(disc, cell) for cell in disc_cells(disc)}
+    key_of = {cell: frozenset(edges) for cell, edges in edges_of.items()}
     cell_of_edge = {}
-    for cell in cells:
-        for e in _cell_edges(disc, cell):
+    for cell, edges in edges_of.items():
+        for e in edges:
             cell_of_edge.setdefault(e, []).append(cell)
-
-    def e_map(cell):
-        # corner at cell[i] lies between edges (i-1, i); E = edge i+1
-        edges = _cell_edges(disc, cell)
-        k = len(cell)
-        return {cell[i]: edges[(i + 1) % k] for i in range(k)}
-
-    e_maps = {cell: e_map(cell) for cell in cells}
+    # corner at cell[i] lies between edges (i-1, i); E = edge i+1
+    e_maps = {cell: {v: edges[(i + 1) % len(cell)]
+                     for i, v in enumerate(cell)}
+              for cell, edges in edges_of.items()}
     chord_set = set(disc.chords)
     out = []
     for p in range(1, disc.m + 1):
@@ -695,11 +683,11 @@ def geometric_disc_arcs(disc: DiscTiling):
                     break
                 w = shared.pop()
                 mid = [cell for cell in cell_of_edge[("c", c1)]
-                       if ("c", c2) in _cell_edges(disc, cell)]
+                       if ("c", c2) in key_of[cell]]
                 if len(mid) != 1:
                     ok = False
                     break
-                p2.append((_cell_key(disc, mid[0]), w))
+                p2.append((key_of[mid[0]], w))
             if not ok:
                 continue
             p1 = []
@@ -709,11 +697,10 @@ def geometric_disc_arcs(disc: DiscTiling):
                 if len(flank) != 1 or e_maps[flank[0]].get(end) != ("c", first):
                     ok = False
                     break
-                p1.append((_cell_key(disc, flank[0]), end))
+                p1.append((key_of[flank[0]], end))
             if not ok:
                 continue
-            vec = tuple(1 if chords_interleave((p, q), c) else 0
-                        for c in disc.chords)
+            vec = tuple(int(c in seq) for c in disc.chords)
             out.append({"endpoints": (p, q), "vector": vec,
                         "p2": tuple(p2), "p1": tuple(p1)})
     return out
@@ -724,12 +711,14 @@ def string_route_profile_keys(t: TilingComplex, arc: PermissibleArc):
     in the vocabulary of the geometric oracle."""
     def face_key(fid):
         edges = set()
-        for item in t.geo_key(fid):
-            if item[0] == "a":
-                e0, e1 = t.arc_ends[item[1]]
+        for d in t.faces[fid].dedges:
+            if d[0] == "a":
+                e0, e1 = t.arc_ends[d[1]]
                 edges.add(("c", (min(e0, e1) + 1, max(e0, e1) + 1)))
             else:
-                edges.add(("s", item[1] + 1, item[2] + 1))
+                comp = t.boundary[d[1]]
+                edges.add(("s", comp[d[2]] + 1,
+                           comp[(d[2] + 1) % len(comp)] + 1))
         return frozenset(edges)
 
     def conv(corner):
@@ -737,42 +726,6 @@ def string_route_profile_keys(t: TilingComplex, arc: PermissibleArc):
 
     return {"p2": tuple(conv(c) for c in arc.p2_corners),
             "p1": tuple(conv(c) for c in arc.p1_corners)}
-
-
-def one_holed_disc_tilings(m):
-    """All valid loop-based tilings of the one-holed disc with m points.
-
-    Streams every non-crossing chord subset of the cut polygon whose derived
-    tiles all classify to types I-V.
-    """
-    occ = m + 1
-    chords = [(u, v) for u in range(occ) for v in range(u + 2, occ)
-              if not (u == 0 and v == m)]
-
-    def interleave(c1, c2):
-        a, b = c1
-        c, d = c2
-        if len({a, b, c, d}) < 4:
-            return False
-        return (a < c < b < d) or (c < a < d < b)
-
-    def rec(idx, chosen):
-        if idx == len(chords):
-            try:
-                t = one_holed_disc_tiling(m, tuple(chosen))
-                t.classify_tiles()
-            except UnclassifiableTileError:
-                return
-            yield t
-            return
-        yield from rec(idx + 1, chosen)
-        c = chords[idx]
-        if all(not interleave(c, o) for o in chosen):
-            chosen.append(c)
-            yield from rec(idx + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
 
 
 def annulus_digon_tiling():

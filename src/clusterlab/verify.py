@@ -145,17 +145,15 @@ def _compatible_multisets(compatible, weights, cap):
         states.extend(new_states)
 
 
-def _arc_weights(t, arcs, mult_cap, with_profiles):
+def _arc_weights(t, arcs, mult_cap):
     """Weight rows for the thm1 sweep, and the profile layout (keys, width).
 
-    A row is the arc's intersection vector, followed when `with_profiles`
-    by its `seg_profile` packed into one int by `_pack_profile` over the
-    sorted keys of all the arcs' profiles.  Each field holds mult_cap times
-    the largest count, so sums of at most mult_cap rows never carry; as
-    profiles are additive, a multiset's last weight entry packs its profile.
+    A row is the arc's intersection vector, followed by its `seg_profile`
+    packed into one int by `_pack_profile` over the sorted keys of all the
+    arcs' profiles.  Each field holds mult_cap times the largest count, so
+    sums of at most mult_cap rows never carry; as profiles are additive, a
+    multiset's last weight entry packs its profile.
     """
-    if not with_profiles:
-        return [arc.intersection for arc in arcs], ([], 0)
     profiles = [seg_profile(t, ArcMultiset(((arc, 1),))) for arc in arcs]
     keys = sorted(set().union(*profiles))
     top = max((c for p in profiles for c in p.values()), default=0)
@@ -284,8 +282,7 @@ def _tiling_arcs(t, classes):
 
 
 @_timed
-def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
-                geometric_cross_check=True):
+def verify_thm1(marked_max=8, mult_cap=3):
     """Intersection vectors determine compatible multisets on admissible
     disc tilings; even type V tilings yield explicit counterexamples.
 
@@ -325,7 +322,7 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
             tilings += 1
             with _phase(report, "arcs"):
                 arcs, truncated, compatible = _tiling_arcs(t, classes)
-                if not truncated and geometric_cross_check:
+                if not truncated:
                     _dual_path_check(disc, t, arcs)
             if truncated:
                 report.verdict = "truncated"
@@ -337,8 +334,7 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
             by_profile = {}
             collision = None
             with _phase(report, "multisets"):
-                weights, _ = _arc_weights(
-                    t, arcs, mult_cap, include_key_lemma)
+                weights, _ = _arc_weights(t, arcs, mult_cap)
                 for chosen, weight in _compatible_multisets(
                         compatible, weights, mult_cap):
                     multisets_checked += 1
@@ -347,15 +343,14 @@ def verify_thm1(marked_max=8, mult_cap=3, include_key_lemma=True,
                         collision = (by_vec[vec], chosen, vec)
                     else:
                         by_vec[vec] = chosen
-                    if include_key_lemma:
-                        prof = weight[n_arcs]
-                        if prof in by_profile:
-                            report.fail({
-                                "check": "seg-profile collision",
-                                "tiling": disc.chords,
-                                "multisets": [by_profile[prof], chosen]})
-                        else:
-                            by_profile[prof] = chosen
+                    prof = weight[n_arcs]
+                    if prof in by_profile:
+                        report.fail({
+                            "check": "seg-profile collision",
+                            "tiling": disc.chords,
+                            "multisets": [by_profile[prof], chosen]})
+                    else:
+                        by_profile[prof] = chosen
             forbidden_ok = t.forbidden_tile_scan()
             if forbidden_ok:
                 passing += 1
@@ -730,13 +725,12 @@ def _check_d_injectivity(graph, degree_cap, where, report):
 
 
 def _check_d_columns_independent(graph, where, report):
-    for vid in range(graph.cluster_count()):
-        t = graph.reps[vid]
-        from .tracking import d_matrix
-        dm = d_matrix(t)
-        if linalg.rank(dm, t.n) != t.n:
+    """Each cluster's d-vectors, as `explore` stored them, have full rank."""
+    for vid, cluster in enumerate(graph.vertices):
+        d_vectors = [graph.variables[i].d for i in cluster]
+        if linalg.rank(d_vectors, graph.n) != graph.n:
             report.fail({"where": where, "check": "D-matrix rank",
-                         "vertex": vid, "d_matrix": dm})
+                         "vertex": vid, "d_vectors": d_vectors})
 
 
 @_timed

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from clusterlab.tiling import (
     one_holed_disc_tiling, one_holed_disc_tilings, seg_profile,
     string_route_profile_keys,
 )
+from clusterlab.verify import _compatible_multisets
 
 
 def complex_of(m, chords):
@@ -30,6 +32,44 @@ def test_disc_validation():
         DiscTiling(5, ((1, 2),))
     with pytest.raises(ValueError):
         DiscTiling(5, ((1, 3), (2, 4)))
+
+
+def test_builders_fingerprint():
+    # pins what both polygon builders produce: disc chords, arcs and fans
+    # for m = 4..9; one-holed-disc arcs, fans, algebra and each permissible
+    # arc's endpoints and intersection vector for m = 2..7
+    h = hashlib.sha256()
+    for m in range(4, 10):
+        for disc in disc_tilings(m):
+            t = disc.to_complex()
+            h.update(repr((disc.chords, t.arcs, sorted(t.fans.items())))
+                     .encode())
+    counts = []
+    for m in range(2, 8):
+        counts.append(0)
+        for t in one_holed_disc_tilings(m):
+            counts[-1] += 1
+            arcs, _ = t.enumerate_permissible_arcs()
+            h.update(repr((t.arcs, sorted(t.fans.items()),
+                           t.algebra()[0].to_json(),
+                           [(a.endpoints, a.intersection) for a in arcs]))
+                     .encode())
+    assert counts == [1, 2, 5, 17, 61, 228]
+    assert h.hexdigest() == (
+        "9601b8edcf06ee2ac994feafc31240e98f19271380c81cea539a4ec92209be9b")
+
+
+@pytest.mark.parametrize("chords", [
+    [(1, 3), (1, 3)],  # duplicate
+    [(1, 2)],          # adjacent occurrences
+    [(0, 4)],          # occurrences 0 and m are both point 1
+    [(1, 3), (2, 4)],  # crossing
+    [(0, 5)],          # out of range
+    [(-1, 2)],
+])
+def test_one_holed_rejects_malformed_chords(chords):
+    with pytest.raises(ValueError):
+        one_holed_disc_tiling(4, chords)
 
 
 def test_classification_triangulation():
@@ -105,20 +145,14 @@ def test_annulus_injectivity_and_profiles():
             if not t.forbidden_tile_scan():
                 continue
             arcs, _ = t.enumerate_permissible_arcs()
-            compat = [[t.arcs_compatible(a, b) for b in arcs] for a in arcs]
-            states = [((), 0)]
-            for i in range(len(arcs)):
-                new = []
-                for chosen, total in states:
-                    if all(compat[i][j] for j, _ in chosen):
-                        for mult in range(1, 3 - total):
-                            new.append((chosen + ((i, mult),), total + mult))
-                states.extend(new)
             by_vec = {}
             by_prof = {}
-            for chosen, _ in states:
+            for chosen, weight in _compatible_multisets(
+                    lambda i, j: t.arcs_compatible(arcs[i], arcs[j]),
+                    [a.intersection for a in arcs], 2):
                 ms = ArcMultiset(tuple((arcs[i], mu) for i, mu in chosen))
                 vec = ms.intersection_vector(len(t.arcs))
+                assert weight == vec
                 prof = tuple(sorted(seg_profile(t, ms).items()))
                 assert by_vec.setdefault(vec, chosen) == chosen
                 assert by_prof.setdefault(prof, chosen) == chosen

@@ -187,7 +187,7 @@ def test_thm1_weights_split_into_vector_and_profile():
     for t in _admissible_disc_complexes(6):
         tilings += 1
         arcs, _ = t.enumerate_permissible_arcs()
-        weights, (keys, width) = _arc_weights(t, arcs, 3, True)
+        weights, (keys, width) = _arc_weights(t, arcs, 3)
         n_arcs = len(t.arcs)
         for chosen, weight in _compatible_multisets(
                 lambda i, j: t.arcs_compatible(arcs[i], arcs[j]), weights, 3):
@@ -293,7 +293,7 @@ def test_thm1_small_run():
 
 
 def test_thm1_finds_octagon_converse():
-    r = verify_thm1(8, 3, geometric_cross_check=False)
+    r = verify_thm1(8, 3)
     assert r.verdict == "pass"
     assert r.counts["converse_witnesses"] == 2
     assert r.counts["forbidden"] == 2
@@ -302,7 +302,7 @@ def test_thm1_finds_octagon_converse():
 def test_thm1_cap_one_skips_converse_check():
     # no converse witness exists below total multiplicity 2, so its absence
     # is no failure
-    r = verify_thm1(8, 1, geometric_cross_check=False)
+    r = verify_thm1(8, 1)
     assert r.verdict == "pass"
     assert r.counts["converse_witnesses"] == 0
 
@@ -326,7 +326,7 @@ def test_thm2_reports_phase_timings():
 
 
 def test_thm1_reports_phase_timings():
-    r = verify_thm1(5, 2, geometric_cross_check=False)
+    r = verify_thm1(5, 2)
     phases = r.to_dict()["phases"]
     assert set(phases) == {"arcs", "multisets"}
     assert all(v >= 0 for v in phases.values())
