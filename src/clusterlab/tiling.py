@@ -525,6 +525,43 @@ def _polygon_fans(n, chords):
     return fans
 
 
+def _chords_in_taxonomy(m, chords):
+    """Whether every tile of the m-gon dissected by `chords` (1-based (i, j)
+    pairs, pairwise non-crossing) is of type III, IV or V, i.e. whether
+    `DiscTiling(m, chords).to_complex().classify_tiles()` would not raise.
+
+    Faces without a boundary segment are type V, so only the faces through
+    the segments are traced, each from its first segment, interior on the
+    left: arriving at v from u, the face goes on to the neighbour of v just
+    before u by anticlockwise offset from v.  A face passes when it has one
+    segment (type IV) or is an ear of two segments and a chord (type III).
+    """
+    offsets = [[1, m - 1] for _ in range(m)]  # of the boundary neighbours
+    for i, j in chords:
+        offsets[i - 1].append(j - i)
+        offsets[j - 1].append(m - j + i)
+    for offs in offsets:
+        offs.sort()
+    traced = [False] * m  # segment p -> p + 1 (0-based) lies on a traced face
+    for start in range(m):
+        if traced[start]:
+            continue
+        segments = sides = 0
+        u, v = start, (start + 1) % m
+        while True:
+            sides += 1
+            if (v - u) % m == 1:
+                segments += 1
+                traced[u] = True
+            offs = offsets[v]
+            u, v = v, (v + offs[offs.index((u - v) % m) - 1]) % m
+            if u == start:
+                break
+        if segments > 1 and not (segments == 2 and sides == 3):
+            return False
+    return True
+
+
 def disc_tilings(m):
     """All DiscTilings of the m-gon: every non-crossing chord subset."""
     for chords in _noncrossing_chord_sets(m):

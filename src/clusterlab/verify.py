@@ -15,19 +15,18 @@ import functools
 import hashlib
 import itertools
 import json
-import operator
 import time
 from dataclasses import dataclass, field
 
 from . import linalg
-from .errors import UnclassifiableTileError
 from .explore import enumerate_monomials, explore, monomial_vectors, standard_matrix
 from .modules import StringInventory, enumerate_tau_rigid
 from .quiver import (Arrow, BoundQuiver, StringWord, canonical_word,
                      cartan_matrix, check_gentle, check_qb_conditions,
                      detect_even_full_cycle, letter_graph_acyclic,
                      type_c_quiver)
-from .tiling import (ArcMultiset, b_matrix_from_triangulation,
+from .tiling import (ArcMultiset, DiscTiling, _chords_in_taxonomy,
+                     _noncrossing_chord_sets, b_matrix_from_triangulation,
                      disc_tilings, geometric_disc_arcs, seg_profile)
 
 
@@ -115,17 +114,20 @@ def _compatible_multisets(compatible, weights, cap):
     """Yield (multiset, weight) for every pairwise compatible multiset of
     total multiplicity <= cap over the indices of `weights`, the empty one
     first.  A multiset is ((index, multiplicity), ...) with increasing
-    indices; its weight is the entrywise sum of multiplicity * weights[index].
+    indices; its weight is the sum of multiplicity * weights[index].
+
+    The weights are ints; a vector is swept as one int packed by `_pack`,
+    wide enough that its sums never carry from one field into the next, so
+    each step of the sweep is one int addition.
 
     `compatible(i, j)` is asked once for each j < i, when index i is
     reached, so a consumer that stops early asks no further questions.
     Index i extends the multisets found over indices < i in the order they
     were found; the witnesses callers report depend on this order.
     """
-    zero = (0,) * len(weights[0]) if weights else ()
-    yield (), zero
+    yield (), 0
     # extendable states: (multiset, total, bitmask of its indices, weight)
-    states = [((), 0, 0, zero)] if cap > 0 else []
+    states = [((), 0, 0, 0)] if cap > 0 else []
     for i, row in enumerate(weights):
         clash = 0
         for j in range(i):
@@ -136,7 +138,7 @@ def _compatible_multisets(compatible, weights, cap):
             if mask & clash:
                 continue
             for mult in range(1, cap - total + 1):
-                weight = tuple(map(operator.add, weight, row))
+                weight += row
                 child = chosen + ((i, mult),)
                 yield child, weight
                 if total + mult < cap:
@@ -145,28 +147,46 @@ def _compatible_multisets(compatible, weights, cap):
         states.extend(new_states)
 
 
+def _field_width(vectors, cap):
+    """Bits per field that hold any sum of at most cap of the vectors'
+    entries (all non-negative)."""
+    return (cap * max((x for v in vectors for x in v), default=0)).bit_length()
+
+
+def _pack(values, width):
+    """values[k] in bits k * width onwards of one int; each value must be
+    non-negative and below 2 ** width."""
+    x = 0
+    for k, v in enumerate(values):
+        x |= v << (width * k)
+    return x
+
+
+def _unpack(x, n, width):
+    """The n fields of `_pack`'s int, as a tuple."""
+    field = (1 << width) - 1
+    return tuple(x >> (width * k) & field for k in range(n))
+
+
 def _arc_weights(t, arcs, mult_cap):
     """Weight rows for the thm1 sweep, and the profile layout (keys, width).
 
-    A row is the arc's intersection vector, followed by its `seg_profile`
-    packed into one int by `_pack_profile` over the sorted keys of all the
-    arcs' profiles.  Each field holds mult_cap times the largest count, so
-    sums of at most mult_cap rows never carry; as profiles are additive, a
-    multiset's last weight entry packs its profile.
+    A row packs the arc's intersection vector into its low len(t.arcs)
+    fields and its `seg_profile` above them, one field per key of the sorted
+    keys of all the arcs' profiles.  Every field is wide enough for mult_cap
+    times the largest entry, so sums of at most mult_cap rows never carry;
+    as both parts are additive, a multiset's weight & mask packs its
+    intersection vector and weight >> shift its profile, with
+    shift = width * len(t.arcs) and mask = (1 << shift) - 1.
     """
     profiles = [seg_profile(t, ArcMultiset(((arc, 1),))) for arc in arcs]
     keys = sorted(set().union(*profiles))
-    top = max((c for p in profiles for c in p.values()), default=0)
-    width = (mult_cap * top).bit_length()
-    return [arc.intersection + (_pack_profile(p, keys, width),)
+    width = _field_width([arc.intersection for arc in arcs]
+                         + [p.values() for p in profiles], mult_cap)
+    shift = width * len(t.arcs)
+    return [_pack(arc.intersection, width)
+            | _pack([p.get(key, 0) for key in keys], width) << shift
             for arc, p in zip(arcs, profiles)], (keys, width)
-
-
-def _pack_profile(profile, keys, width):
-    """The profile's count at keys[k] in bits k * width onwards of one int;
-    keys outside `keys` are left out."""
-    return sum(profile.get(key, 0) << (width * k)
-               for k, key in enumerate(keys))
 
 
 def _signature_labellings(n, ends):
@@ -286,6 +306,12 @@ def verify_thm1(marked_max=8, mult_cap=3):
     """Intersection vectors determine compatible multisets on admissible
     disc tilings; even type V tilings yield explicit counterexamples.
 
+    Each dissection of the 4- to marked_max-gon is first tested on its
+    chords (`_chords_in_taxonomy`): those with a tile outside types III-V
+    are counted under `outside_taxonomy`, and only the others are built as
+    combinatorial maps and classified, so a classification error on one of
+    them is a fault and propagates.
+
     The tau-rigid strings and their pairwise compatibility depend only on
     the isomorphism class of the tiling algebra, so they are computed once
     per class (`_algebra_class`, `_class_record`); each tiling maps the
@@ -295,14 +321,19 @@ def verify_thm1(marked_max=8, mult_cap=3):
     and `TilingComplex.enumerate_permissible_arcs` and `arcs_compatible`
     keep the per-tiling route for other callers.  The intersection vector
     and the segment profile of each multiset are accumulated arc by arc as
-    the sweep extends it (see `_arc_weights`); neither is recomputed from
-    the whole multiset.
+    the sweep extends it, both packed in one int per multiset (see
+    `_arc_weights`); neither is recomputed from the whole multiset.
+
+    Phases: `tilings` (chord sets, the taxonomy test, maps and their
+    classification), `arcs` (per-class strings, arcs and the chord oracle)
+    and `multisets` (the sweep with its compatibility tests).
     """
     report = VerifyReport(
         "thm1-intersection-injectivity",
         {"marked_max": marked_max, "mult_cap": mult_cap})
-    # timed once per tiling; multisets include the compatibility tests
-    report.phases = dict.fromkeys(("arcs", "multisets"), 0.0)
+    # tilings timed once per polygon and once per tiling, the others once
+    # per tiling
+    report.phases = dict.fromkeys(("tilings", "arcs", "multisets"), 0.0)
     tilings = unclassifiable = passing = failing = 0
     multisets_checked = 0
     converse_found = []
@@ -310,15 +341,20 @@ def verify_thm1(marked_max=8, mult_cap=3):
     for m in range(4, marked_max + 1):
         if report.verdict == "fail":
             break  # fail fast: the witness is already recorded
-        for disc in disc_tilings(m):
+        with _phase(report, "tilings"):
+            chord_sets = []
+            for chords in _noncrossing_chord_sets(m):
+                if _chords_in_taxonomy(m, chords):
+                    chord_sets.append(chords)
+                else:
+                    unclassifiable += 1
+        for chords in chord_sets:
             if report.verdict == "fail":
                 break
-            t = disc.to_complex()
-            try:
+            with _phase(report, "tilings"):
+                disc = DiscTiling(m, chords)
+                t = disc.to_complex()
                 t.classify_tiles()
-            except UnclassifiableTileError:
-                unclassifiable += 1
-                continue
             tilings += 1
             with _phase(report, "arcs"):
                 arcs, truncated, compatible = _tiling_arcs(t, classes)
@@ -334,16 +370,18 @@ def verify_thm1(marked_max=8, mult_cap=3):
             by_profile = {}
             collision = None
             with _phase(report, "multisets"):
-                weights, _ = _arc_weights(t, arcs, mult_cap)
+                weights, (_, width) = _arc_weights(t, arcs, mult_cap)
+                shift = width * n_arcs
+                mask = (1 << shift) - 1
                 for chosen, weight in _compatible_multisets(
                         compatible, weights, mult_cap):
                     multisets_checked += 1
-                    vec = weight[:n_arcs]
+                    vec = weight & mask
                     if vec in by_vec:
                         collision = (by_vec[vec], chosen, vec)
                     else:
                         by_vec[vec] = chosen
-                    prof = weight[n_arcs]
+                    prof = weight >> shift
                     if prof in by_profile:
                         report.fail({
                             "check": "seg-profile collision",
@@ -358,7 +396,7 @@ def verify_thm1(marked_max=8, mult_cap=3):
                     report.fail({
                         "check": "injectivity broken on admissible tiling",
                         "tiling": disc.chords,
-                        "vector": collision[2],
+                        "vector": _unpack(collision[2], n_arcs, width),
                         "multisets": [
                             _multiset_desc(arcs, collision[0]),
                             _multiset_desc(arcs, collision[1])]})
@@ -367,7 +405,7 @@ def verify_thm1(marked_max=8, mult_cap=3):
                 if collision is not None:
                     converse_found.append({
                         "tiling": (m, disc.chords),
-                        "vector": collision[2],
+                        "vector": _unpack(collision[2], n_arcs, width),
                         "multisets": [
                             _multiset_desc(arcs, collision[0]),
                             _multiset_desc(arcs, collision[1])]})
@@ -573,16 +611,18 @@ def enumerate_gentle_algebras(vertex_max, arrow_max):
 
 def _dim_collision(rigid, inv, cap):
     """The first collision of total dimension vectors among compatible
-    multisets: (earlier multiset, later multiset, vector), or None."""
+    multisets: (earlier multiset, later multiset, vector), or None.  The
+    vectors are swept packed (`_pack`)."""
     words = [w for w, _ in rigid]
-    dims = [d for _, d in rigid]
+    width = _field_width([d for _, d in rigid], cap)
     multisets = _compatible_multisets(
-        lambda i, j: inv.compatible(words[i], words[j]), dims, cap)
+        lambda i, j: inv.compatible(words[i], words[j]),
+        [_pack(d, width) for _, d in rigid], cap)
     next(multisets)  # the empty multiset
     by_vec = {}
     for chosen, vec in multisets:
         if vec in by_vec:
-            return (by_vec[vec], chosen, vec)
+            return (by_vec[vec], chosen, _unpack(vec, inv.q.n, width))
         by_vec[vec] = chosen
     return None
 
@@ -660,21 +700,24 @@ def verify_fvector_injectivity(n_max=3, degree_cap=3):
     vectors of polygon arcs match the f-vectors of their cluster variables."""
     report = VerifyReport(
         "thm3-fbar-injectivity", {"n_max": n_max, "degree_cap": degree_cap})
+    # monomials timed once per rank, triangulations once per polygon
+    report.phases = dict.fromkeys(("monomials", "triangulations"), 0.0)
     totals = {}
     for n in range(2, n_max + 1):
         if report.verdict == "fail":
             break  # fail fast
-        graph = explore(standard_matrix("A", n))
-        by_fbar = {}
-        count = 0
-        for key, vid, exps in enumerate_monomials(graph, degree_cap):
-            count += 1
-            fbar = monomial_vectors(graph, key)["fbar"]
-            if fbar in by_fbar and by_fbar[fbar] != key:
-                report.fail({"rank": n, "fbar": fbar,
-                             "monomials": [by_fbar[fbar], key]})
-                break
-            by_fbar.setdefault(fbar, key)
+        with _phase(report, "monomials"):
+            graph = explore(standard_matrix("A", n))
+            by_fbar = {}
+            count = 0
+            for key, vid, exps in enumerate_monomials(graph, degree_cap):
+                count += 1
+                fbar = monomial_vectors(graph, key)["fbar"]
+                if fbar in by_fbar and by_fbar[fbar] != key:
+                    report.fail({"rank": n, "fbar": fbar,
+                                 "monomials": [by_fbar[fbar], key]})
+                    break
+                by_fbar.setdefault(fbar, key)
         totals[f"A{n}_monomials"] = count
         # sanity: initial fbar vectors are negative unit vectors, and no
         # non-initial monomial can collide with them
@@ -686,23 +729,25 @@ def verify_fvector_injectivity(n_max=3, degree_cap=3):
     for m in range(5, n_max + 4):
         if report.verdict == "fail":
             break
-        for disc in disc_tilings(m):
-            if report.verdict == "fail":
-                break
-            if len(disc.chords) != m - 3:
-                continue
-            t = disc.to_complex()
-            b = b_matrix_from_triangulation(t)
-            graph = explore(b)
-            fvecs = sorted(info.f for info in graph.variables
-                           if not info.initial)
-            arcs, _ = t.enumerate_permissible_arcs()
-            ivecs = sorted(a.intersection for a in arcs)
-            if fvecs != ivecs:
-                report.fail({"triangulation": (m, disc.chords),
-                             "f_vectors": fvecs, "intersection_vectors": ivecs})
-            else:
-                matched += 1
+        with _phase(report, "triangulations"):
+            for disc in disc_tilings(m):
+                if report.verdict == "fail":
+                    break
+                if len(disc.chords) != m - 3:
+                    continue
+                t = disc.to_complex()
+                b = b_matrix_from_triangulation(t)
+                graph = explore(b)
+                fvecs = sorted(info.f for info in graph.variables
+                               if not info.initial)
+                arcs, _ = t.enumerate_permissible_arcs()
+                ivecs = sorted(a.intersection for a in arcs)
+                if fvecs != ivecs:
+                    report.fail({"triangulation": (m, disc.chords),
+                                 "f_vectors": fvecs,
+                                 "intersection_vectors": ivecs})
+                else:
+                    matched += 1
     report.counts = {**totals, "triangulations_cross_checked": matched}
     return report
 
@@ -740,19 +785,24 @@ def verify_denominator(series="C", n_max=3, degree_cap=3, initial_seeds="all"):
 
     The explored graph and both checks depend only on the exchange matrix,
     and rerooted matrices repeat, so each distinct matrix is explored and
-    checked once; its monomial count is added at every reroot.
+    checked once; its monomial count is added at every reroot.  Phases:
+    `explore` and `checks` (both d-vector checks), timed once per distinct
+    matrix.
     """
     report = VerifyReport(
         "thm4-denominator-injectivity",
         {"series": series, "n_max": n_max, "degree_cap": degree_cap,
          "initial_seeds": initial_seeds})
+    report.phases = dict.fromkeys(("explore", "checks"), 0.0)
     monomials = 0
     reroots = 0
 
     def check(matrix, where):
-        graph = explore(matrix)
-        count = _check_d_injectivity(graph, degree_cap, where, report)
-        _check_d_columns_independent(graph, where, report)
+        with _phase(report, "explore"):
+            graph = explore(matrix)
+        with _phase(report, "checks"):
+            count = _check_d_injectivity(graph, degree_cap, where, report)
+            _check_d_columns_independent(graph, where, report)
         return graph, count
 
     for n in range(2, n_max + 1):
@@ -779,16 +829,20 @@ def verify_denominator(series="C", n_max=3, degree_cap=3, initial_seeds="all"):
 
 @_timed
 def verify_denominator_duality(n_max=3, degree_cap=3, initial_seeds="root"):
-    """Paired B/C verdicts agree, mirroring the Langlands reduction."""
+    """Paired B/C verdicts agree, mirroring the Langlands reduction.  The
+    phases are the sums of the two `verify_denominator` runs' phases."""
     report = VerifyReport(
         "thm4-bc-duality",
         {"n_max": n_max, "degree_cap": degree_cap,
          "initial_seeds": initial_seeds})
+    report.phases = dict.fromkeys(("explore", "checks"), 0.0)
     verdicts = {}
     for series in ("B", "C"):
         sub = verify_denominator(series=series, n_max=n_max,
                                  degree_cap=degree_cap,
                                  initial_seeds=initial_seeds)
+        for name, seconds in sub.phases.items():
+            report.phases[name] += seconds
         verdicts[series] = sub.verdict
         if sub.verdict == "fail":
             report.fail({"series": series, "witnesses": sub.witnesses})
@@ -806,18 +860,22 @@ def _tau_rigid_pairs(rigid, inv, cap):
     """(module multiset, projective multiset) pairs of total degree <= cap.
 
     The projective part P(i)^c needs Hom(P(i), M) = 0, i.e. the module part
-    vanishes at vertex i; projectives are pairwise compatible.
+    vanishes at vertex i; projectives are pairwise compatible.  The module
+    dimension vectors are swept packed (`_pack`) and unpacked once per
+    module multiset.
     """
     n = inv.q.n
     words = [w for w, _ in rigid]
-    dims = [d for _, d in rigid]
+    width = _field_width([d for _, d in rigid], cap)
     pairs = []
-    for chosen, mdim in _compatible_multisets(
-            lambda i, j: inv.compatible(words[i], words[j]), dims, cap):
+    for chosen, packed in _compatible_multisets(
+            lambda i, j: inv.compatible(words[i], words[j]),
+            [_pack(d, width) for _, d in rigid], cap):
+        mdim = _unpack(packed, n, width)
         total = sum(mult for _, mult in chosen)
         allowed = [v for v in range(n) if mdim[v] == 0]
         for part, _ in _compatible_multisets(
-                lambda i, j: True, [()] * len(allowed), cap - total):
+                lambda i, j: True, [0] * len(allowed), cap - total):
             if chosen or part:
                 proj = tuple((allowed[k], c) for k, c in part)
                 pairs.append((chosen, proj, mdim))
@@ -827,11 +885,18 @@ def _tau_rigid_pairs(rigid, inv, cap):
 @_timed
 def verify_type_c_categorification(n_max=2, degree_cap=3):
     """tau-rigid pairs of the type C quiver algebra match cluster monomials
-    through the halved first dimension coordinate."""
+    through the halved first dimension coordinate.
+
+    Phases, timed once per rank: `tau` (the inventory and its tau-rigid
+    strings), `pairs` (tau-rigid pairs and their vectors) and `monomials`
+    (the exchange graph and its monomials' d-vectors).
+    """
     if n_max < 2:
         raise ValueError("type C needs rank at least 2")
     report = VerifyReport(
         "typec-categorification", {"n_max": n_max, "degree_cap": degree_cap})
+    report.phases = dict.fromkeys(("tau", "pairs", "monomials"), 0.0)
+    report.cache = {"tau_hits": 0, "tau_misses": 0}
     for n in range(2, n_max + 1):
         if report.verdict == "fail":
             break  # fail fast
@@ -843,8 +908,9 @@ def verify_type_c_categorification(n_max=2, degree_cap=3):
                          "result": cond})
         if detect_even_full_cycle(q) is not None:
             report.fail({"rank": n, "check": "unexpected even full cycle"})
-        inv = StringInventory(q)
-        rigid, truncated = enumerate_tau_rigid(inv)
+        with _phase(report, "tau"):
+            inv = StringInventory(q)
+            rigid, truncated = enumerate_tau_rigid(inv)
         if truncated:
             report.verdict = "truncated"
             continue
@@ -852,7 +918,8 @@ def verify_type_c_categorification(n_max=2, degree_cap=3):
             if d[0] % 2 != 0:
                 report.fail({"rank": n, "check": "odd first coordinate",
                              "dim": d})
-        graph = explore(base)
+        with _phase(report, "monomials"):
+            graph = explore(base)
         # indecomposable level: adjusted dimensions vs non-initial d-vectors
         adjusted = sorted((d[0] // 2,) + tuple(d[1:]) for _, d in rigid)
         dvecs = sorted(info.d for info in graph.variables if not info.initial)
@@ -860,19 +927,23 @@ def verify_type_c_categorification(n_max=2, degree_cap=3):
             report.fail({"rank": n, "check": "indecomposable bijection",
                          "module_side": adjusted, "cluster_side": dvecs})
         # pair level, degree by degree
-        pairs = _tau_rigid_pairs(rigid, inv, degree_cap)
-        module_vectors = {}
-        for chosen, proj, mdim in pairs:
-            deg = sum(m for _, m in chosen) + sum(c for _, c in proj)
-            d = [mdim[0] // 2] + list(mdim[1:])
-            for v, c in proj:
-                d[v] -= c
-            module_vectors.setdefault(deg, []).append(tuple(d))
-        cluster_vectors = {}
-        for key, vid, exps in enumerate_monomials(graph, degree_cap):
-            deg = sum(e for _, e in key)
-            d = monomial_vectors(graph, key)["d"]
-            cluster_vectors.setdefault(deg, []).append(d)
+        with _phase(report, "pairs"):
+            pairs = _tau_rigid_pairs(rigid, inv, degree_cap)
+            module_vectors = {}
+            for chosen, proj, mdim in pairs:
+                deg = sum(m for _, m in chosen) + sum(c for _, c in proj)
+                d = [mdim[0] // 2] + list(mdim[1:])
+                for v, c in proj:
+                    d[v] -= c
+                module_vectors.setdefault(deg, []).append(tuple(d))
+        report.cache["tau_hits"] += inv.tau_hits
+        report.cache["tau_misses"] += inv.tau_misses
+        with _phase(report, "monomials"):
+            cluster_vectors = {}
+            for key, vid, exps in enumerate_monomials(graph, degree_cap):
+                deg = sum(e for _, e in key)
+                d = monomial_vectors(graph, key)["d"]
+                cluster_vectors.setdefault(deg, []).append(d)
         for deg in range(1, degree_cap + 1):
             left = sorted(module_vectors.get(deg, []))
             right = sorted(cluster_vectors.get(deg, []))

@@ -6,12 +6,13 @@ import pytest
 from clusterlab.errors import UnclassifiableTileError
 from clusterlab.quiver import detect_even_full_cycle
 from clusterlab.tiling import (
-    ArcMultiset, DiscTiling, annulus_digon_tiling, b_matrix_from_triangulation,
-    chords_interleave, disc_cells, disc_tilings, geometric_disc_arcs,
-    one_holed_disc_tiling, one_holed_disc_tilings, seg_profile,
-    string_route_profile_keys,
+    ArcMultiset, DiscTiling, _chords_in_taxonomy, _noncrossing_chord_sets,
+    annulus_digon_tiling, b_matrix_from_triangulation, chords_interleave,
+    disc_cells, disc_tilings, geometric_disc_arcs, one_holed_disc_tiling,
+    one_holed_disc_tilings, seg_profile, string_route_profile_keys,
 )
-from clusterlab.verify import _compatible_multisets
+from clusterlab.verify import (_compatible_multisets, _field_width, _pack,
+                               _unpack)
 
 
 def complex_of(m, chords):
@@ -84,6 +85,24 @@ def test_classification_rejects_empty_disc():
         complex_of(5, [(1, 3)]).classify_tiles()
 
 
+def test_chord_taxonomy_filter_matches_classification():
+    # the chord-level test says yes exactly when the built map classifies,
+    # on every dissection of the 4- to 9-gons
+    passing = []
+    for m in range(4, 10):
+        count = 0
+        for chords in _noncrossing_chord_sets(m):
+            try:
+                DiscTiling(m, chords).to_complex().classify_tiles()
+                classifies = True
+            except UnclassifiableTileError:
+                classifies = False
+            assert _chords_in_taxonomy(m, chords) == classifies, (m, chords)
+            count += classifies
+        passing.append(count)
+    assert passing == [2, 5, 14, 49, 182, 699]
+
+
 def test_central_triangle_is_odd_type_v():
     t = complex_of(6, [(1, 3), (3, 5), (1, 5)])
     types = t.classify_tiles()
@@ -145,14 +164,15 @@ def test_annulus_injectivity_and_profiles():
             if not t.forbidden_tile_scan():
                 continue
             arcs, _ = t.enumerate_permissible_arcs()
+            width = _field_width([a.intersection for a in arcs], 2)
             by_vec = {}
             by_prof = {}
             for chosen, weight in _compatible_multisets(
                     lambda i, j: t.arcs_compatible(arcs[i], arcs[j]),
-                    [a.intersection for a in arcs], 2):
+                    [_pack(a.intersection, width) for a in arcs], 2):
                 ms = ArcMultiset(tuple((arcs[i], mu) for i, mu in chosen))
                 vec = ms.intersection_vector(len(t.arcs))
-                assert weight == vec
+                assert _unpack(weight, len(t.arcs), width) == vec
                 prof = tuple(sorted(seg_profile(t, ms).items()))
                 assert by_vec.setdefault(vec, chosen) == chosen
                 assert by_prof.setdefault(prof, chosen) == chosen

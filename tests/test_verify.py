@@ -18,8 +18,8 @@ from clusterlab.tiling import ArcMultiset, disc_tilings, seg_profile
 from clusterlab.verify import (
     VerifyReport, _algebra_class, _arc_weights, _arrow_grids,
     _automorphisms, _canonical_bound_quiver, _class_arrow, _class_quiver,
-    _compatible_multisets, _connected, _grid_key, _pack_profile,
-    _relation_choices, _tiling_arcs,
+    _compatible_multisets, _connected, _field_width, _grid_key, _pack,
+    _relation_choices, _tiling_arcs, _unpack,
     enumerate_gentle_algebras, verify_denominator,
     verify_denominator_duality, verify_fvector_injectivity, verify_thm1,
     verify_thm2, verify_type_c_categorification, write_report,
@@ -136,9 +136,7 @@ def _multiset_problems(draw):
     for i in range(n):
         for j in range(i + 1):
             compat[i][j] = compat[j][i] = draw(st.booleans())
-    width = draw(st.integers(0, 3))
-    weights = [tuple(draw(st.integers(-5, 5)) for _ in range(width))
-               for _ in range(n)]
+    weights = [draw(st.integers(-(1 << 70), 1 << 70)) for _ in range(n)]
     return compat, weights, draw(st.integers(0, 4))
 
 
@@ -157,11 +155,8 @@ def test_compatible_multisets_match_brute_force(problem):
     assert asked == []  # nothing is asked before index 0 is reached
     out = [first] + list(sweep)
     assert [chosen for chosen, _ in out] == list(_brute_multisets(compat, cap))
-    width = len(weights[0]) if weights else 0
     for chosen, weight in out:
-        assert weight == tuple(
-            sum(mult * weights[i][r] for i, mult in chosen)
-            for r in range(width))
+        assert weight == sum(mult * weights[i] for i, mult in chosen)
     n = len(weights)
     assert sorted(asked) == [(i, j) for i in range(n) for j in range(i)]
 
@@ -189,18 +184,46 @@ def test_thm1_weights_split_into_vector_and_profile():
         arcs, _ = t.enumerate_permissible_arcs()
         weights, (keys, width) = _arc_weights(t, arcs, 3)
         n_arcs = len(t.arcs)
+        shift = width * n_arcs
         for chosen, weight in _compatible_multisets(
                 lambda i, j: t.arcs_compatible(arcs[i], arcs[j]), weights, 3):
             multisets += 1
             ms = ArcMultiset(tuple((arcs[i], mult) for i, mult in chosen))
+            vec = ms.intersection_vector(n_arcs)
             prof = seg_profile(t, ms)
-            # every count fits its field, so the packing is injective
+            # every entry fits its field, so the packing is injective
             assert set(prof) <= set(keys)
-            assert all(c < 1 << width for c in prof.values())
-            assert weight == ms.intersection_vector(n_arcs) + (
-                _pack_profile(prof, keys, width),)
+            assert all(c < 1 << width for c in vec + tuple(prof.values()))
+            assert weight & (1 << shift) - 1 == _pack(vec, width)
+            assert _unpack(weight, n_arcs, width) == vec
+            assert weight >> shift == _pack(
+                [prof.get(key, 0) for key in keys], width)
     # the admissible tilings and multisets of verify_thm1(6, 3)
     assert (tilings, multisets) == (21, 836)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pack_round_trips_at_the_field_width_limit(data):
+    width = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(0, 10))
+    top = (1 << width) - 1
+    values = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    assert _unpack(_pack(values, width), n, width) == tuple(values)
+    assert _unpack(_pack([top] * n, width), n, width) == (top,) * n
+    # _field_width is the least width that holds cap times any entry, and
+    # sums of at most cap rows never carry at it
+    cap = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, 20), min_size=n, max_size=n),
+        min_size=1, max_size=4))
+    w = _field_width(rows, cap)
+    entries = [x for r in rows for x in r]
+    assert all(cap * x < 1 << w for x in entries)
+    assert w == 0 or any(cap * x >= 1 << (w - 1) for x in entries)
+    chosen = data.draw(st.lists(st.sampled_from(rows), max_size=cap))
+    assert _unpack(sum(_pack(r, w) for r in chosen), n, w) == tuple(
+        sum(r[k] for r in chosen) for k in range(n))
 
 
 def test_class_route_matches_per_tiling_inventories():
@@ -328,7 +351,7 @@ def test_thm2_reports_phase_timings():
 def test_thm1_reports_phase_timings():
     r = verify_thm1(5, 2)
     phases = r.to_dict()["phases"]
-    assert set(phases) == {"arcs", "multisets"}
+    assert set(phases) == {"tilings", "arcs", "multisets"}
     assert all(v >= 0 for v in phases.values())
     # the "multisets" count stays a count
     assert r.counts["multisets"] == 51 and "phases" not in r.counts
@@ -464,6 +487,21 @@ def test_denominator_duality():
     r = verify_denominator_duality(2, 2, "root")
     assert r.verdict == "pass"
     assert r.counts["verdicts"] == {"B": "pass", "C": "pass"}
+
+
+def test_cluster_harnesses_report_phase_timings():
+    for r, names in (
+            (verify_denominator("B", 3), {"explore", "checks"}),
+            (verify_denominator_duality(2, 2), {"explore", "checks"}),
+            (verify_fvector_injectivity(3, 2), {"monomials", "triangulations"}),
+            (verify_type_c_categorification(2, 2),
+             {"tau", "pairs", "monomials"})):
+        assert set(r.to_dict()["phases"]) == names, r.experiment
+        assert all(v >= 0 for v in r.phases.values())
+        assert sum(r.phases.values()) <= r.duration_s
+    cache = verify_type_c_categorification(3, 3).to_dict()["cache"]
+    assert set(cache) == {"tau_hits", "tau_misses"}
+    assert cache["tau_hits"] > 0 and cache["tau_misses"] > 0
 
 
 def test_type_c_rejects_rank_one():
