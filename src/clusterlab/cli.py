@@ -103,6 +103,12 @@ def format_options(fn):
     return fn
 
 
+def _tracked_matrices(t):
+    """The C, G, F and D matrices of a tracked seed, as row lists."""
+    return {"C": [list(r) for r in t.c], "G": [list(r) for r in t.g],
+            "F": [list(r) for r in t.f], "D": d_matrix(t)}
+
+
 @click.group()
 def main():
     """Exact cluster-algebra, gentle-algebra and tiling computations."""
@@ -121,10 +127,7 @@ def mutate(matrix_path, seq, fmt, out):
         "walk": walk,
         "B": [list(r) for r in t.seed.matrix.b],
         "cluster": [p.to_str() for p in t.seed.cluster],
-        "C": [list(r) for r in t.c],
-        "G": [list(r) for r in t.g],
-        "F": [list(r) for r in t.f],
-        "D": d_matrix(t),
+        **_tracked_matrices(t),
     }
     _emit(result, fmt, out)
 
@@ -139,12 +142,7 @@ def vectors(matrix_path, seq, exponents, fmt, out):
     """C/G/F/D matrices and per-monomial d/g/f/fbar vectors."""
     matrix = _load_matrix(matrix_path)
     t = run_walk(matrix, parse_mutation_sequence(seq))
-    result = {
-        "C": [list(r) for r in t.c],
-        "G": [list(r) for r in t.g],
-        "F": [list(r) for r in t.f],
-        "D": d_matrix(t),
-    }
+    result = _tracked_matrices(t)
     if exponents:
         exps = tuple(int(x) for x in exponents.split(","))
         vecs = vectors_of_monomial(ClusterMonomial(t, exps))

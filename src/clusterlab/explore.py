@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .exchange import ExchangeMatrix
-from .tracking import TrackedSeed, mutate_tracked, d_matrix
+from .tracking import TrackedSeed, mutate_tracked, vectors_of_factors
 
 
 class BoundExceeded(RuntimeError):
@@ -77,14 +77,9 @@ def explore(matrix: ExchangeMatrix, max_seeds: int = 100000) -> ExchangeGraph:
             return key_to_id[key], False
         vid = len(graph.vertices)
         key_to_id[key] = vid
-        dmat = d_matrix(t)
         var_ids = []
-        for j, poly in enumerate(t.seed.cluster):
-            info = VariableInfo(
-                poly=poly,
-                d=tuple(dmat[r][j] for r in range(n)),
-                g=tuple(t.g[r][j] for r in range(n)),
-                f=tuple(t.f[r][j] for r in range(n)))
+        for poly, g_col, f_col in zip(t.seed.cluster, zip(*t.g), zip(*t.f)):
+            info = VariableInfo(poly, poly.denominator_vector(), g_col, f_col)
             if poly in graph.variable_index:
                 known = graph.variables[graph.variable_index[poly]]
                 if (known.d, known.g, known.f) != (info.d, info.g, info.f):
@@ -294,17 +289,6 @@ def _compositions_exact(n, total):
 
 def monomial_vectors(graph: ExchangeGraph, key):
     """d/g/f/fbar vectors of a deduplicated monomial key."""
-    n = graph.n
-    d = [0] * n
-    g = [0] * n
-    f = [0] * n
-    fbar = [0] * n
-    for var_id, e in key:
-        info = graph.variables[var_id]
-        fbar_col = info.d if info.initial else info.f
-        for r in range(n):
-            d[r] += e * info.d[r]
-            g[r] += e * info.g[r]
-            f[r] += e * info.f[r]
-            fbar[r] += e * fbar_col[r]
-    return {"d": tuple(d), "g": tuple(g), "f": tuple(f), "fbar": tuple(fbar)}
+    variables = graph.variables
+    return vectors_of_factors(graph.n, [
+        (e, variables[v].d, variables[v].g, variables[v].f) for v, e in key])

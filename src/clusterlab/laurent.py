@@ -148,13 +148,6 @@ class LaurentPoly:
             e >>= 1
         return result
 
-    def shift(self, exps):
-        """Multiply by the monomial x^exps."""
-        return LaurentPoly(
-            self.n_vars,
-            {tuple(a + b for a, b in zip(e, exps)): c
-             for e, c in self._terms.items()})
-
     # -- Laurent structure --------------------------------------------------
 
     def min_exponents(self):

@@ -51,7 +51,6 @@ class TileFace:
     dedges: tuple          # directed edges ("a", arc, dir) | ("s", comp, pos)
     corner_points: tuple   # corner j sits at the head of dedges[j]
     holes: int
-    kind: str = ""         # I..V once classified
 
     @property
     def size(self):
@@ -199,8 +198,6 @@ class TilingComplex:
                 raise UnclassifiableTileError(
                     f"face {fid} with {n_arc} arcs, {n_seg} boundary edges, "
                     f"{f.holes} holes is not of type I-V")
-        self.faces = [TileFace(f.dedges, f.corner_points, f.holes, types[fid])
-                      for fid, f in enumerate(self.faces)]
         self._types = types
         return types
 
@@ -397,9 +394,6 @@ class ArcMultiset:
     """Pairwise compatible permissible arcs with positive multiplicities."""
 
     items: tuple  # tuple of (PermissibleArc, multiplicity)
-
-    def total(self):
-        return sum(m for _, m in self.items)
 
     def intersection_vector(self, n_arcs):
         v = [0] * n_arcs

@@ -1,10 +1,11 @@
 """C-, G-, F- and D-matrix bookkeeping along mutation walks.
 
 A TrackedSeed carries the seed together with the three integer matrices
-advanced by the mutation recursions, plus the walk that produced it.  All
-values are immutable; mutation returns a fresh snapshot.
+advanced by the mutation recursions.  All values are immutable; mutation
+returns a fresh snapshot.  The matrices are stored as row tuples, and the
+recursions are applied row by row.
 
-Recursions (k the mutation direction, everything columnwise):
+Recursions (k the mutation direction, c_j the j-th column of C, and so on):
 
   c'_j = -c_j                                   if j = k
          c_j + [b_kj]+ c_k + b_kj [-c_k]+       otherwise
@@ -14,9 +15,10 @@ Recursions (k the mutation direction, everything columnwise):
   f'_k = -f_k + max([c_k]+ + sum_i [b_ik]+ f_i,
                     [-c_k]+ + sum_i [-b_ik]+ f_i)          (componentwise max)
 
-The g-recursion sums initial-matrix columns b0_i weighted by the positive
-parts of the c-column; that reading is pinned down by the exact identity
-G^tr S C = S, which the test suite checks at every reached vertex.
+C changes entrywise; G and F change only in column k.  The g-recursion
+sums initial-matrix columns b0_i weighted by the positive parts of the
+c-column; that reading is pinned down by the exact identity G^tr S C = S,
+which the test suite checks at every reached vertex.
 """
 
 from __future__ import annotations
@@ -31,17 +33,12 @@ def _pos(x):
     return x if x > 0 else 0
 
 
-def _col(m, j):
-    return [row[j] for row in m]
-
-
 @dataclass(frozen=True)
 class TrackedSeed:
     seed: Seed
     c: tuple  # C-matrix, tuple of row tuples
     g: tuple  # G-matrix
     f: tuple  # F-matrix (columns nonnegative)
-    walk: tuple  # 1-based directions from the root
     b0: tuple  # initial exchange matrix rows
     s: tuple  # skew-symmetrizer of the root matrix
 
@@ -51,7 +48,7 @@ class TrackedSeed:
         ident = tuple(tuple(1 if i == j else 0 for j in range(n))
                       for i in range(n))
         zero = tuple((0,) * n for _ in range(n))
-        return cls(Seed.initial(matrix), ident, ident, zero, (),
+        return cls(Seed.initial(matrix), ident, ident, zero,
                    matrix.b, matrix.skew_symmetrizer())
 
     @property
@@ -69,51 +66,30 @@ def mutate_tracked(t: TrackedSeed, k: int) -> TrackedSeed:
         raise IndexError(f"direction {k} out of range 1..{n}")
     kk = k - 1
     b = t.seed.matrix.b
-    c_cols = [list(_col(t.c, j)) for j in range(n)]
-    g_cols = [list(_col(t.g, j)) for j in range(n)]
-    f_cols = [list(_col(t.f, j)) for j in range(n)]
-    ck = c_cols[kk]
+    b_k = b[kk]
+    # nonzero weights [b_ik]+, [-b_ik]+ and [c_ik]+ as (i, weight) pairs
+    up = [(i, w) for i, w in enumerate(_pos(row[kk]) for row in b) if w]
+    down = [(i, w) for i, w in enumerate(_pos(-row[kk]) for row in b) if w]
+    c_up = [(i, w) for i, w in enumerate(_pos(row[kk]) for row in t.c) if w]
 
-    new_c = []
-    for j in range(n):
-        if j == kk:
-            new_c.append([-x for x in ck])
-        else:
-            bkj = b[kk][j]
-            new_c.append([c_cols[j][r] + _pos(bkj) * ck[r] + bkj * _pos(-ck[r])
-                          for r in range(n)])
-
-    gk = [-x for x in g_cols[kk]]
-    for i in range(n):
-        w = _pos(b[i][kk])
-        if w:
-            gk = [x + w * y for x, y in zip(gk, g_cols[i])]
-    for i in range(n):
-        w = _pos(ck[i])
-        if w:
-            gk = [x - w * t.b0[r][i] for r, x in enumerate(gk)]
-    new_g = list(g_cols)
-    new_g[kk] = gk
-
-    arg1 = [_pos(x) for x in ck]
-    arg2 = [_pos(-x) for x in ck]
-    for i in range(n):
-        wp, wm = _pos(b[i][kk]), _pos(-b[i][kk])
-        if wp:
-            arg1 = [x + wp * y for x, y in zip(arg1, f_cols[i])]
-        if wm:
-            arg2 = [x + wm * y for x, y in zip(arg2, f_cols[i])]
-    fk = [max(a, c) - x for a, c, x in zip(arg1, arg2, f_cols[kk])]
-    if any(x < 0 for x in fk):
-        raise AssertionError("F-column turned negative; recursion bug")
-    new_f = list(f_cols)
-    new_f[kk] = fk
-
-    def rows(cols):
-        return tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
-
-    return TrackedSeed(mutate_seed(t.seed, k), rows(new_c), rows(new_g),
-                       rows(new_f), t.walk + (k,), t.b0, t.s)
+    c = tuple(
+        tuple(-x if j == kk else
+              x + _pos(b_kj) * row[kk] + b_kj * _pos(-row[kk])
+              for j, (x, b_kj) in enumerate(zip(row, b_k)))
+        for row in t.c)
+    g, f = [], []
+    for g_row, f_row, c_row, b0_row in zip(t.g, t.f, t.c, t.b0):
+        g_rk = (-g_row[kk] + sum(w * g_row[i] for i, w in up)
+                - sum(w * b0_row[i] for i, w in c_up))
+        f_rk = max(_pos(c_row[kk]) + sum(w * f_row[i] for i, w in up),
+                   _pos(-c_row[kk]) + sum(w * f_row[i] for i, w in down)) \
+            - f_row[kk]
+        if f_rk < 0:
+            raise AssertionError("F-column turned negative; recursion bug")
+        g.append(g_row[:kk] + (g_rk,) + g_row[kk + 1:])
+        f.append(f_row[:kk] + (f_rk,) + f_row[kk + 1:])
+    return TrackedSeed(mutate_seed(t.seed, k), c, tuple(g), tuple(f),
+                       t.b0, t.s)
 
 
 def run_walk(matrix: ExchangeMatrix, walk) -> TrackedSeed:
@@ -181,31 +157,31 @@ class ClusterMonomial:
         return out
 
 
-def vectors_of_monomial(m: ClusterMonomial):
-    """d-, g-, f- and fbar-vectors of the monomial.
+def vectors_of_factors(n, factors):
+    """d-, g-, f- and fbar-vectors of a monomial in cluster variables.
 
-    All four are linear in the exponents.  fbar replaces the (zero) f-column
-    of an initial cluster variable by -e_k; the initial positions are the
-    zero columns of F, and which coordinate variable sits there is read off
-    the D-matrix column, which equals -e_k exactly for initial entries.
+    `factors` holds (exponent, d, g, f) per variable.  All four vectors are
+    linear in the exponents.  fbar replaces the zero f-vector of an initial
+    cluster variable x_k by its d-vector, which is -e_k.
     """
-    t = m.vertex
-    n = t.n
-    dmat = d_matrix(t)
     d = [0] * n
     g = [0] * n
     f = [0] * n
     fbar = [0] * n
-    for j, e in enumerate(m.exponents):
-        if not e:
-            continue
-        f_col = [t.f[r][j] for r in range(n)]
-        d_col = [dmat[r][j] for r in range(n)]
-        g_col = [t.g[r][j] for r in range(n)]
-        fbar_col = d_col if not any(f_col) else f_col
+    for e, d_col, g_col, f_col in factors:
+        fbar_col = f_col if any(f_col) else d_col
         for r in range(n):
             d[r] += e * d_col[r]
             g[r] += e * g_col[r]
             f[r] += e * f_col[r]
             fbar[r] += e * fbar_col[r]
     return {"d": tuple(d), "g": tuple(g), "f": tuple(f), "fbar": tuple(fbar)}
+
+
+def vectors_of_monomial(m: ClusterMonomial):
+    """d-, g-, f- and fbar-vectors of the monomial (see vectors_of_factors)."""
+    t = m.vertex
+    return vectors_of_factors(t.n, [
+        (e, p.denominator_vector(), g_col, f_col)
+        for e, p, g_col, f_col in zip(m.exponents, t.seed.cluster,
+                                      zip(*t.g), zip(*t.f)) if e])

@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterlab.exchange import ExchangeMatrix
+from clusterlab.explore import standard_matrix
 from clusterlab.tracking import (
     ClusterMonomial, TrackedSeed, check_langlands_dualities,
     check_tropical_duality, d_matrix, mutate_tracked, run_walk,
@@ -179,3 +181,50 @@ def test_matrix_mutation_commutes_with_dual():
         for k in range(1, matrix.n + 1):
             assert langlands_dual(mutate_matrix(matrix, k)) == \
                 mutate_matrix(langlands_dual(matrix), k)
+
+
+def _pos(x):
+    return max(x, 0)
+
+
+def _column_recursion(t, k, c, g, f):
+    """Reference: the C, G and F recursions applied column by column, on
+    column lists c[j][r], g[j][r], f[j][r] of the matrices at t."""
+    n = t.n
+    kk = k - 1
+    b = t.seed.matrix.b
+    ck = c[kk]
+    new_c = [[-x for x in ck] if j == kk else
+             [c[j][r] + _pos(b[kk][j]) * ck[r] + b[kk][j] * _pos(-ck[r])
+              for r in range(n)] for j in range(n)]
+    gk = [-x for x in g[kk]]
+    for i in range(n):
+        gk = [x + _pos(b[i][kk]) * y for x, y in zip(gk, g[i])]
+        gk = [x - _pos(ck[i]) * t.b0[r][i] for r, x in enumerate(gk)]
+    up = [_pos(x) for x in ck]
+    down = [_pos(-x) for x in ck]
+    for i in range(n):
+        up = [x + _pos(b[i][kk]) * y for x, y in zip(up, f[i])]
+        down = [x + _pos(-b[i][kk]) * y for x, y in zip(down, f[i])]
+    fk = [max(u, d) - x for u, d, x in zip(up, down, f[kk])]
+    new_g = list(g)
+    new_g[kk] = gk
+    new_f = list(f)
+    new_f[kk] = fk
+    return new_c, new_g, new_f
+
+
+def _columns(m):
+    return [list(col) for col in zip(*m)]
+
+
+@given(st.sampled_from("ABC"), st.integers(2, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_wise_mutation_matches_column_recursion(series, rank, data):
+    walk = data.draw(st.lists(st.integers(1, rank), max_size=12))
+    t = TrackedSeed.initial(standard_matrix(series, rank))
+    c, g, f = _columns(t.c), _columns(t.g), _columns(t.f)
+    for k in walk:
+        c, g, f = _column_recursion(t, k, c, g, f)
+        t = mutate_tracked(t, k)
+        assert (_columns(t.c), _columns(t.g), _columns(t.f)) == (c, g, f)

@@ -478,6 +478,55 @@ def test_fvector_harness():
     assert r.counts["triangulations_cross_checked"] == 19  # 5 + 14
 
 
+def test_fvector_explores_each_distinct_matrix_once(monkeypatch):
+    from clusterlab import verify
+    calls = []
+    real = verify.explore
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix)
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "explore", counting)
+    r = verify_fvector_injectivity(3, 3)
+    # A2 and A3, then the 2 + 8 distinct matrices of the 5 pentagon and
+    # 14 hexagon triangulations
+    assert len(calls) == 12
+    assert r.counts == {"A2_monomials": 30, "A3_monomials": 104,
+                        "triangulations_cross_checked": 19}
+    assert r.result_digest == \
+        "42a8b31a5abcce596afb2d88fb903694be26bbd24439cb0aac5afa8e38250ff4"
+
+
+def test_fvector_reports_a_wrong_initial_d_vector(monkeypatch):
+    from clusterlab import verify
+    real = verify.explore
+
+    def corrupted(matrix, *args, **kwargs):
+        graph = real(matrix, *args, **kwargs)
+        info = next(i for i in graph.variables if i.initial)
+        info.d = (-2,) + info.d[1:]
+        return graph
+
+    monkeypatch.setattr(verify, "explore", corrupted)
+    r = verify_fvector_injectivity(2, 1)
+    assert r.verdict == "fail"
+    assert r.witnesses == [{"where": "A2", "check": "initial d-vector",
+                            "variable": "x1", "d": (-2, 0)}]
+
+
+def test_injectivity_check_stops_at_first_collision(monkeypatch):
+    from clusterlab import verify
+    monkeypatch.setattr(verify, "monomial_vectors",
+                        lambda graph, key: {"d": (0, 0)})
+    r = verify_denominator("A", 2, 2, "root")
+    assert r.verdict == "fail"
+    assert r.counts["monomials"] == 2
+    (witness,) = r.witnesses
+    assert witness["where"] == "A2 root" and witness["d"] == (0, 0)
+    assert witness["monomials"][0] != witness["monomials"][1]
+
+
 def test_denominator_harness_root_only():
     r = verify_denominator("A", 2, 3, "root")
     assert r.verdict == "pass" and r.counts["reroots"] == 0
@@ -532,6 +581,30 @@ def test_cli_explore_and_reports(tmp_path):
     assert res.exit_code == 0, res.output
     assert json.loads(out.read_text())["verdict"] == "pass"
     assert list((tmp_path / "reports").glob("*.jsonl"))
+
+
+def test_cli_vectors_matches_explored_monomial(tmp_path):
+    from clusterlab.explore import explore, monomial_vectors, standard_matrix
+    from clusterlab.tracking import run_walk
+    c2 = standard_matrix("C", 2)
+    matrix = tmp_path / "c2.json"
+    matrix.write_text(json.dumps({"n": 2, "B": [list(r) for r in c2.b]}))
+    graph = explore(c2)
+    # the root, a cluster with one initial variable, and two without
+    for seq, exps in (("", (1, 1)), ("1", (1, 2)), ("1,2", (2, 1)),
+                      ("2,1,2", (1, 3))):
+        res = CliRunner().invoke(main, [
+            "vectors", "--matrix", str(matrix), "--seq", seq,
+            "--exponents", ",".join(map(str, exps)), "--format", "json"])
+        assert res.exit_code == 0, res.output
+        data = json.loads(res.output)
+        assert set(data) == {"C", "G", "F", "D", "monomial"}
+        cluster = run_walk(c2, [int(k) for k in seq.split(",") if k]) \
+            .seed.cluster
+        key = tuple(sorted((graph.variable_index[p], e)
+                           for p, e in zip(cluster, exps) if e))
+        assert data["monomial"] == {
+            k: list(v) for k, v in monomial_vectors(graph, key).items()}
 
 
 def test_cli_tiling_commands(tmp_path):
