@@ -2,13 +2,11 @@
 
 from .laurent import LaurentPoly, divide_exact
 from .exchange import (ExchangeMatrix, Seed, mutate_matrix, mutate_seed,
-                       find_skew_symmetrizer, cartan_counterpart,
-                       langlands_dual)
+                       find_skew_symmetrizer, langlands_dual)
 from .tracking import (TrackedSeed, ClusterMonomial, mutate_tracked,
                        d_matrix, vectors_of_monomial, check_tropical_duality,
                        check_langlands_dualities)
-from .explore import (ExchangeGraph, FiniteTypeLabel, explore,
-                      classify_finite_type, enumerate_monomials,
+from .explore import (ExchangeGraph, explore, enumerate_monomials,
                       standard_matrix)
 from .quiver import (Arrow, BoundQuiver, StringWord, check_gentle,
                      detect_even_full_cycle, cartan_matrix, type_c_quiver,

@@ -13,8 +13,9 @@ import sys
 
 import click
 
+from .errors import InfiniteDimensionalAlgebraError
 from .exchange import ExchangeMatrix, parse_mutation_sequence
-from .explore import classify_finite_type, enumerate_monomials, explore
+from .explore import enumerate_monomials, explore
 from .quiver import BoundQuiver, cartan_matrix, check_gentle, \
     detect_even_full_cycle
 from .modules import StringInventory, enumerate_tau_rigid
@@ -165,7 +166,6 @@ def explore_cmd(matrix_path, max_seeds, degree_cap, variables, fmt, out):
         "complete": graph.complete,
         "clusters": graph.cluster_count(),
         "cluster_variables": graph.variable_count(),
-        "type": str(classify_finite_type(matrix)),
     }
     if not graph.complete:
         result["note"] = f"max-seeds bound {max_seeds} exceeded"
@@ -203,10 +203,13 @@ def analyze(quiver_path, cap, fmt, out):
     result["even_full_cycle"] = cycle
     try:
         c, det = cartan_matrix(q)
-        result["cartan_matrix"] = c
-        result["cartan_determinant"] = det
-    except Exception as exc:  # infinite-dimensional
+    except InfiniteDimensionalAlgebraError as exc:
+        # tau needs finite-dimensional projectives: no tau-rigid listing
         result["cartan_matrix"] = f"unavailable: {exc}"
+        _emit(result, fmt, out)
+        return
+    result["cartan_matrix"] = c
+    result["cartan_determinant"] = det
     rigid, truncated = enumerate_tau_rigid(StringInventory(q), cap)
     result["tau_rigid_truncated"] = truncated
     result["tau_rigid"] = [

@@ -167,13 +167,6 @@ def mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
                                             m.skew_symmetrizer())
 
 
-def cartan_counterpart(m: ExchangeMatrix):
-    """Generalized Cartan matrix: 2 on the diagonal, -|b_ij| off it."""
-    n = m.n
-    return [[2 if i == j else -abs(m.b[i][j]) for j in range(n)]
-            for i in range(n)]
-
-
 def langlands_dual(m: ExchangeMatrix) -> ExchangeMatrix:
     """The negative transpose; swaps the roles of rows and columns of S."""
     n = m.n

@@ -43,14 +43,6 @@ class ExchangeGraph:
     reps: list = field(default_factory=list)       # one TrackedSeed per vertex
     seeds_expanded: int = 0
 
-    def neighbors(self, v):
-        out = set()
-        for e in self.edges:
-            if v in e:
-                (other,) = e - {v}
-                out.add(other)
-        return out
-
     def cluster_count(self):
         return len(self.vertices)
 
@@ -113,111 +105,6 @@ def explore(matrix: ExchangeMatrix, max_seeds: int = 100000) -> ExchangeGraph:
     return graph
 
 
-@dataclass(frozen=True)
-class FiniteTypeLabel:
-    series: str  # "A".."G2" or "not finite on tested walks"
-    rank: int
-
-    def __str__(self):
-        if self.series.startswith("not"):
-            return self.series
-        return f"{self.series}{self.rank}"
-
-
-def _cartan_candidates(n):
-    """Standard Cartan matrices of the finite series at rank n."""
-
-    def chain(entries):
-        m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i, j, v in entries:
-            m[i][j] = v
-        return m
-
-    def simply_laced_chain():
-        return [(i, i + 1, -1) for i in range(n - 1)] + \
-               [(i + 1, i, -1) for i in range(n - 1)]
-
-    out = {}
-    if n >= 1:
-        out["A"] = chain(simply_laced_chain())
-    if n >= 2:
-        # C: the first simple root long, symmetrizer diag{2,1,...,1}
-        ent = simply_laced_chain()
-        ent = [(i, j, v) for (i, j, v) in ent if (i, j) != (1, 0)] + [(1, 0, -2)]
-        out["C"] = chain(ent)
-        ent = simply_laced_chain()
-        ent = [(i, j, v) for (i, j, v) in ent if (i, j) != (0, 1)] + [(0, 1, -2)]
-        out["B"] = chain(ent)
-    if n == 2:
-        out["G2"] = [[2, -1], [-3, 2]]
-        del out["B"]  # permutation-equivalent to C at rank 2
-    if n >= 4:
-        ent = [(i, i + 1, -1) for i in range(n - 3)] + \
-              [(i + 1, i, -1) for i in range(n - 3)] + \
-              [(n - 3, n - 2, -1), (n - 2, n - 3, -1),
-               (n - 3, n - 1, -1), (n - 1, n - 3, -1)]
-        out["D"] = chain(ent)
-    if n == 4:
-        out["F4"] = [[2, -1, 0, 0], [-1, 2, -1, 0],
-                     [0, -2, 2, -1], [0, 0, -1, 2]]
-    if n in (6, 7, 8):
-        ent = [(i, i + 1, -1) for i in range(n - 2)] + \
-              [(i + 1, i, -1) for i in range(n - 2)] + \
-              [(2, n - 1, -1), (n - 1, 2, -1)]
-        out[f"E{n}"] = chain(ent)
-    return out
-
-
-def _perm_equivalent(a, b, n):
-    """Simultaneous row/column permutation equivalence of two n x n matrices."""
-    from itertools import permutations
-
-    row_sig = sorted(sorted(row) for row in a)
-    if row_sig != sorted(sorted(row) for row in b):
-        return False
-    for perm in permutations(range(n)):
-        if all(a[perm[i]][perm[j]] == b[i][j]
-               for i in range(n) for j in range(n)):
-            return True
-    return False
-
-
-def classify_finite_type(matrix: ExchangeMatrix, depth: int = 8,
-                         max_matrices: int = 4000) -> FiniteTypeLabel:
-    """Search reachable exchange matrices for a finite-type Cartan counterpart.
-
-    At rank 2 types B and C coincide up to relabeling; the label returned is C.
-    """
-    from .exchange import cartan_counterpart, mutate_matrix
-
-    n = matrix.n
-    candidates = _cartan_candidates(n)
-    order = [s for s in ("A", "C", "B", "D", "E6", "E7", "E8", "F4", "G2")
-             if s in candidates]
-    seen = {matrix.b}
-    frontier = [matrix]
-    for _ in range(depth + 1):
-        for m in frontier:
-            cc = cartan_counterpart(m)
-            for series in order:
-                if _perm_equivalent(cc, candidates[series], n):
-                    return FiniteTypeLabel(
-                        series=series.rstrip("0123456789"), rank=n)
-        nxt = []
-        for m in frontier:
-            for k in range(1, n + 1):
-                m2 = mutate_matrix(m, k)
-                if m2.b not in seen:
-                    seen.add(m2.b)
-                    nxt.append(m2)
-                    if len(seen) > max_matrices:
-                        return FiniteTypeLabel("not finite on tested walks", n)
-        if not nxt:
-            break
-        frontier = nxt
-    return FiniteTypeLabel("not finite on tested walks", n)
-
-
 def standard_matrix(series: str, rank: int) -> ExchangeMatrix:
     """Initial exchange matrices for the A/B/C series used by the harnesses.
 
@@ -244,47 +131,66 @@ def standard_matrix(series: str, rank: int) -> ExchangeMatrix:
     return ExchangeMatrix(tuple(tuple(r) for r in b))
 
 
-def enumerate_monomials(graph: ExchangeGraph, degree_cap: int):
-    """Stream cluster monomials of total degree 1..cap, deduplicated globally.
+def _compatible_multisets(compatible, weights, cap):
+    """Yield (multiset, weight) for every pairwise compatible multiset of
+    total multiplicity <= cap over the indices of `weights`, the empty one
+    first.  A multiset is ((index, multiplicity), ...) with increasing
+    indices; its weight is the sum of multiplicity * weights[index].
 
-    A monomial is identified by its multiset of (variable id, exponent)
-    factors, so equal monomials met in several clusters come out once.
-    Yields (key, vertex_id, exponents) triples in deterministic order.
+    The weights are ints; a vector is swept as one int packed by
+    `verify._pack`, wide enough that its sums never carry from one field
+    into the next, so each step of the sweep is one int addition.
+
+    `compatible(i, j)` is asked once for each j < i, when index i is
+    reached, so a consumer that stops early asks no further questions.
+    Index i extends the multisets found over indices < i in the order they
+    were found; the witnesses callers report depend on this order.
+    """
+    yield (), 0
+    # extendable states: (multiset, total, bitmask of its indices, weight)
+    states = [((), 0, 0, 0)] if cap > 0 else []
+    for i, row in enumerate(weights):
+        clash = 0
+        for j in range(i):
+            if not compatible(i, j):
+                clash |= 1 << j
+        new_states = []
+        for chosen, total, mask, weight in states:
+            if mask & clash:
+                continue
+            for mult in range(1, cap - total + 1):
+                weight += row
+                child = chosen + ((i, mult),)
+                yield child, weight
+                if total + mult < cap:
+                    new_states.append(
+                        (child, total + mult, mask | 1 << i, weight))
+        states.extend(new_states)
+
+
+def enumerate_monomials(graph: ExchangeGraph, degree_cap: int):
+    """Stream the keys of the cluster monomials of total degree 1..cap,
+    deduplicated globally.
+
+    A key is the monomial's ((variable id, exponent), ...) factors by
+    increasing id, so equal monomials met in several clusters come out
+    once.  Each cluster's monomials are its variables' multisets, listed by
+    `_compatible_multisets`; keys come cluster by cluster, in the order the
+    graph holds the clusters.
     """
     if not graph.complete:
         raise BoundExceeded("monomial enumeration needs a complete graph")
+    # multisets of positions in a cluster, the same for every cluster;
+    # [1:] drops the empty one
+    multisets = list(_compatible_multisets(
+        lambda i, j: True, [0] * graph.n, degree_cap))[1:]
     seen = set()
-    n = graph.n
-    for vid, var_ids in enumerate(graph.vertices):
-        for exps in _compositions_up_to(n, degree_cap):
-            key = tuple(sorted((var_ids[i], e)
-                               for i, e in enumerate(exps) if e))
+    for var_ids in graph.vertices:
+        for chosen, _ in multisets:
+            key = tuple((var_ids[i], e) for i, e in chosen)
             if key not in seen:
                 seen.add(key)
-                yield key, vid, exps
-
-
-def _compositions_up_to(n, cap):
-    """All nonnegative exponent vectors with 1 <= sum <= cap, degree-graded."""
-    for total in range(1, cap + 1):
-        yield from _compositions_exact(n, total)
-
-
-def _compositions_exact(n, total):
-    vec = [0] * n
-
-    def rec(pos, remaining):
-        if pos == n - 1:
-            vec[pos] = remaining
-            yield tuple(vec)
-            vec[pos] = 0
-            return
-        for e in range(remaining + 1):
-            vec[pos] = e
-            yield from rec(pos + 1, remaining - e)
-        vec[pos] = 0
-
-    yield from rec(0, total)
+                yield key
 
 
 def monomial_vectors(graph: ExchangeGraph, key):

@@ -19,7 +19,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import linalg
-from .explore import enumerate_monomials, explore, monomial_vectors, standard_matrix
+from .explore import (_compatible_multisets, enumerate_monomials, explore,
+                      monomial_vectors, standard_matrix)
 from .modules import StringInventory, enumerate_tau_rigid
 from .quiver import (Arrow, BoundQuiver, StringWord, canonical_word,
                      cartan_matrix, check_gentle, check_qb_conditions,
@@ -108,43 +109,6 @@ def _timed(fn):
 
 # ---------------------------------------------------------------------------
 # intersection-vector injectivity over disc tilings
-
-
-def _compatible_multisets(compatible, weights, cap):
-    """Yield (multiset, weight) for every pairwise compatible multiset of
-    total multiplicity <= cap over the indices of `weights`, the empty one
-    first.  A multiset is ((index, multiplicity), ...) with increasing
-    indices; its weight is the sum of multiplicity * weights[index].
-
-    The weights are ints; a vector is swept as one int packed by `_pack`,
-    wide enough that its sums never carry from one field into the next, so
-    each step of the sweep is one int addition.
-
-    `compatible(i, j)` is asked once for each j < i, when index i is
-    reached, so a consumer that stops early asks no further questions.
-    Index i extends the multisets found over indices < i in the order they
-    were found; the witnesses callers report depend on this order.
-    """
-    yield (), 0
-    # extendable states: (multiset, total, bitmask of its indices, weight)
-    states = [((), 0, 0, 0)] if cap > 0 else []
-    for i, row in enumerate(weights):
-        clash = 0
-        for j in range(i):
-            if not compatible(i, j):
-                clash |= 1 << j
-        new_states = []
-        for chosen, total, mask, weight in states:
-            if mask & clash:
-                continue
-            for mult in range(1, cap - total + 1):
-                weight += row
-                child = chosen + ((i, mult),)
-                yield child, weight
-                if total + mult < cap:
-                    new_states.append(
-                        (child, total + mult, mask | 1 << i, weight))
-        states.extend(new_states)
 
 
 def _field_width(vectors, cap):
@@ -699,7 +663,7 @@ def _check_injectivity(graph, degree_cap, kind, where, report):
     whose `kind` vectors ("d" or "fbar") agree; returns the count so far."""
     seen = {}
     count = 0
-    for key, _, _ in enumerate_monomials(graph, degree_cap):
+    for key in enumerate_monomials(graph, degree_cap):
         count += 1
         vec = monomial_vectors(graph, key)[kind]
         if vec in seen:
@@ -737,9 +701,10 @@ def verify_fvector_injectivity(n_max=3, degree_cap=3):
             totals[f"{where}_monomials"] = _check_injectivity(
                 graph, degree_cap, "fbar", where, report)
         # initial fbar vectors are the d-vectors -e_k, so no non-initial
-        # monomial (fbar nonnegative) can collide with them
-        for info in graph.variables:
-            if info.initial and sorted(info.d) != [-1] + [0] * (n - 1):
+        # monomial (fbar nonnegative) can collide with them; the root's
+        # variables x_1..x_n are interned first, in cluster order
+        for k, info in enumerate(graph.variables[:n]):
+            if info.d != tuple(-1 if r == k else 0 for r in range(n)):
                 report.fail({"where": where, "check": "initial d-vector",
                              "variable": info.poly.to_str(), "d": info.d})
     # cross-check: arcs of triangulated polygons against cluster f-vectors
@@ -948,7 +913,7 @@ def verify_type_c_categorification(n_max=2, degree_cap=3):
         report.cache["tau_misses"] += inv.tau_misses
         with _phase(report, "monomials"):
             cluster_vectors = {}
-            for key, vid, exps in enumerate_monomials(graph, degree_cap):
+            for key in enumerate_monomials(graph, degree_cap):
                 deg = sum(e for _, e in key)
                 d = monomial_vectors(graph, key)["d"]
                 cluster_vectors.setdefault(deg, []).append(d)

@@ -4,7 +4,7 @@ import pytest
 
 from clusterlab.errors import NotSkewSymmetrizableError
 from clusterlab.exchange import (
-    ExchangeMatrix, Seed, cartan_counterpart, dual_symmetrizer,
+    ExchangeMatrix, Seed, dual_symmetrizer,
     find_skew_symmetrizer, langlands_dual, mutate_matrix, mutate_seed,
     parse_mutation_sequence,
 )
@@ -78,13 +78,6 @@ def test_skew_symmetrizer_preserved_by_mutation():
             for i in range(m.n):
                 for j in range(m.n):
                     assert s[i] * m.b[i][j] == -s[j] * m.b[j][i]
-
-
-def test_cartan_counterpart():
-    assert cartan_counterpart(A2) == [[2, -1], [-1, 2]]
-    assert cartan_counterpart(C2) == [[2, -1], [-2, 2]]
-    zero = ExchangeMatrix(((0, 0), (0, 0)))
-    assert cartan_counterpart(zero) == [[2, 0], [0, 2]]
 
 
 def test_langlands_dual():

@@ -1,9 +1,11 @@
+import itertools
+from collections import Counter
+
 import pytest
 
-from clusterlab.exchange import ExchangeMatrix, mutate_seed, Seed
+from clusterlab.exchange import mutate_seed, Seed
 from clusterlab.explore import (
-    classify_finite_type, enumerate_monomials, explore, monomial_vectors,
-    standard_matrix,
+    enumerate_monomials, explore, monomial_vectors, standard_matrix,
 )
 
 A2 = standard_matrix("A", 2)
@@ -35,10 +37,17 @@ def test_c2_closure_counts():
 
 
 def test_every_vertex_has_n_neighbors():
-    for m in (A2, A3, C2):
-        g = explore(m)
-        for v in range(g.cluster_count()):
-            assert len(g.neighbors(v)) == m.n
+    # n-regular, so |E| = n |V| / 2: A3 has 21 edges, B4 and C4 140 each
+    expected_edges = {"A3": 21, "B4": 140, "C4": 140}
+    for series in "ABC":
+        for n in range(2, 5):
+            g = explore(standard_matrix(series, n))
+            degree = Counter(v for e in g.edges for v in e)
+            assert all(degree[v] == n for v in range(g.cluster_count()))
+            assert 2 * len(g.edges) == n * g.cluster_count()
+            name = f"{series}{n}"
+            if name in expected_edges:
+                assert len(g.edges) == expected_edges[name], name
 
 
 def test_exploration_order_independent():
@@ -68,43 +77,30 @@ def test_truncation_reports_incomplete():
     assert not g.complete
 
 
-def test_classify_a2():
-    assert str(classify_finite_type(A2)) == "A2"
-
-
-def test_classify_c2():
-    assert str(classify_finite_type(C2)) == "C2"
-
-
-def test_classify_infinite():
-    m = ExchangeMatrix(((0, 2), (-2, 0)))
-    assert classify_finite_type(m, depth=6).series.startswith("not finite")
-
-
-def test_classify_needs_mutation():
-    # a cyclically oriented triangle is type A3 but only after one mutation
-    m = ExchangeMatrix(((0, 1, -1), (-1, 0, 1), (1, -1, 0)))
-    assert str(classify_finite_type(m)) == "A3"
-
-
 def test_enumerate_monomials_counts():
-    g = explore(A2)
-    assert sum(1 for _ in enumerate_monomials(g, 1)) == 5
-    # degree <= 2: 5 variables plus 10 distinct quadratic monomials
+    # brute force: every exponent vector of every cluster, deduplicated
+    counts = {}
+    for m in (A2, A3, standard_matrix("B", 3), standard_matrix("C", 3)):
+        g = explore(m)
+        for cap in range(4):
+            keys = list(enumerate_monomials(g, cap))
+            brute = set()
+            for vert in g.vertices:
+                for exps in itertools.product(range(cap + 1), repeat=m.n):
+                    if 0 < sum(exps) <= cap:
+                        brute.add(tuple((v, e) for v, e in zip(vert, exps)
+                                        if e))
+            assert sorted(keys) == sorted(brute), (m, cap)
+            counts[m, cap] = len(keys)
+    # degree <= 2 on A2: 5 variables plus 10 distinct quadratic monomials
     # (5 squares each shared by two clusters, 5 compatible products)
-    keys = list(enumerate_monomials(g, 2))
-    brute = set()
-    for vid, vert in enumerate(g.vertices):
-        a, b = vert
-        brute |= {((a, 1),), ((b, 1),), ((a, 2),), ((b, 2),),
-                  tuple(sorted([(a, 1), (b, 1)]))}
-    assert len(keys) == len(brute)
-    assert sum(1 for _ in enumerate_monomials(g, 0)) == 0
+    assert [counts[A2, cap] for cap in range(3)] == [0, 5, 15]
+    assert counts[A3, 3] == 104
 
 
 def test_monomial_vector_linearity():
     g = explore(A2)
-    for key, vid, exps in enumerate_monomials(g, 2):
+    for key in enumerate_monomials(g, 2):
         v = monomial_vectors(g, key)
         manual_d = [0, 0]
         for var_id, e in key:

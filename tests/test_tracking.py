@@ -168,7 +168,7 @@ def test_different_monomials_different_g_vectors():
     for matrix in (A2, C2):
         graph = explore(matrix)
         seen = {}
-        for key, vid, exps in enumerate_monomials(graph, 2):
+        for key in enumerate_monomials(graph, 2):
             g = monomial_vectors(graph, key)["g"]
             assert g not in seen or seen[g] == key
             seen[g] = key

@@ -502,17 +502,27 @@ def test_fvector_reports_a_wrong_initial_d_vector(monkeypatch):
     from clusterlab import verify
     real = verify.explore
 
-    def corrupted(matrix, *args, **kwargs):
-        graph = real(matrix, *args, **kwargs)
-        info = next(i for i in graph.variables if i.initial)
-        info.d = (-2,) + info.d[1:]
-        return graph
+    def scale_x1(variables):
+        variables[0].d = (-2,) + variables[0].d[1:]
 
-    monkeypatch.setattr(verify, "explore", corrupted)
-    r = verify_fvector_injectivity(2, 1)
-    assert r.verdict == "fail"
-    assert r.witnesses == [{"where": "A2", "check": "initial d-vector",
-                            "variable": "x1", "d": (-2, 0)}]
+    def swap_x1_x2(variables):
+        # still a permutation of -e_1, -e_2, but each on the wrong variable
+        variables[0].d, variables[1].d = variables[1].d, variables[0].d
+
+    for corrupt, witnessed in (
+            (scale_x1, [("x1", (-2, 0))]),
+            (swap_x1_x2, [("x1", (0, -1)), ("x2", (-1, 0))])):
+        def corrupted(matrix, *args, **kwargs):
+            graph = real(matrix, *args, **kwargs)
+            corrupt(graph.variables)
+            return graph
+
+        monkeypatch.setattr(verify, "explore", corrupted)
+        r = verify_fvector_injectivity(2, 1)
+        assert r.verdict == "fail", corrupt.__name__
+        assert r.witnesses == [
+            {"where": "A2", "check": "initial d-vector", "variable": x,
+             "d": d} for x, d in witnessed]
 
 
 def test_injectivity_check_stops_at_first_collision(monkeypatch):
@@ -566,7 +576,7 @@ def test_cli_explore_and_reports(tmp_path):
                                "--format", "json"])
     assert res.exit_code == 0, res.output
     data = json.loads(res.output)
-    assert data["clusters"] == 5 and data["type"] == "A2"
+    assert data["clusters"] == 5 and "type" not in data
 
     res = runner.invoke(main, ["mutate", "--matrix", str(matrix),
                                "--seq", "1", "--format", "json"])
@@ -643,3 +653,16 @@ def test_cli_gentle_analyze(tmp_path):
     assert data["gentle"] is True
     assert data["cartan_determinant"] == 2
     assert [m["dim"] for m in data["tau_rigid"]] == [[2]]
+    # without the relation rho^k != 0 for every k: gentle, but with no
+    # Cartan matrix and no tau-rigid listing, and no traceback
+    quiver.write_text(json.dumps({
+        "vertices": 1,
+        "arrows": [{"id": "rho", "src": 1, "tgt": 1}],
+        "relations": []}))
+    res = runner.invoke(main, ["gentle", "analyze", "--quiver", str(quiver),
+                               "--format", "json"])
+    assert res.exit_code == 0 and res.exception is None, res.output
+    data = json.loads(res.output)
+    assert data["gentle"] is True
+    assert data["cartan_matrix"].startswith("unavailable")
+    assert "tau_rigid" not in data
