@@ -210,12 +210,15 @@ def analyze(quiver_path, cap, fmt, out):
         return
     result["cartan_matrix"] = c
     result["cartan_determinant"] = det
-    rigid, truncated = enumerate_tau_rigid(StringInventory(q), cap)
+    inventory = StringInventory(q)
+    rigid, truncated = enumerate_tau_rigid(inventory, cap)
     result["tau_rigid_truncated"] = truncated
     result["tau_rigid"] = [
         {"word": [f"{a}^-1" if inv else a for a, inv in w.letters]
          or [f"e_{w.base + 1}"],
          "dim": list(d)} for w, d in rigid]
+    result["cache"] = {"tau_hits": inventory.tau_hits,
+                       "tau_misses": inventory.tau_misses}
     _emit(result, fmt, out)
 
 

@@ -101,7 +101,13 @@ def rank(rows, ncols=None):
 
 
 def nullspace(rows, ncols):
-    """Basis of {v : A v = 0} as a list of length-`ncols` vectors."""
+    """Basis of {v : A v = 0} as a list of length-`ncols` vectors.
+
+    There is one basis vector per free column c of the `rref`: it is 1 at c
+    and 0 at every other free column, and c is its last nonzero entry.  So a
+    kernel vector's coordinates in this basis are its entries at the free
+    columns.
+    """
     red, pivots = rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -133,9 +139,11 @@ def column_space_projection(vectors, dim):
 
     Returns (proj, section) where proj is a q x dim matrix computing quotient
     coordinates and section is a dim x q matrix lifting them back, with
-    proj @ section = identity.
+    proj @ section = identity.  The columns of section are unit vectors.
     """
-    red, pivots = rref(vectors, dim) if vectors else ([], [])
+    if not vectors:
+        return identity(dim), identity(dim)
+    red, pivots = rref(vectors, dim)
     free = [c for c in range(dim) if c not in pivots]
     proj = []
     for e in range(dim):

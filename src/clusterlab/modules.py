@@ -12,6 +12,15 @@ presentation (projective cover of the module, then of the syzygy), transpose
 into modules over the opposite algebra, cokernel, and vector-space duality.
 No string-combinatorial shortcut is used anywhere, so Hom computations stay
 an independent check on the combinatorics built on top.
+
+Hom(M, N) has two routes.  `hom_dim` solves the intertwiner system on all
+of M and N.  `presented_hom_dim` reads it off a presentation
+P1 -> P0 -> M -> 0 as the kernel of Hom(P0, N) -> Hom(P1, N), which is
+exact because Hom is left exact; its system has one block of unknowns per
+summand of P0, so it is much smaller.  `StringInventory` computes each
+string's minimal presentation once and uses it for the translate and for
+the Hom spaces of its rigidity and compatibility tests; `hom_dim` is the
+tests' oracle for them.
 """
 
 from __future__ import annotations
@@ -219,15 +228,6 @@ class _ProjectiveSum:
         return (s, path + (aid,))
 
 
-def _apply_path(q: BoundQuiver, m: QuiverRep, vec, start, path):
-    v = start
-    out = vec
-    for aid in path:
-        out = linalg.mat_vec(m.mats[aid], out)
-        v = q.arrow(aid).tgt
-    return out, v
-
-
 def minimal_presentation(q: BoundQuiver, m: QuiverRep):
     """Minimal projective presentation P1 -> P0 -> M -> 0.
 
@@ -239,17 +239,20 @@ def minimal_presentation(q: BoundQuiver, m: QuiverRep):
     gens = top_generators(q, m)
     tops0 = [v for v, _ in gens]
     p0 = _ProjectiveSum(q, tops0)
-    # images of P0 basis elements in M
+    # images of P0 basis elements in M; a path's parent comes before it
     image = {}
-    for (s, path), _ in p0.pos.items():
-        vec, _ = _apply_path(q, m, gens[s][1], tops0[s], path)
-        image[(s, path)] = vec
-    # kernel of P0 -> M, vertexwise
+    for s, path in p0.pos:
+        image[(s, path)] = (
+            linalg.mat_vec(m.mats[path[-1]], image[(s, path[:-1])])
+            if path else gens[s][1])
+    # kernel of P0 -> M, vertexwise, with the free column of each basis
+    # vector (see linalg.nullspace)
     kernel_basis = {}
+    free = {}
     for v in range(q.n):
         basis = p0.vertex_basis[v]
         if not basis:
-            kernel_basis[v] = []
+            kernel_basis[v] = free[v] = []
             continue
         rows = []
         for i in range(m.dims[v]):
@@ -257,25 +260,28 @@ def minimal_presentation(q: BoundQuiver, m: QuiverRep):
         kern = linalg.nullspace(rows, len(basis)) if rows else \
             linalg.identity(len(basis))
         kernel_basis[v] = kern
+        free[v] = [max(j for j, x in enumerate(kv) if x) for kv in kern]
     kdims = [len(kernel_basis[v]) for v in range(q.n)]
     # kernel as a representation: arrows act through P0
     kmats = {}
     for aid, a in q.arrows.items():
-        rows_target = kernel_basis[a.tgt]
         mat = linalg.zeros(kdims[a.tgt], kdims[a.src])
-        if kdims[a.src] and kdims[a.tgt]:
-            # express each mapped kernel vector in the target kernel basis
-            target_cols = [list(col) for col in zip(*rows_target)] \
-                if rows_target else []
-            for j, kv in enumerate(kernel_basis[a.src]):
-                img = _p0_arrow_apply(p0, q, kv, a)
-                if not any(img):
-                    continue
-                sol = linalg.solve(target_cols, img, kdims[a.tgt])
-                if sol is None:
-                    raise AssertionError("kernel is not arrow-stable")
-                for i in range(kdims[a.tgt]):
-                    mat[i][j] = sol[i]
+        target = p0.vertex_basis[a.tgt]
+        for j, kv in enumerate(kernel_basis[a.src]):
+            img = _p0_arrow_apply(p0, q, kv, a)
+            if not any(img):
+                continue
+            # img lies in the kernel exactly when it maps to 0 in M; then
+            # its kernel coordinates are its entries at the free columns
+            in_m = [0] * m.dims[a.tgt]
+            for k, c in enumerate(img):
+                if c:
+                    for i, x in enumerate(image[target[k]]):
+                        in_m[i] += c * x
+            if any(in_m):
+                raise AssertionError("kernel is not arrow-stable")
+            for i, c in enumerate(free[a.tgt]):
+                mat[i][j] = img[c]
         kmats[aid] = mat
     krep = QuiverRep(q, kdims, kmats, check=False)
     kgens = top_generators(q, krep)
@@ -307,15 +313,55 @@ def _p0_arrow_apply(p0: _ProjectiveSum, q: BoundQuiver, coords, arrow):
     return out
 
 
-def ar_translate(q: BoundQuiver, m: QuiverRep) -> QuiverRep:
+def presented_hom_dim(presentation, n: QuiverRep) -> int:
+    """Dimension of Hom(M, N) from a projective presentation of M.
+
+    `presentation` is `minimal_presentation(q, M)`.  Hom(-, N) is left
+    exact, so Hom(M, N) is the kernel of Hom(P0, N) -> Hom(P1, N), and
+    Hom(P(t), N) = N_t: one block of unknowns per top of P0, one block of
+    equations per top of P1, and entry (i, l) acts on block i through N's
+    arrow matrices along each of its paths.
+    """
+    tops0, tops1, entries = presentation
+    offsets = []
+    total = 0
+    for t in tops0:
+        offsets.append(total)
+        total += n.dims[t]
+    if total == 0:
+        return 0
+    rows = []
+    for l, t1 in enumerate(tops1):
+        block = linalg.zeros(n.dims[t1], total)
+        for i, t0 in enumerate(tops0):
+            if not n.dims[t0]:
+                continue
+            for path, coef in entries.get((i, l), ()):
+                act = linalg.identity(n.dims[t0])
+                for aid in path:
+                    act = linalg.mat_mul(n.mats[aid], act)
+                for r, row in enumerate(act):
+                    for k, x in enumerate(row):
+                        if x:
+                            block[r][offsets[i] + k] += coef * x
+        rows.extend(row for row in block if any(row))
+    if not rows:
+        return total
+    return total - linalg.rank(rows, total)
+
+
+def ar_translate(q: BoundQuiver, m: QuiverRep, presentation=None) -> QuiverRep:
     """The Auslander-Reiten translate D Tr M.
 
-    Projective summands of M die in the minimal presentation, so they
-    contribute zero, matching the usual convention.
+    `presentation`, when given, is `minimal_presentation(q, m)`, computed
+    earlier.  Projective summands of M die in the minimal presentation, so
+    they contribute zero, matching the usual convention.
     """
     if m.is_zero():
         return zero_rep(q)
-    tops0, tops1, entries = minimal_presentation(q, m)
+    if presentation is None:
+        presentation = minimal_presentation(q, m)
+    tops0, tops1, entries = presentation
     if not tops1:
         return zero_rep(q)  # M projective
     qop = q.opposite()
@@ -323,57 +369,45 @@ def ar_translate(q: BoundQuiver, m: QuiverRep) -> QuiverRep:
     # by the reversed paths
     src = _ProjectiveSum(qop, tops0)
     dst = _ProjectiveSum(qop, tops1)
-    # columns of the transposed map, expressed vertexwise over dst's basis
+    reversed_entries = {
+        i: [(l, tuple(reversed(path)), coef)
+            for l in range(len(tops1)) for path, coef in entries.get((i, l), ())]
+        for i in range(len(tops0))}
+    # columns of the transposed map, expressed vertexwise over dst's basis;
+    # a composite path is nonzero exactly when it is a basis path of dst
     image_vectors = {v: [] for v in range(q.n)}
-    for (i, path0), (v, off) in src.pos.items():
-        # image of basis element (i, path0): for each l, (rev entry) then path0
+    for (i, path0), (v, _) in src.pos.items():
         out = [0] * dst.dims[v]
-        for l in range(len(tops1)):
-            for path, coef in entries.get((i, l), ()):
-                rev = tuple(reversed(path))
-                full = rev + path0
-                if not qop.path_is_nonzero(full):
-                    continue
-                key = (l, full)
-                if key in dst.pos:
-                    _, ti = dst.pos[key]
-                    out[ti] += coef
-        image_vectors[v].append(((i, path0), out))
-    # cokernel of the transposed map, vertexwise
-    proj = {}
-    sect = {}
+        for l, rev, coef in reversed_entries[i]:
+            key = (l, rev + path0)
+            if key in dst.pos:
+                out[dst.pos[key][1]] += coef
+        if any(out):
+            image_vectors[v].append(out)
+    # cokernel of the transposed map, vertexwise: the section's columns are
+    # the unit vectors of dst's basis elements at `free[v]`, and column t of
+    # proj holds the cokernel coordinates of basis element t
+    proj_cols = {}
+    free = {}
     cdims = []
     for v in range(q.n):
-        vecs = [vec for _, vec in image_vectors[v] if any(vec)]
-        p, s = linalg.column_space_projection(vecs, dst.dims[v])
-        proj[v] = p
-        sect[v] = s
+        p, sect = linalg.column_space_projection(image_vectors[v], dst.dims[v])
+        proj_cols[v] = [[row[t] for row in p] for t in range(dst.dims[v])]
+        free[v] = [t for t, row in enumerate(sect) if any(row)]
         cdims.append(len(p))
-    cmats = {}
-    for aid, a in qop.arrows.items():
-        # arrow action on the cokernel: lift, act in dst, project
-        mat = linalg.zeros(cdims[a.tgt], cdims[a.src])
-        for cj in range(cdims[a.src]):
-            lift = [sect[a.src][i][cj] for i in range(dst.dims[a.src])]
-            acted = [0] * dst.dims[a.tgt]
-            for j, el in enumerate(dst.vertex_basis[a.src]):
-                if lift[j]:
-                    img = dst.arrow_image(el, aid)
-                    if img is not None and img in dst.pos:
-                        _, ti = dst.pos[img]
-                        acted[ti] += lift[j]
-            projected = linalg.mat_vec(proj[a.tgt], acted)
-            for i in range(cdims[a.tgt]):
-                mat[i][cj] = projected[i]
-        cmats[aid] = mat
-    # dualize back to the original quiver: spaces keep their dimension,
-    # arrow matrices are the transposes of the opposite-arrow actions
-    dims = cdims
+    # dualize back to the original quiver: spaces keep their dimension, and
+    # the matrix of an arrow is the transpose of the opposite arrow's action
+    # on the cokernel, whose column for a lifted basis element is the
+    # projection of that element's image in dst
     dmats = {}
-    for aid, a in q.arrows.items():
-        dmats[aid] = linalg.transpose(cmats[aid]) if cmats[aid] else \
-            linalg.zeros(dims[a.tgt], dims[a.src])
-    tau = QuiverRep(q, dims, dmats, check=False)
+    for aid, a in qop.arrows.items():
+        rows = []
+        for t in free[a.src]:
+            img = dst.arrow_image(dst.vertex_basis[a.src][t], aid)
+            rows.append(list(proj_cols[a.tgt][dst.pos[img][1]])
+                        if img in dst.pos else [0] * cdims[a.tgt])
+        dmats[aid] = rows
+    tau = QuiverRep(q, cdims, dmats, check=False)
     tau._check_relations()
     return tau
 
@@ -381,11 +415,14 @@ def ar_translate(q: BoundQuiver, m: QuiverRep) -> QuiverRep:
 def is_tau_rigid(q: BoundQuiver, m: QuiverRep) -> bool:
     if m.is_zero():
         return True
-    return hom_dim(q, m, ar_translate(q, m)) == 0
+    presentation = minimal_presentation(q, m)
+    return presented_hom_dim(presentation,
+                             ar_translate(q, m, presentation)) == 0
 
 
 class StringInventory:
-    """Cached per-algebra data: string modules, translates, rigidity, Hom.
+    """Cached per-algebra data: string modules, their minimal presentations,
+    translates, rigidity and compatibility.
 
     `tau_hits` and `tau_misses` count the translate lookups answered from
     the cache and the ones that computed a translate.
@@ -394,6 +431,7 @@ class StringInventory:
     def __init__(self, q: BoundQuiver):
         self.q = q
         self._module = {}
+        self._presentation = {}
         self._tau = {}
         self._rigid = {}
         self._compat = {}
@@ -405,19 +443,28 @@ class StringInventory:
             self._module[key] = string_module(self.q, w)
         return self._module[key]
 
+    def presentation(self, w: StringWord):
+        key = (w.letters, w.base)
+        if key not in self._presentation:
+            self._presentation[key] = minimal_presentation(
+                self.q, self.module(w))
+        return self._presentation[key]
+
     def tau(self, w: StringWord) -> QuiverRep:
         key = (w.letters, w.base)
         if key in self._tau:
             self.tau_hits += 1
         else:
             self.tau_misses += 1
-            self._tau[key] = ar_translate(self.q, self.module(w))
+            self._tau[key] = ar_translate(self.q, self.module(w),
+                                          self.presentation(w))
         return self._tau[key]
 
     def rigid(self, w: StringWord) -> bool:
         key = (w.letters, w.base)
         if key not in self._rigid:
-            self._rigid[key] = hom_dim(self.q, self.module(w), self.tau(w)) == 0
+            self._rigid[key] = presented_hom_dim(
+                self.presentation(w), self.tau(w)) == 0
         return self._rigid[key]
 
     def compatible(self, w1: StringWord, w2: StringWord) -> bool:
@@ -426,8 +473,8 @@ class StringInventory:
         key = (min(k1, k2), max(k1, k2))
         if key not in self._compat:
             self._compat[key] = (
-                hom_dim(self.q, self.module(w1), self.tau(w2)) == 0
-                and hom_dim(self.q, self.module(w2), self.tau(w1)) == 0)
+                presented_hom_dim(self.presentation(w1), self.tau(w2)) == 0
+                and presented_hom_dim(self.presentation(w2), self.tau(w1)) == 0)
         return self._compat[key]
 
 

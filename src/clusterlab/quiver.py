@@ -33,7 +33,11 @@ class Arrow:
 
 
 class BoundQuiver:
-    """A quiver with a set of length-2 monomial relations."""
+    """A quiver with a set of length-2 monomial relations.
+
+    A quiver is not changed after it is built: its opposite and its
+    projectives' path bases are computed once and then shared.
+    """
 
     def __init__(self, n_vertices, arrows, relations):
         self.n = n_vertices
@@ -58,6 +62,8 @@ class BoundQuiver:
         for a in sorted(self.arrows.values(), key=lambda x: x.id):
             self._arrows_from[a.src].append(a)
             self._arrows_to[a.tgt].append(a)
+        self._opposite = None
+        self._projective_paths = {}  # vertex -> tuple of (path, end)
 
     def arrows_from(self, v):
         return self._arrows_from[v]
@@ -68,15 +74,14 @@ class BoundQuiver:
     def arrow(self, aid) -> Arrow:
         return self.arrows[aid]
 
-    def path_is_nonzero(self, path):
-        return all((path[i], path[i + 1]) not in self.relations
-                   for i in range(len(path) - 1))
-
     def opposite(self) -> "BoundQuiver":
-        return BoundQuiver(
-            self.n,
-            [Arrow(a.id, a.tgt, a.src) for a in self.arrows.values()],
-            [(b, a) for (a, b) in self.relations])
+        """The opposite bound quiver, built on the first call."""
+        if self._opposite is None:
+            self._opposite = BoundQuiver(
+                self.n,
+                [Arrow(a.id, a.tgt, a.src) for a in self.arrows.values()],
+                [(b, a) for (a, b) in self.relations])
+        return self._opposite
 
     # -- serialization -----------------------------------------------------
 
@@ -201,8 +206,17 @@ def path_bound(q: BoundQuiver):
 
 
 def projective_paths(q: BoundQuiver, i):
-    """Basis paths of the projective at vertex i, with their endpoints."""
-    return _paths_from(q, i, path_bound(q))
+    """Basis paths of the projective at vertex i, with their endpoints.
+
+    The tuple is computed on the first call and kept on the quiver.  An
+    infinite-dimensional projective is not kept, so every call raises
+    InfiniteDimensionalAlgebraError.
+    """
+    paths = q._projective_paths.get(i)
+    if paths is None:
+        paths = tuple(_paths_from(q, i, path_bound(q)))
+        q._projective_paths[i] = paths
+    return paths
 
 
 def cartan_matrix(q: BoundQuiver):

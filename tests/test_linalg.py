@@ -134,6 +134,12 @@ def test_nullspace_matches_fraction_reference():
         assert basis == reference_nullspace(m, cols), m
         for v in basis:
             assert linalg.mat_vec(m, v) == [0] * len(m)
+        # each basis vector's last nonzero entry is a 1 at its free column,
+        # where every other basis vector is 0
+        free = [max(j for j, x in enumerate(v) if x) for v in basis]
+        for k, v in enumerate(basis):
+            assert [v[c] for c in free] == [int(i == k) for i in
+                                            range(len(free))], m
 
 
 def test_column_space_projection_random():
@@ -145,3 +151,7 @@ def test_column_space_projection_random():
             assert linalg.mat_mul(proj, sect) == linalg.identity(q), vectors
         for v in vectors:
             assert linalg.mat_vec(proj, v) == [0] * q, vectors
+        assert all(sorted(col) == [0] * (dim - 1) + [1]
+                   for col in zip(*sect)), vectors
+    assert linalg.column_space_projection([], 3) == (linalg.identity(3),
+                                                     linalg.identity(3))

@@ -4,9 +4,10 @@ import pytest
 
 from clusterlab.modules import (
     QuiverRep, StringInventory, ar_translate, enumerate_tau_rigid, hom_dim,
-    is_tau_rigid, minimal_presentation, projective_module, string_module,
-    zero_rep,
+    is_tau_rigid, minimal_presentation, presented_hom_dim, projective_module,
+    string_module, zero_rep,
 )
+from clusterlab import modules
 from clusterlab.quiver import (
     Arrow, BoundQuiver, StringWord, enumerate_strings, letter_graph_acyclic,
 )
@@ -161,6 +162,69 @@ def test_translates_stay_integer():
             assert all(type(x) is int for x in coefs), (q.to_json(), w)
             translated += 1
     assert translated == 550  # over 44 algebras
+
+
+def test_presented_hom_matches_intertwiner():
+    # dim Hom(M, N) read off M's minimal presentation equals the nullity of
+    # the intertwiner system, for every string module M and every N that is
+    # a string module or the translate of one
+    pairs = 0
+    for q in enumerate_gentle_algebras(4, 4):
+        acyclic, longest = letter_graph_acyclic(q)
+        if not acyclic:
+            continue
+        inv = StringInventory(q)
+        words = enumerate_strings(q, max(longest, 1))[0]
+        targets = [inv.module(w) for w in words] + [inv.tau(w) for w in words]
+        for w in words:
+            m, presentation = inv.module(w), inv.presentation(w)
+            for n in targets:
+                assert presented_hom_dim(presentation, n) == \
+                    hom_dim(q, m, n), (q.to_json(), w, n.dims)
+            pairs += len(targets)
+    assert pairs == 67902
+
+
+def test_presented_hom_of_a_presentation_with_fraction_entries():
+    # the Kronecker point (1/2 : 1/3) is the cokernel of
+    # P(2) -> P(1), e_2 -> (1/3) a - (1/2) b
+    q = BoundQuiver(2, [Arrow("a", 0, 1), Arrow("b", 0, 1)], [])
+    m = QuiverRep(q, (1, 1), {"a": [[Fraction(1, 2)]], "b": [[Fraction(1, 3)]]})
+    presentation = minimal_presentation(q, m)
+    assert presentation[:2] == ([0], [1])
+    for n in (m, QuiverRep(q, (1, 1), {"a": [[3]], "b": [[2]]}),
+              QuiverRep(q, (1, 1), {"a": [[1]], "b": [[1]]}),
+              projective_module(q, 0), simple(q, 0), simple(q, 1)):
+        assert presented_hom_dim(presentation, n) == hom_dim(q, m, n)
+
+
+def test_minimal_presentation_of_a_module_with_dense_syzygy():
+    # a 4-cycle with one relation and a module that is not a string module:
+    # the kernel of P0 -> M has basis vectors with several nonzero entries;
+    # reading their coordinates at their first nonzero entry in place of
+    # their free column gives a syzygy with a fourth generator.  The
+    # presentation and translate are the ones a per-vector linear solve
+    # gives
+    q = BoundQuiver(4, [Arrow("a", 0, 3), Arrow("b", 1, 2), Arrow("c", 2, 0),
+                        Arrow("d", 3, 1)], [("a", "d")])
+    m = QuiverRep(q, (2, 1, 3, 2), {
+        "a": [[-1, 0], [0, 0]], "b": [[0], [2], [0]],
+        "c": [[2, -1, -1], [0, 1, 0]], "d": [[0, 0]]})
+    tops0, tops1, _ = minimal_presentation(q, m)
+    assert (tops0, tops1) == ([1, 2, 2, 3], [0, 1, 3])
+    assert ar_translate(q, m).dim_vector() == (2, 1, 0, 1)
+
+
+def test_kernel_arrow_stability_check_catches_a_wrong_action(monkeypatch):
+    # the radical of P(1) over the loop algebra is the kernel of P(1) -> S;
+    # an arrow action that sends it onto the top is caught
+    q = loop_algebra()
+    tops0, tops1, _ = minimal_presentation(q, simple(q, 0))
+    assert (tops0, tops1) == ([0], [0])
+    monkeypatch.setattr(modules, "_p0_arrow_apply",
+                        lambda p0, q, coords, arrow: [1, 0])
+    with pytest.raises(AssertionError, match="kernel is not arrow-stable"):
+        minimal_presentation(q, simple(q, 0))
 
 
 def test_hom_with_fraction_entries():

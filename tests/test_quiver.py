@@ -5,7 +5,8 @@ from clusterlab.exchange import ExchangeMatrix
 from clusterlab.quiver import (
     Arrow, BoundQuiver, StringWord, cartan_matrix, canonical_word,
     check_gentle, check_qb_conditions, detect_even_full_cycle,
-    enumerate_strings, letter_graph_acyclic, type_c_quiver, validate_word,
+    enumerate_strings, letter_graph_acyclic, projective_paths, type_c_quiver,
+    validate_word,
 )
 
 
@@ -78,6 +79,29 @@ def test_cartan_infinite_dimensional():
     q = BoundQuiver(2, [Arrow("a", 0, 1), Arrow("b", 1, 0)], [])
     with pytest.raises(InfiniteDimensionalAlgebraError):
         cartan_matrix(q)
+
+
+def test_opposite_and_projective_paths_are_computed_once():
+    q = two_cycle_full()
+    opp = q.opposite()
+    assert q.opposite() is opp
+    assert {(a.id, a.src, a.tgt) for a in opp.arrows.values()} == \
+        {("a", 1, 0), ("b", 0, 1)}
+    assert opp.relations == {("b", "a"), ("a", "b")}
+    paths = projective_paths(q, 0)
+    assert projective_paths(q, 0) is paths
+    assert paths == (((), 0), (("a",), 1))
+    assert isinstance(paths, tuple)
+    assert all(isinstance(p, tuple) and isinstance(p[0], tuple)
+               for p in paths)
+    with pytest.raises(TypeError):
+        paths[0] = ((), 1)
+    # an infinite-dimensional projective is never kept: every call raises
+    free = BoundQuiver(2, [Arrow("a", 0, 1), Arrow("b", 1, 0)], [])
+    for _ in range(2):
+        with pytest.raises(InfiniteDimensionalAlgebraError):
+            projective_paths(free, 0)
+    assert free.opposite() is free.opposite()
 
 
 def test_cartan_a2_path():

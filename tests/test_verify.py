@@ -653,6 +653,7 @@ def test_cli_gentle_analyze(tmp_path):
     assert data["gentle"] is True
     assert data["cartan_determinant"] == 2
     assert [m["dim"] for m in data["tau_rigid"]] == [[2]]
+    assert data["cache"] == {"tau_hits": 0, "tau_misses": 2}
     # without the relation rho^k != 0 for every k: gentle, but with no
     # Cartan matrix and no tau-rigid listing, and no traceback
     quiver.write_text(json.dumps({
@@ -666,3 +667,23 @@ def test_cli_gentle_analyze(tmp_path):
     assert data["gentle"] is True
     assert data["cartan_matrix"].startswith("unavailable")
     assert "tau_rigid" not in data
+    assert "cache" not in data
+
+
+def test_cli_gentle_analyze_reports_translate_cache(tmp_path):
+    # each of the four strings of the full-relation 2-cycle is asked for its
+    # translate once, by its rigidity test
+    runner = CliRunner()
+    quiver = tmp_path / "q.json"
+    quiver.write_text(json.dumps({
+        "vertices": 2,
+        "arrows": [{"id": "a", "src": 1, "tgt": 2},
+                   {"id": "b", "src": 2, "tgt": 1}],
+        "relations": [["a", "b"], ["b", "a"]]}))
+    res = runner.invoke(main, ["gentle", "analyze", "--quiver", str(quiver),
+                               "--format", "json"])
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert sorted(m["dim"] for m in data["tau_rigid"]) == \
+        [[0, 1], [1, 0], [1, 1], [1, 1]]
+    assert data["cache"] == {"tau_hits": 0, "tau_misses": 4}
