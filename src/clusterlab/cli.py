@@ -153,7 +153,8 @@ def vectors(matrix_path, seq, exponents, fmt, out):
 
 @main.command("explore")
 @click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--max-seeds", default=100000, show_default=True)
+@click.option("--max-seeds", default=100000, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--degree-cap", default=0, help="also count monomials up to this degree")
 @click.option("--variables/--no-variables", default=False,
               help="include the full variable table")
@@ -351,7 +352,8 @@ def verify_duality_cmd(rank_max, degree_cap, initial_seeds, report_dir, fmt, out
 
 
 @verify.command("type-c")
-@click.option("--rank-max", default=2, show_default=True)
+@click.option("--rank-max", default=2, show_default=True,
+              type=click.IntRange(min=2))
 @click.option("--degree-cap", default=3, show_default=True)
 @click.option("--report-dir", default=None, type=click.Path())
 @format_options

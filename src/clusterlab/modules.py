@@ -2,7 +2,9 @@
 
 Representations are left modules over the bound path algebra: a vector space
 per vertex and a matrix per arrow mapping the source space to the target
-space, with every relation composing to zero.  All linear algebra is exact
+space, with every relation composing to zero.  Every representation, however
+it is made, goes through the `QuiverRep` constructor, which checks the
+shapes and the relations.  All linear algebra is exact
 and stays in ints: string modules, projectives, syzygies, cokernels and
 translates are built from 0/1 seeds, and `linalg` makes a Fraction only on
 a pivot division that is not exact.
@@ -30,9 +32,13 @@ from .quiver import BoundQuiver, StringWord, projective_paths, validate_word, wo
 
 
 class QuiverRep:
-    """A representation: per-vertex dimensions and per-arrow matrices."""
+    """A representation: per-vertex dimensions and per-arrow matrices.
 
-    def __init__(self, quiver: BoundQuiver, dims, mats, check=True):
+    Every build checks the shapes and the relations.  The matrices are kept,
+    not copied, and must not change afterwards; a missing one is zero.
+    """
+
+    def __init__(self, quiver: BoundQuiver, dims, mats):
         self.quiver = quiver
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != quiver.n:
@@ -45,12 +51,8 @@ class QuiverRep:
             if len(m) != self.dims[a.tgt] or any(
                     len(row) != self.dims[a.src] for row in m):
                 raise ValueError(f"matrix for arrow {a.id!r} has wrong shape")
-            self.mats[a.id] = [list(row) for row in m]
-        if check:
-            self._check_relations()
-
-    def _check_relations(self):
-        for (first, then) in self.quiver.relations:
+            self.mats[a.id] = m
+        for (first, then) in quiver.relations:
             prod = linalg.mat_mul(self.mats[then], self.mats[first])
             if any(any(x != 0 for x in row) for row in prod):
                 raise ValueError(
@@ -83,35 +85,26 @@ class QuiverRep:
                 for j in range(other.dims[a.src]):
                     m[self.dims[a.tgt] + i][self.dims[a.src] + j] = m2[i][j]
             mats[aid] = m
-        return QuiverRep(self.quiver, dims, mats, check=False)
+        return QuiverRep(self.quiver, dims, mats)
 
 
 def zero_rep(q: BoundQuiver) -> QuiverRep:
-    return QuiverRep(q, (0,) * q.n, {}, check=False)
+    return QuiverRep(q, (0,) * q.n, {})
 
 
 def string_module(q: BoundQuiver, w: StringWord) -> QuiverRep:
     """The standard string module: one basis vector per walk vertex."""
     validate_word(q, w)
-    verts = word_vertices(q, w)
-    positions = {}  # vertex -> list of walk indices
-    for idx, v in enumerate(verts):
-        positions.setdefault(v, []).append(idx)
-    dims = [len(positions.get(v, ())) for v in range(q.n)]
-    coord = {}
-    for v, idxs in positions.items():
-        for local, idx in enumerate(idxs):
-            coord[idx] = (v, local)
+    dims = [0] * q.n
+    local = []  # walk index -> its basis offset at its vertex
+    for v in word_vertices(q, w):
+        local.append(dims[v])
+        dims[v] += 1
     mats = {aid: linalg.zeros(dims[q.arrow(aid).tgt], dims[q.arrow(aid).src])
             for aid in q.arrows}
     for pos, (aid, inv) in enumerate(w.letters):
-        if not inv:
-            src_idx, tgt_idx = pos, pos + 1
-        else:
-            src_idx, tgt_idx = pos + 1, pos
-        _, sl = coord[src_idx]
-        _, tl = coord[tgt_idx]
-        mats[aid][tl][sl] = 1
+        src_idx, tgt_idx = (pos + 1, pos) if inv else (pos, pos + 1)
+        mats[aid][local[tgt_idx]][local[src_idx]] = 1
     return QuiverRep(q, dims, mats)
 
 
@@ -283,7 +276,7 @@ def minimal_presentation(q: BoundQuiver, m: QuiverRep):
             for i, c in enumerate(free[a.tgt]):
                 mat[i][j] = img[c]
         kmats[aid] = mat
-    krep = QuiverRep(q, kdims, kmats, check=False)
+    krep = QuiverRep(q, kdims, kmats)
     kgens = top_generators(q, krep)
     tops1 = [v for v, _ in kgens]
     # presentation entries: generator of P(tops1[l]) lands in the kernel at
@@ -367,23 +360,23 @@ def ar_translate(q: BoundQuiver, m: QuiverRep, presentation=None) -> QuiverRep:
     qop = q.opposite()
     # transpose: map  +P^op(tops0[i]) -> +P^op(tops1[l]), entry (l, i) given
     # by the reversed paths
-    src = _ProjectiveSum(qop, tops0)
     dst = _ProjectiveSum(qop, tops1)
-    reversed_entries = {
-        i: [(l, tuple(reversed(path)), coef)
-            for l in range(len(tops1)) for path, coef in entries.get((i, l), ())]
-        for i in range(len(tops0))}
-    # columns of the transposed map, expressed vertexwise over dst's basis;
-    # a composite path is nonzero exactly when it is a basis path of dst
+    # columns of the transposed map, one per basis path of each P^op(tops0[i]),
+    # expressed vertexwise over dst's basis; a composite path is nonzero
+    # exactly when it is a basis path of dst
     image_vectors = {v: [] for v in range(q.n)}
-    for (i, path0), (v, _) in src.pos.items():
-        out = [0] * dst.dims[v]
-        for l, rev, coef in reversed_entries[i]:
-            key = (l, rev + path0)
-            if key in dst.pos:
-                out[dst.pos[key][1]] += coef
-        if any(out):
-            image_vectors[v].append(out)
+    for i, top in enumerate(tops0):
+        reversed_entries = [(l, tuple(reversed(path)), coef)
+                            for l in range(len(tops1))
+                            for path, coef in entries.get((i, l), ())]
+        for path0, v in projective_paths(qop, top):
+            out = [0] * dst.dims[v]
+            for l, rev, coef in reversed_entries:
+                key = (l, rev + path0)
+                if key in dst.pos:
+                    out[dst.pos[key][1]] += coef
+            if any(out):
+                image_vectors[v].append(out)
     # cokernel of the transposed map, vertexwise: the section's columns are
     # the unit vectors of dst's basis elements at `free[v]`, and column t of
     # proj holds the cokernel coordinates of basis element t
@@ -407,9 +400,7 @@ def ar_translate(q: BoundQuiver, m: QuiverRep, presentation=None) -> QuiverRep:
             rows.append(list(proj_cols[a.tgt][dst.pos[img][1]])
                         if img in dst.pos else [0] * cdims[a.tgt])
         dmats[aid] = rows
-    tau = QuiverRep(q, cdims, dmats, check=False)
-    tau._check_relations()
-    return tau
+    return QuiverRep(q, cdims, dmats)
 
 
 def is_tau_rigid(q: BoundQuiver, m: QuiverRep) -> bool:
@@ -482,16 +473,16 @@ def enumerate_tau_rigid(inv: StringInventory, cap=None):
     """(sorted list of (StringWord, dim vector), truncated flag) for the
     algebra of the inventory, which keeps the modules and translates.
 
-    Strings are enumerated up to the cap (default: twice the arrow count
-    plus two) and filtered by tau-rigidity of the string module.
+    Strings are enumerated up to the cap and filtered by tau-rigidity of
+    the string module.  The default cap, twice the arrow count plus two,
+    exceeds every string of a finite string set, where no string repeats a
+    letter.
     """
-    from .quiver import enumerate_strings, letter_graph_acyclic
+    from .quiver import enumerate_strings
 
     q = inv.q
     if cap is None:
-        acyclic, longest = letter_graph_acyclic(q)
-        cap = longest if acyclic else 2 * len(q.arrows) + 2
-        cap = max(cap, 1)
+        cap = 2 * len(q.arrows) + 2
     strings, truncated = enumerate_strings(q, cap)
     if truncated:
         import warnings

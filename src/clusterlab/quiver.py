@@ -11,8 +11,11 @@ consecutive arrows form a relation.
 A string word is a walk: letters are (arrow_id, inverse_flag); a direct
 letter moves along the arrow, an inverse letter against it.  Valid words are
 reduced (no letter followed by its own inverse) and avoid relations in both
-reading directions.  Words are considered up to inversion; `canonical`
-picks the lexicographically smaller of a word and its formal inverse.
+reading directions.  One letter graph records which letter may follow which
+(Butler-Ringel); validation, the finiteness test and string enumeration all
+read it, so strings are exactly its walks.  Words are considered up to
+inversion; `canonical_word` picks the lexicographically smaller of a word
+and its formal inverse.
 """
 
 from __future__ import annotations
@@ -250,41 +253,65 @@ class StringWord:
         return len(self.letters)
 
 
+def _letter_ends(q: BoundQuiver, letter):
+    """(tail, head): the vertices a letter leaves from and moves to."""
+    aid, inv = letter
+    a = q.arrows[aid]
+    return (a.tgt, a.src) if inv else (a.src, a.tgt)
+
+
+def _pair_ok(q: BoundQuiver, l1, l2):
+    """Whether l2 may follow l1: no backtrack and no relation either way."""
+    (a1, i1), (a2, i2) = l1, l2
+    if i1 != i2:
+        return a1 != a2
+    return ((a2, a1) if i1 else (a1, a2)) not in q.relations
+
+
+def _followers(q: BoundQuiver, letter):
+    """The letters that may follow `letter` in a string: those leaving its
+    head that `_pair_ok` allows, direct letters first."""
+    head = _letter_ends(q, letter)[1]
+    moves = [(a.id, False) for a in q.arrows_from(head)] + \
+            [(a.id, True) for a in q.arrows_to(head)]
+    return tuple(l2 for l2 in moves if _pair_ok(q, letter, l2))
+
+
+def _letter_graph(q: BoundQuiver):
+    """Each letter's followers, keyed in arrow-id order with each direct
+    letter before its inverse.  Strings are the walks in this graph."""
+    return {(aid, inv): _followers(q, (aid, inv))
+            for aid in sorted(q.arrows) for inv in (False, True)}
+
+
 def word_vertices(q: BoundQuiver, w: StringWord):
     """The walk's vertex sequence v_0..v_k."""
     verts = [w.base]
-    for aid, inv in w.letters:
-        a = q.arrow(aid)
-        prev = verts[-1]
-        if not inv:
-            if a.src != prev:
-                raise InvalidStringError(f"letter {aid} does not continue the walk")
-            verts.append(a.tgt)
-        else:
-            if a.tgt != prev:
-                raise InvalidStringError(f"letter {aid}^-1 does not continue the walk")
-            verts.append(a.src)
+    for letter in w.letters:
+        tail, head = _letter_ends(q, letter)
+        if tail != verts[-1]:
+            raise InvalidStringError(
+                f"letter {letter} does not continue the walk")
+        verts.append(head)
     return verts
 
 
 def validate_word(q: BoundQuiver, w: StringWord):
-    """Raise InvalidStringError unless the word is a valid string."""
-    word_vertices(q, w)
-    for (a1, i1), (a2, i2) in zip(w.letters, w.letters[1:]):
-        if a1 == a2 and i1 != i2:
-            raise InvalidStringError(f"letter {a1} immediately backtracks")
-        if not i1 and not i2 and (a1, a2) in q.relations:
-            raise InvalidStringError(f"subword ({a1},{a2}) is a relation")
-        if i1 and i2 and (a2, a1) in q.relations:
-            raise InvalidStringError(f"subword ({a2},{a1})^-1 is an inverse relation")
+    """Raise InvalidStringError unless the word is a walk in the letter graph
+    that starts at its base."""
+    if w.letters and _letter_ends(q, w.letters[0])[0] != w.base:
+        raise InvalidStringError(
+            f"letter {w.letters[0]} does not start at vertex {w.base + 1}")
+    for l1, l2 in zip(w.letters, w.letters[1:]):
+        if l2 not in _followers(q, l1):
+            raise InvalidStringError(f"letter {l2} may not follow {l1}")
 
 
 def inverse_word(q: BoundQuiver, w: StringWord) -> StringWord:
     if w.is_trivial():
         return w
-    verts = word_vertices(q, w)
     letters = tuple((aid, not inv) for aid, inv in reversed(w.letters))
-    return StringWord(letters, verts[-1])
+    return StringWord(letters, _letter_ends(q, w.letters[-1])[1])
 
 
 def canonical_word(q: BoundQuiver, w: StringWord) -> StringWord:
@@ -294,123 +321,58 @@ def canonical_word(q: BoundQuiver, w: StringWord) -> StringWord:
     return min(w, inv, key=lambda u: u.letters)
 
 
-def _letter_moves(q: BoundQuiver, at_vertex):
-    """Letters usable to extend a walk sitting at `at_vertex`."""
-    moves = []
-    for a in q.arrows_from(at_vertex):
-        moves.append(((a.id, False), a.tgt))
-    for a in q.arrows_to(at_vertex):
-        moves.append(((a.id, True), a.src))
-    return moves
-
-
-def _pair_ok(q: BoundQuiver, l1, l2):
-    (a1, i1), (a2, i2) = l1, l2
-    if a1 == a2 and i1 != i2:
-        return False
-    if not i1 and not i2 and (a1, a2) in q.relations:
-        return False
-    if i1 and i2 and (a2, a1) in q.relations:
-        return False
-    return True
-
-
 def letter_graph_acyclic(q: BoundQuiver):
-    """Whether the letter-transition graph has no directed cycle.
+    """Whether the letter graph has no directed cycle.
 
-    Letters are the arrows and their formal inverses; an edge l1 -> l2 means
-    l2 may follow l1 in a string.  Acyclicity is equivalent to the algebra
-    having finitely many strings.  Returns (acyclic, longest_path_letters).
+    Acyclicity is equivalent to the algebra having finitely many strings.
+    Returns (acyclic, longest_path_letters), with None for the length when
+    the graph has a cycle: then some walk is longer than the letter count.
     """
-    letters = [(a, False) for a in sorted(q.arrows)] + \
-              [(a, True) for a in sorted(q.arrows)]
-    index = {l: i for i, l in enumerate(letters)}
-
-    def head(l):
-        a = q.arrow(l[0])
-        return a.tgt if not l[1] else a.src
-
-    adj = [[] for _ in letters]
-    for l1 in letters:
-        for l2, _ in _letter_moves(q, head(l1)):
-            if _pair_ok(q, l1, l2):
-                adj[index[l1]].append(index[l2])
-
-    longest = [None] * len(letters)  # None = unvisited, -1 = in progress
-
-    def dfs(u):
-        if longest[u] == -1:
-            return None  # cycle
-        if longest[u] is not None:
-            return longest[u]
-        longest[u] = -1
-        best = 0
-        for v in adj[u]:
-            sub = dfs(v)
-            if sub is None:
-                return None
-            best = max(best, 1 + sub)
-        longest[u] = best
-        return best
-
-    overall = 0
-    for u in range(len(letters)):
-        sub = dfs(u)
-        if sub is None:
+    follow = _letter_graph(q)
+    ends, longest = set(follow), 0  # last letters of walks of longest + 1
+    while ends:
+        if longest == len(follow):
             return False, None
-        overall = max(overall, 1 + sub)
-    return True, overall
+        ends = {l2 for l1 in ends for l2 in follow[l1]}
+        longest += 1
+    return True, longest
 
 
 def enumerate_strings(q: BoundQuiver, cap):
     """All strings of length <= cap up to inversion, plus a truncation flag.
 
-    Words are grown by appending letters on the right, starting from every
-    single letter; together with the trivial words this reaches every string.
-    The flag reports whether some valid word of length cap could still be
-    extended (so longer strings exist beyond the cap).
+    Every single letter is a string, whatever the cap.  Longer words grow on
+    the right along the letter graph, starting from every single letter;
+    together with the trivial words this reaches every string.  The flag
+    reports whether some word of the last length grown still has a follower
+    (so longer strings exist beyond the cap).
     """
+    follow = _letter_graph(q)
     seen = set()
-    out = []
-    for v in range(q.n):
-        w = StringWord((), v)
-        out.append(w)
+    out = [StringWord((), v) for v in range(q.n)]
+
+    def keep(w):
+        cw = canonical_word(q, w)
+        if cw.letters not in seen:
+            seen.add(cw.letters)
+            out.append(cw)
+
     frontier = []
-    for a in sorted(q.arrows):
-        for inv in (False, True):
-            letters = ((a, inv),)
-            base = q.arrow(a).src if not inv else q.arrow(a).tgt
-            w = StringWord(letters, base)
-            cw = canonical_word(q, w)
-            if cw.letters not in seen:
-                seen.add(cw.letters)
-                out.append(cw)
-            frontier.append(w)
-    truncated = False
+    for letter in follow:
+        w = StringWord((letter,), _letter_ends(q, letter)[0])
+        keep(w)
+        frontier.append(w)
     length = 1
     while frontier and length < cap:
         nxt = []
         for w in frontier:
-            verts = word_vertices(q, w)
-            for letter, _ in _letter_moves(q, verts[-1]):
-                if not _pair_ok(q, w.letters[-1], letter):
-                    continue
+            for letter in follow[w.letters[-1]]:
                 w2 = StringWord(w.letters + (letter,), w.base)
-                cw = canonical_word(q, w2)
-                if cw.letters not in seen:
-                    seen.add(cw.letters)
-                    out.append(cw)
+                keep(w2)
                 nxt.append(w2)
         frontier = nxt
         length += 1
-    if frontier:
-        for w in frontier:
-            verts = word_vertices(q, w)
-            if any(_pair_ok(q, w.letters[-1], letter)
-                   for letter, _ in _letter_moves(q, verts[-1])):
-                truncated = True
-                break
-    return out, truncated
+    return out, any(follow[w.letters[-1]] for w in frontier)
 
 
 # -- the quiver attached to a type C exchange matrix --------------------------

@@ -227,7 +227,6 @@ class TilingComplex:
         arrows = []
         geo = {}
         rels = []
-        arrow_at = {}
         is_loop_arc = {a: e0 == e1 for a, e0, e1 in self.arcs}
         for p in range(self.n_points):
             fan = self.fans[p]
@@ -241,9 +240,7 @@ class TilingComplex:
                 # the corner sits at the arrival of the target-side dedge
                 corner = self.face_of_dedge[("a",) + tgt_side]
                 geo[aid] = {"point": p, "corner": corner,
-                            "src_side": src_side, "tgt_side": tgt_side,
-                            "src_arc": a_src, "tgt_arc": a_tgt}
-                arrow_at[aid] = p
+                            "src_side": src_side, "tgt_side": tgt_side}
         # relations: compositions at different points always vanish; through
         # a loop arc the straight-through compositions vanish while the ones
         # using the loop arrow itself survive (and the loop squares to zero)
@@ -256,7 +253,7 @@ class TilingComplex:
                 if a.tgt != b.src:
                     continue
                 mid_arc = self.arcs[a.tgt][0]
-                if arrow_at[a.id] != arrow_at[b.id]:
+                if geo[a.id]["point"] != geo[b.id]["point"]:
                     rels.append((a.id, b.id))
                 elif a.id == b.id and a.src == a.tgt:
                     rels.append((a.id, a.id))
@@ -384,9 +381,6 @@ class PermissibleArc:
     p2_corners: tuple        # (face id, corner position) per interior segment
     p1_corners: tuple        # the two endpoint configurations
     endpoints: tuple         # marked points of the two ends
-
-    def key(self):
-        return (self.word.letters, self.word.base)
 
 
 @dataclass(frozen=True)

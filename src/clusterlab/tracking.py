@@ -25,12 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exchange import ExchangeMatrix, Seed, mutate_seed, langlands_dual
+from .exchange import ExchangeMatrix, Seed, _pos, mutate_seed, langlands_dual
 from .laurent import LaurentPoly
-
-
-def _pos(x):
-    return x if x > 0 else 0
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from clusterlab.errors import InfiniteDimensionalAlgebraError, InvalidStringError
@@ -116,6 +118,12 @@ def test_string_validation():
     validate_word(q, StringWord((("rho", False),), 0))
     with pytest.raises(InvalidStringError):
         validate_word(q, StringWord((("rho", False), ("rho", True)), 0))
+    # a walk must start at its base and continue from each letter's head
+    q = a2_path()
+    validate_word(q, StringWord((("a", True),), 1))
+    for letters, base in (((("a", False),), 1), ((("a", False), ("a", False)), 0)):
+        with pytest.raises(InvalidStringError):
+            validate_word(q, StringWord(letters, base))
 
 
 def test_canonical_word_inversion():
@@ -153,6 +161,25 @@ def test_letter_graph_acyclicity():
     q = BoundQuiver(2, [Arrow("a", 0, 1), Arrow("b", 1, 0)], [])
     acyclic, longest = letter_graph_acyclic(q)
     assert not acyclic
+
+
+def test_enumerate_strings_pinned_over_small_gentle_algebras():
+    # every string, in order, and the truncation flag at caps 0..4 (a
+    # single letter is a string even at cap 0), plus the letter-graph
+    # verdict, over the 312 classes of enumerate_gentle_algebras(4, 4)
+    from clusterlab.verify import enumerate_gentle_algebras
+    h = hashlib.sha256()
+    calls = 0
+    for q in enumerate_gentle_algebras(4, 4):
+        h.update(repr(letter_graph_acyclic(q)).encode())
+        for cap in range(5):
+            out, truncated = enumerate_strings(q, cap)
+            h.update(repr(([(w.letters, w.base) for w in out],
+                           truncated)).encode())
+            calls += 1
+    assert calls == 1560
+    assert h.hexdigest() == \
+        "e561013b7fe3b01a6ce61f5f273703e01a98085bee6fff62127f98da27ca54c6"
 
 
 def test_truncation_flag():

@@ -226,7 +226,7 @@ def test_octagon_central_square_collision():
             if a is not b and t.arcs_compatible(a, b):
                 m = ArcMultiset(((a, 1), (b, 1)))
                 v = m.intersection_vector(4)
-                vec.setdefault(v, set()).add(frozenset({a.key(), b.key()}))
+                vec.setdefault(v, set()).add(frozenset({a.word, b.word}))
     assert any(len(s) > 1 for s in vec.values())
 
 

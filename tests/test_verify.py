@@ -593,6 +593,21 @@ def test_cli_explore_and_reports(tmp_path):
     assert list((tmp_path / "reports").glob("*.jsonl"))
 
 
+def test_cli_explore_rejects_zero_max_seeds(tmp_path):
+    matrix = tmp_path / "b.json"
+    matrix.write_text('{"n": 2, "B": [[0, 1], [-1, 0]]}')
+    res = CliRunner().invoke(main, ["explore", "--matrix", str(matrix),
+                                    "--max-seeds", "0"])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--max-seeds'" in res.output
+
+
+def test_cli_type_c_rejects_rank_one():
+    res = CliRunner().invoke(main, ["verify", "type-c", "--rank-max", "1"])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--rank-max'" in res.output
+
+
 def test_cli_vectors_matches_explored_monomial(tmp_path):
     from clusterlab.explore import explore, monomial_vectors, standard_matrix
     from clusterlab.tracking import run_walk
