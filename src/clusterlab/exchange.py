@@ -41,22 +41,22 @@ def find_skew_symmetrizer(b):
                     f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) share a sign")
 
     s = [None] * n
+    out = [0] * n
     for root in range(n):
         if s[root] is not None:
             continue
         s[root] = Fraction(1)
+        members = []
         stack = [root]
         while stack:
             i = stack.pop()
+            members.append(i)
             for j in range(n):
                 if b[i][j] != 0 and s[j] is None:
                     # s_i b_ij = -s_j b_ji  =>  s_j = -s_i b_ij / b_ji
                     s[j] = -s[i] * b[i][j] / Fraction(b[j][i])
                     stack.append(j)
-    # clear denominators per component, then reduce each component by its gcd
-    comp = _components(b, n)
-    out = [0] * n
-    for members in comp:
+        # clear the component's denominators, then reduce it by its gcd
         denoms = 1
         for i in members:
             denoms = denoms * s[i].denominator // gcd(denoms, s[i].denominator)
@@ -72,26 +72,6 @@ def find_skew_symmetrizer(b):
                 raise NotSkewSymmetrizableError(
                     f"ratio conflict at ({i + 1},{j + 1})")
     return tuple(out)
-
-
-def _components(b, n):
-    seen = [False] * n
-    comps = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        members = []
-        stack = [root]
-        seen[root] = True
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            for j in range(n):
-                if b[i][j] != 0 and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(members))
-    return comps
 
 
 @dataclass(frozen=True)

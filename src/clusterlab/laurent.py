@@ -130,14 +130,7 @@ class LaurentPoly:
 
     def __pow__(self, k):
         if k < 0:
-            if not self.is_monomial():
-                raise ValueError("negative powers only for monomials")
-            (exps, coef), = self._terms.items()
-            if coef * coef != 1:
-                raise ValueError("negative powers need a unit coefficient")
-            return LaurentPoly(self.n_vars,
-                               {tuple(k * e for e in exps):
-                                coef if k % 2 else 1})
+            raise ValueError("negative powers are not supported")
         result = LaurentPoly.one(self.n_vars)
         base = self
         e = k

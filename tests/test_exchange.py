@@ -59,6 +59,15 @@ def test_skew_symmetrizer_type_c():
     assert find_skew_symmetrizer([[0, 1], [-2, 0]]) == (2, 1)
 
 
+def test_skew_symmetrizer_per_component():
+    # each connected component is scaled to its own minimal symmetrizer
+    assert find_skew_symmetrizer(
+        [[0, 1, 0, 0, 0], [-2, 0, 0, 0, 0], [0, 0, 0, 2, 0],
+         [0, 0, -1, 0, 0], [0, 0, 0, 0, 0]]) == (2, 1, 1, 2, 1)
+    assert find_skew_symmetrizer([[0, 3, 0], [-1, 0, 0], [0, 0, 0]]) == (1, 3, 1)
+    assert find_skew_symmetrizer([[0, -2, 0], [1, 0, 0], [0, 0, 0]]) == (1, 2, 1)
+
+
 def test_skew_symmetrizer_failure():
     with pytest.raises(NotSkewSymmetrizableError):
         find_skew_symmetrizer([[0, 1], [1, 0]])

@@ -32,6 +32,11 @@ def test_add_rejects_variable_mismatch():
         x1 + LaurentPoly.variable(3, 0)
 
 
+def test_negative_power_raises():
+    with pytest.raises(ValueError):
+        x1 ** -1
+
+
 def test_mul_difference_of_squares():
     assert (x1 + one) * (x1 - one) == P(2, {(2, 0): 1, (0, 0): -1})
 

@@ -1,9 +1,11 @@
 import hashlib
+import random
 
 import pytest
 
 from clusterlab.errors import InfiniteDimensionalAlgebraError, InvalidStringError
 from clusterlab.exchange import ExchangeMatrix
+from clusterlab.explore import explore, standard_matrix
 from clusterlab.quiver import (
     Arrow, BoundQuiver, StringWord, cartan_matrix, canonical_word,
     check_gentle, check_qb_conditions, detect_even_full_cycle,
@@ -211,10 +213,58 @@ def test_qb_conditions_c2_and_c3():
         assert all(cond.values()), cond
 
 
+def type_c_seed_quivers():
+    """The type C quiver of every seed of the C2, C3 and C4 exchange graphs."""
+    for n in (2, 3, 4):
+        for t in explore(standard_matrix("C", n)).reps:
+            yield type_c_quiver(t.matrix())
+
+
+def test_qb_conditions_every_type_c_seed():
+    quivers = list(type_c_seed_quivers())
+    assert len(quivers) == 6 + 20 + 70
+    for q in quivers:
+        cond = check_qb_conditions(q)
+        assert all(cond.values()), (q.to_json(), cond)
+
+
+def test_qb_conditions_fingerprint():
+    # gentle algebras, type C seed quivers and random quivers with loops,
+    # multi-edges and cycles; each condition comes out both true and false
+    from clusterlab.verify import enumerate_gentle_algebras
+    rng = random.Random(14)
+    randoms = []
+    for _ in range(5000):
+        n = rng.randint(1, 6)
+        randoms.append(BoundQuiver(n, [
+            Arrow(f"a{k}", rng.randrange(n), rng.randrange(n))
+            for k in range(rng.randint(0, 9))], []))
+    corpus = (enumerate_gentle_algebras(4, 4) + list(type_c_seed_quivers())
+              + randoms)
+    assert len(corpus) == 312 + 96 + 5000
+    h = hashlib.sha256()
+    seen = set()
+    for q in corpus:
+        cond = sorted(check_qb_conditions(q).items())
+        seen.update(cond)
+        h.update(repr(cond).encode())
+    assert seen == {(c, v) for c in "abcde" for v in (False, True)}
+    assert h.hexdigest() == \
+        "5e2460930f40c85f77c61e56607e18a9ce5eb11d2b5a4beea10935dd25e1ce71"
+
+
 def test_qb_conditions_counterexamples():
     # an unoriented 4-cycle in the underlying graph breaks (a)
     q = BoundQuiver(4, [Arrow("rho", 0, 0), Arrow("a", 0, 1), Arrow("b", 1, 2),
                         Arrow("c", 3, 2), Arrow("d", 0, 3)], [("rho", "rho")])
+    assert not check_qb_conditions(q)["a"]
+    # so does an unoriented triangle
+    q = BoundQuiver(3, [Arrow("rho", 0, 0), Arrow("a", 0, 1), Arrow("b", 1, 2),
+                        Arrow("c", 0, 2)], [("rho", "rho")])
+    assert not check_qb_conditions(q)["a"]
+    # and a chordless 5-cycle, although it is oriented
+    q = BoundQuiver(5, [Arrow("rho", 0, 0)] + [
+        Arrow(f"a{i}", i, (i + 1) % 5) for i in range(5)], [("rho", "rho")])
     assert not check_qb_conditions(q)["a"]
     # two loops break (e)
     q2 = BoundQuiver(2, [Arrow("r1", 0, 0), Arrow("r2", 1, 1)],

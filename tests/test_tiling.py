@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from collections import Counter
 
 import pytest
@@ -195,14 +196,14 @@ def test_pentagon_arcs_and_vectors():
     assert tuple(sorted(p + 1 for p in by_vec[(0, 1)].endpoints)) == (3, 5)
 
 
-def test_truncating_cap_warns_once():
+def test_truncating_cap_reports_by_the_flag_only():
     t = complex_of(6, [(1, 3), (1, 4), (1, 5)])
-    with pytest.warns(UserWarning) as record:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         arcs, truncated = t.enumerate_permissible_arcs(1)
-    assert truncated and len(arcs) < len(t.enumerate_permissible_arcs()[0])
-    assert [str(w.message) for w in record] == [
-        "arc enumeration reached the string-length cap; "
-        "the arc list may be incomplete"]
+    full, full_truncated = t.enumerate_permissible_arcs()
+    assert truncated and not full_truncated
+    assert (len(arcs), len(full)) == (5, 6)
 
 
 def test_pentagon_algebra_is_a2_path():
