@@ -286,8 +286,10 @@ def _report_command(report, report_dir, fmt, out):
 
 
 @verify.command("thm1")
-@click.option("--marked-max", default=8, show_default=True)
-@click.option("--mult-cap", default=3, show_default=True)
+@click.option("--marked-max", default=8, show_default=True,
+              type=click.IntRange(min=4))
+@click.option("--mult-cap", default=3, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--report-dir", default=None, type=click.Path())
 @format_options
 def verify_thm1_cmd(marked_max, mult_cap, report_dir, fmt, out):
@@ -297,9 +299,12 @@ def verify_thm1_cmd(marked_max, mult_cap, report_dir, fmt, out):
 
 
 @verify.command("thm2")
-@click.option("--vertex-max", default=4, show_default=True)
-@click.option("--arrow-max", default=6, show_default=True)
-@click.option("--mult-cap", default=3, show_default=True)
+@click.option("--vertex-max", default=4, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--arrow-max", default=6, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--mult-cap", default=3, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--report-dir", default=None, type=click.Path())
 @format_options
 def verify_thm2_cmd(vertex_max, arrow_max, mult_cap, report_dir, fmt, out):
@@ -309,8 +314,10 @@ def verify_thm2_cmd(vertex_max, arrow_max, mult_cap, report_dir, fmt, out):
 
 
 @verify.command("fvector")
-@click.option("--rank-max", default=3, show_default=True)
-@click.option("--degree-cap", default=3, show_default=True)
+@click.option("--rank-max", default=3, show_default=True,
+              type=click.IntRange(min=2))
+@click.option("--degree-cap", default=3, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--report-dir", default=None, type=click.Path())
 @format_options
 def verify_fvector_cmd(rank_max, degree_cap, report_dir, fmt, out):
@@ -321,8 +328,10 @@ def verify_fvector_cmd(rank_max, degree_cap, report_dir, fmt, out):
 
 @verify.command("denominator")
 @click.option("--series", type=click.Choice(["A", "B", "C"]), default="C")
-@click.option("--rank-max", default=3, show_default=True)
-@click.option("--degree-cap", default=3, show_default=True)
+@click.option("--rank-max", default=3, show_default=True,
+              type=click.IntRange(min=2))
+@click.option("--degree-cap", default=3, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--initial-seeds", type=click.Choice(["all", "root"]),
               default="all", show_default=True)
 @click.option("--report-dir", default=None, type=click.Path())
@@ -337,8 +346,10 @@ def verify_denominator_cmd(series, rank_max, degree_cap, initial_seeds,
 
 
 @verify.command("duality")
-@click.option("--rank-max", default=3, show_default=True)
-@click.option("--degree-cap", default=3, show_default=True)
+@click.option("--rank-max", default=3, show_default=True,
+              type=click.IntRange(min=2))
+@click.option("--degree-cap", default=3, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--initial-seeds", type=click.Choice(["all", "root"]),
               default="root", show_default=True)
 @click.option("--report-dir", default=None, type=click.Path())
@@ -354,7 +365,8 @@ def verify_duality_cmd(rank_max, degree_cap, initial_seeds, report_dir, fmt, out
 @verify.command("type-c")
 @click.option("--rank-max", default=2, show_default=True,
               type=click.IntRange(min=2))
-@click.option("--degree-cap", default=3, show_default=True)
+@click.option("--degree-cap", default=3, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--report-dir", default=None, type=click.Path())
 @format_options
 def verify_type_c_cmd(rank_max, degree_cap, report_dir, fmt, out):

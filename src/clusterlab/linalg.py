@@ -45,12 +45,6 @@ def mat_vec(a, v):
     return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
 
 
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def rref(rows, ncols):
     """Reduced row echelon form of a copy of `rows`.
 
@@ -137,26 +131,16 @@ def solve(a, b, ncols=None):
 def column_space_projection(vectors, dim):
     """Quotient data for Q^dim / span(vectors).
 
-    Returns (proj, section) where proj is a q x dim matrix computing quotient
-    coordinates and section is a dim x q matrix lifting them back, with
-    proj @ section = identity.  The columns of section are unit vectors.
+    Returns (coords, free): the unit vectors at the columns `free` form a
+    basis of the quotient, and coords[e] holds the quotient coordinates of
+    unit vector e in that basis, so coords[free[k]] is the k-th unit row.
     """
-    if not vectors:
-        return identity(dim), identity(dim)
     red, pivots = rref(vectors, dim)
     free = [c for c in range(dim) if c not in pivots]
-    proj = []
-    for e in range(dim):
-        v = [1 if j == e else 0 for j in range(dim)]
-        for r, pc in enumerate(pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [x - f * y for x, y in zip(v, red[r])]
-        proj.append([v[c] for c in free])
-    proj = transpose(proj)
-    section = [[1 if free[q] == i else 0 for q in range(len(free))]
-               for i in range(dim)]
-    return proj, section
+    coords = [[int(c == e) for c in free] for e in range(dim)]
+    for row, pc in zip(red, pivots):
+        coords[pc] = [-row[c] for c in free]
+    return coords, free
 
 
 def det(rows):

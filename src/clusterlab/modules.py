@@ -13,7 +13,10 @@ The translate is computed from first principles: minimal projective
 presentation (projective cover of the module, then of the syzygy), transpose
 into modules over the opposite algebra, cokernel, and vector-space duality.
 No string-combinatorial shortcut is used anywhere, so Hom computations stay
-an independent check on the combinatorics built on top.
+an independent check on the combinatorics built on top.  A sum of
+projectives keeps its path basis, and `_ProjectiveSum.arrow_action` is the
+one arrow action on it: the projective modules, the syzygy of a
+presentation and the translate's dual matrices all read it.
 
 Hom(M, N) has two routes.  `hom_dim` solves the intertwiner system on all
 of M and N.  `presented_hom_dim` reads it off a presentation
@@ -108,27 +111,41 @@ def string_module(q: BoundQuiver, w: StringWord) -> QuiverRep:
     return QuiverRep(q, dims, mats)
 
 
+class _ProjectiveSum:
+    """A direct sum of projectives with the path basis kept explicit.
+
+    Basis elements are (summand, path) pairs; `vertex_basis[v]` lists the
+    elements sitting at vertex v, and `pos[(summand, path)]` locates one as
+    (vertex, offset).
+    """
+
+    def __init__(self, q: BoundQuiver, tops):
+        self.vertex_basis = {v: [] for v in range(q.n)}
+        self.pos = {}
+        for s, top in enumerate(tops):  # tops: the vertex of each summand
+            for path, end in projective_paths(q, top):
+                self.pos[(s, path)] = (end, len(self.vertex_basis[end]))
+                self.vertex_basis[end].append((s, path))
+        self.dims = [len(self.vertex_basis[v]) for v in range(q.n)]
+
+    def arrow_action(self, aid, src):
+        """Per basis element at `src`, the source of arrow `aid`: the offset
+        of its image at the arrow's target, or None where the image is zero.
+        A path is nonzero exactly when it is a basis path."""
+        return [self.pos.get((s, path + (aid,)), (None, None))[1]
+                for s, path in self.vertex_basis[src]]
+
+
 def projective_module(q: BoundQuiver, i) -> QuiverRep:
     """The projective at vertex i with basis the relation-avoiding paths."""
-    paths = projective_paths(q, i)
-    by_vertex = {}
-    index = {}
-    for path, end in paths:
-        index[path] = (end, len(by_vertex.setdefault(end, [])))
-        by_vertex[end].append(path)
-    dims = [len(by_vertex.get(v, ())) for v in range(q.n)]
-    mats = {aid: linalg.zeros(dims[q.arrow(aid).tgt], dims[q.arrow(aid).src])
-            for aid in q.arrows}
-    for path, end in paths:
-        for a in q.arrows_from(end):
-            if path and (path[-1], a.id) in q.relations:
-                continue
-            p2 = path + (a.id,)
-            if p2 in index:
-                _, tl = index[p2]
-                _, sl = index[path]
-                mats[a.id][tl][sl] = 1
-    return QuiverRep(q, dims, mats)
+    p = _ProjectiveSum(q, [i])
+    mats = {}
+    for aid, a in q.arrows.items():
+        mats[aid] = linalg.zeros(p.dims[a.tgt], p.dims[a.src])
+        for j, t in enumerate(p.arrow_action(aid, a.src)):
+            if t is not None:
+                mats[aid][t][j] = 1
+    return QuiverRep(q, p.dims, mats)
 
 
 def hom_dim(q: BoundQuiver, m: QuiverRep, n: QuiverRep) -> int:
@@ -194,33 +211,6 @@ def top_generators(q: BoundQuiver, m: QuiverRep):
     return gens
 
 
-class _ProjectiveSum:
-    """A direct sum of projectives with the path basis kept explicit.
-
-    Basis elements are (summand, path) pairs; `vertex_basis[v]` lists the
-    elements sitting at vertex v, and `pos[(summand, path)]` locates one as
-    (vertex, offset).
-    """
-
-    def __init__(self, q: BoundQuiver, tops):
-        self.q = q
-        self.tops = list(tops)  # vertex of each summand
-        self.vertex_basis = {v: [] for v in range(q.n)}
-        self.pos = {}
-        for s, top in enumerate(self.tops):
-            for path, end in projective_paths(q, top):
-                self.pos[(s, path)] = (end, len(self.vertex_basis[end]))
-                self.vertex_basis[end].append((s, path))
-        self.dims = [len(self.vertex_basis[v]) for v in range(q.n)]
-
-    def arrow_image(self, element, aid):
-        """Image of a basis element under the arrow action, or None."""
-        s, path = element
-        if path and (path[-1], aid) in self.q.relations:
-            return None
-        return (s, path + (aid,))
-
-
 def minimal_presentation(q: BoundQuiver, m: QuiverRep):
     """Minimal projective presentation P1 -> P0 -> M -> 0.
 
@@ -240,16 +230,13 @@ def minimal_presentation(q: BoundQuiver, m: QuiverRep):
             if path else gens[s][1])
     # kernel of P0 -> M, vertexwise, with the free column of each basis
     # vector (see linalg.nullspace)
-    kernel_basis = {}
-    free = {}
+    kernel_basis, free = {}, {}
     for v in range(q.n):
         basis = p0.vertex_basis[v]
         if not basis:
             kernel_basis[v] = free[v] = []
             continue
-        rows = []
-        for i in range(m.dims[v]):
-            rows.append([image[el][i] for el in basis])
+        rows = [[image[el][i] for el in basis] for i in range(m.dims[v])]
         kern = linalg.nullspace(rows, len(basis)) if rows else \
             linalg.identity(len(basis))
         kernel_basis[v] = kern
@@ -260,8 +247,12 @@ def minimal_presentation(q: BoundQuiver, m: QuiverRep):
     for aid, a in q.arrows.items():
         mat = linalg.zeros(kdims[a.tgt], kdims[a.src])
         target = p0.vertex_basis[a.tgt]
+        action = p0.arrow_action(aid, a.src)
         for j, kv in enumerate(kernel_basis[a.src]):
-            img = _p0_arrow_apply(p0, q, kv, a)
+            img = [0] * p0.dims[a.tgt]
+            for c, t in zip(kv, action):
+                if c and t is not None:
+                    img[t] += c
             if not any(img):
                 continue
             # img lies in the kernel exactly when it maps to 0 in M; then
@@ -293,17 +284,6 @@ def minimal_presentation(q: BoundQuiver, m: QuiverRep):
                 s, path = el
                 entries.setdefault((s, l), []).append((path, coords[j]))
     return tops0, tops1, entries
-
-
-def _p0_arrow_apply(p0: _ProjectiveSum, q: BoundQuiver, coords, arrow):
-    out = [0] * p0.dims[arrow.tgt]
-    for j, el in enumerate(p0.vertex_basis[arrow.src]):
-        if coords[j]:
-            img = p0.arrow_image(el, arrow.id)
-            if img is not None and img in p0.pos:
-                _, ti = p0.pos[img]
-                out[ti] += coords[j]
-    return out
 
 
 def presented_hom_dim(presentation, n: QuiverRep) -> int:
@@ -377,30 +357,23 @@ def ar_translate(q: BoundQuiver, m: QuiverRep, presentation=None) -> QuiverRep:
                     out[dst.pos[key][1]] += coef
             if any(out):
                 image_vectors[v].append(out)
-    # cokernel of the transposed map, vertexwise: the section's columns are
-    # the unit vectors of dst's basis elements at `free[v]`, and column t of
-    # proj holds the cokernel coordinates of basis element t
-    proj_cols = {}
-    free = {}
-    cdims = []
+    # cokernel of the transposed map, vertexwise: coords[v][t] holds the
+    # cokernel coordinates of dst's basis element t, whose unit vectors at
+    # free[v] form the cokernel's basis
+    coords, free = {}, {}
     for v in range(q.n):
-        p, sect = linalg.column_space_projection(image_vectors[v], dst.dims[v])
-        proj_cols[v] = [[row[t] for row in p] for t in range(dst.dims[v])]
-        free[v] = [t for t, row in enumerate(sect) if any(row)]
-        cdims.append(len(p))
+        coords[v], free[v] = linalg.column_space_projection(
+            image_vectors[v], dst.dims[v])
     # dualize back to the original quiver: spaces keep their dimension, and
     # the matrix of an arrow is the transpose of the opposite arrow's action
-    # on the cokernel, whose column for a lifted basis element is the
-    # projection of that element's image in dst
+    # on the cokernel, whose column for a basis element at free[src] holds
+    # the coordinates of that element's image in dst
     dmats = {}
     for aid, a in qop.arrows.items():
-        rows = []
-        for t in free[a.src]:
-            img = dst.arrow_image(dst.vertex_basis[a.src][t], aid)
-            rows.append(list(proj_cols[a.tgt][dst.pos[img][1]])
-                        if img in dst.pos else [0] * cdims[a.tgt])
-        dmats[aid] = rows
-    return QuiverRep(q, cdims, dmats)
+        action = dst.arrow_action(aid, a.src)
+        dmats[aid] = [[0] * len(free[a.tgt]) if action[t] is None
+                      else list(coords[a.tgt][action[t]]) for t in free[a.src]]
+    return QuiverRep(q, [len(free[v]) for v in range(q.n)], dmats)
 
 
 def is_tau_rigid(q: BoundQuiver, m: QuiverRep) -> bool:
@@ -488,5 +461,10 @@ def enumerate_tau_rigid(inv: StringInventory, cap=None):
     for w in strings:
         if inv.rigid(w):
             out.append((w, inv.module(w).dim_vector()))
-    out.sort(key=lambda t: (len(t[0].letters), t[0].letters, t[0].base))
+    out.sort(key=lambda t: string_order(t[0]))
     return out, truncated
+
+
+def string_order(w: StringWord):
+    """`enumerate_tau_rigid`'s sort key: length, then letters, then base."""
+    return len(w.letters), w.letters, w.base

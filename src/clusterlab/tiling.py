@@ -9,11 +9,12 @@ point lists the arc ends incident to it in anticlockwise order, between the
 outgoing segment (first) and the incoming segment (last).  Unmarked boundary
 components are invisible to the graph: each tile records how many it holds.
 
-Tiles are the faces obtained by tracing the map with the interior on the
-left: after arriving at a point along some edge end, the face departs along
-the next end clockwise (one step back in the fan).  A directed arc traversal
-(arc, d) runs from end d to end 1-d; boundary segments are traversed only in
-their anticlockwise direction.
+Tiles are the faces of the map with the interior on the left: after
+arriving at a point along some edge end, the face departs along the next end
+clockwise (one step back in the fan).  That rule is one permutation of the
+directed edges, built once as a successor table; the faces are its cycles.
+A directed arc traversal (arc, d) runs from end d to end 1-d; boundary
+segments are traversed only in their anticlockwise direction.
 
 The quiver of the tiling has one vertex per arc; every anticlockwise-adjacent
 pair of arc ends in a fan contributes an arrow between the corresponding
@@ -95,10 +96,6 @@ class TilingComplex:
                     raise ValueError(f"end ({a},{e}) listed at the wrong point {p}")
         self.hole_marks = dict(holes or {})
         self.disc = disc
-        self._seg_of_point = {}
-        for ci, comp in enumerate(self.boundary):
-            for pos, p in enumerate(comp):
-                self._seg_of_point[p] = (ci, pos)  # outgoing segment of p
         self.faces = []
         self.face_of_dedge = {}
         self._trace_faces()
@@ -109,66 +106,40 @@ class TilingComplex:
 
     # -- face tracing -------------------------------------------------------
 
-    def _rotation(self, p):
-        return [("s-out",)] + [("e", a, e) for a, e in self.fans[p]] + [("s-in",)]
-
-    def _dedge_head(self, d):
-        if d[0] == "a":
-            _, a, dr = d
-            return self.arc_ends[a][1 - dr], ("e", a, 1 - dr)
-        _, ci, pos = d
-        comp = self.boundary[ci]
-        return comp[(pos + 1) % len(comp)], ("s-in",)
-
-    def _next_dedge(self, d):
-        p, token = self._dedge_head(d)
-        rot = self._rotation(p)
-        idx = rot.index(token)
-        dep = rot[idx - 1]
-        if dep[0] == "e":
-            return ("a", dep[1], dep[2]), p
-        ci, pos = self._seg_of_point[p]
-        return ("s", ci, pos), p
-
     def _trace_faces(self):
-        dedges = [("a", a, d) for a, _, _ in self.arcs for d in (0, 1)]
-        dedges += [("s", ci, pos) for ci, comp in enumerate(self.boundary)
-                   for pos in range(len(comp))]
-        remaining = set(dedges)
-        raw_faces = []
-        for start in dedges:
-            if start not in remaining:
+        """Faces as the cycles of one successor table over the directed edges.
+
+        One pass over each point's segments and fan builds `succ`, which
+        maps a directed edge to the next one of its face and to the corner
+        point between them.  A face arriving by fan end j leaves by end
+        j - 1, arriving by the incoming segment it leaves by the last fan
+        end, and arriving by the first fan end it leaves by the outgoing
+        segment.  Each cycle starts at its least directed edge and the
+        cycles come in increasing order; `face_of_dedge` is the seen set.
+        """
+        succ = {}
+        for ci, comp in enumerate(self.boundary):
+            for pos, p in enumerate(comp):
+                fan = self.fans[p]
+                leave = [("s", ci, pos)] + [("a", a, e) for a, e in fan]
+                arrive = [("a", a, 1 - e) for a, e in fan]
+                arrive.append(("s", ci, (pos - 1) % len(comp)))
+                for d, nxt in zip(arrive, leave):
+                    succ[d] = (nxt, p)
+        for d in sorted(succ):
+            if d in self.face_of_dedge:
                 continue
-            cycle = []
-            points = []
-            d = start
-            while True:
+            fid = len(self.faces)
+            cycle, points = [], []
+            while d not in self.face_of_dedge:
+                self.face_of_dedge[d] = (fid, len(cycle))
                 cycle.append(d)
-                remaining.discard(d)
-                d2, corner_pt = self._next_dedge(d)
-                points.append(corner_pt)
-                d = d2
-                if d == start:
-                    break
-            raw_faces.append((tuple(cycle), tuple(points)))
-        # canonical: rotate each cycle to start at its minimal dedge, then
-        # sort faces by that leading dedge
-        canon = []
-        for cycle, points in raw_faces:
-            k = cycle.index(min(cycle))
-            cyc = cycle[k:] + cycle[:k]
-            pts = points[k:] + points[:k]
-            canon.append((cyc, pts))
-        canon.sort(key=lambda t: t[0][0])
-        for fid, (cyc, pts) in enumerate(canon):
-            holes = sum(self.hole_marks.get((d[1], d[2]), 0)
-                        for d in cyc if d[0] == "a")
-            self.faces.append(TileFace(cyc, pts, holes))
-            for pos, d in enumerate(cyc):
-                self.face_of_dedge[d] = (fid, pos)
-        total_marks = sum(self.hole_marks.values())
-        total_assigned = sum(f.holes for f in self.faces)
-        if total_marks != total_assigned:
+                d, p = succ[d]
+                points.append(p)
+            holes = sum(self.hole_marks.get(d[1:], 0)
+                        for d in cycle if d[0] == "a")
+            self.faces.append(TileFace(tuple(cycle), tuple(points), holes))
+        if sum(self.hole_marks.values()) != sum(f.holes for f in self.faces):
             raise ValueError("hole marks refer to unknown traversals")
 
     # -- classification -------------------------------------------------------
@@ -274,7 +245,7 @@ class TilingComplex:
 
     # -- permissible arcs -------------------------------------------------------
 
-    def _p1_entry(self, arc_id, side):
+    def _p1_entry(self, side):
         """P1 profile entry for an arc endpoint on the given tile side.
 
         side is the traversal (arc, dir) the final crossing leaves behind;
@@ -310,12 +281,12 @@ class TilingComplex:
             start_side = (first_arc, 1 - sides[0][0][1])
             last_arc = self.arcs[verts[-1]][0]
             end_side = (last_arc, 1 - sides[-1][1][1])
-            p1_start, pt_start = self._p1_entry(first_arc, start_side)
-            p1_end, pt_end = self._p1_entry(last_arc, end_side)
+            p1_start, pt_start = self._p1_entry(start_side)
+            p1_end, pt_end = self._p1_entry(end_side)
         else:
             arc = self.arcs[verts[0]][0]
-            p1_start, pt_start = self._p1_entry(arc, (arc, 0))
-            p1_end, pt_end = self._p1_entry(arc, (arc, 1))
+            p1_start, pt_start = self._p1_entry((arc, 0))
+            p1_end, pt_end = self._p1_entry((arc, 1))
         dims = [0] * len(self.arcs)
         for v in verts:
             dims[v] += 1
@@ -744,15 +715,8 @@ def string_route_profile_keys(t: TilingComplex, arc: PermissibleArc):
 
 def annulus_digon_tiling():
     """Four marked points on the outer boundary, two parallel arcs around
-    the hole bounding a type II digon."""
+    the hole bounding a type II digon: the face left of cL's traversal
+    from point 0 to point 2."""
     arcs = [("cL", 0, 2), ("cR", 0, 2)]
     fans = {0: [("cL", 0), ("cR", 0)], 1: [], 2: [("cR", 1), ("cL", 1)], 3: []}
-    t = TilingComplex(4, [[0, 1, 2, 3]], arcs, fans)
-    digon = None
-    for fid, f in enumerate(t.faces):
-        if f.size == 2 and len(f.arc_edges()) == 2:
-            d = f.dedges[0]
-            digon = (d[1], d[2])
-    if digon is None:
-        raise AssertionError("digon face not found")
-    return TilingComplex(4, [[0, 1, 2, 3]], arcs, fans, holes={digon: 1})
+    return TilingComplex(4, [[0, 1, 2, 3]], arcs, fans, holes={("cL", 0): 1})

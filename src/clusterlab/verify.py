@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .explore import (_compatible_multisets, enumerate_monomials, explore,
                       monomial_vectors, standard_matrix)
-from .modules import StringInventory, enumerate_tau_rigid
+from .modules import StringInventory, enumerate_tau_rigid, string_order
 from .quiver import (Arrow, BoundQuiver, StringWord, canonical_word,
                      cartan_matrix, check_gentle, check_qb_conditions,
                      detect_even_full_cycle, letter_graph_acyclic,
@@ -253,8 +253,7 @@ def _tiling_arcs(t, classes):
         letters = tuple((arrow[c], inv) for c, inv in w.letters)
         mapped.append(
             (canonical_word(q, StringWord(letters, vertex[w.base])), k))
-    mapped.sort(
-        key=lambda wk: (len(wk[0].letters), wk[0].letters, wk[0].base))
+    mapped.sort(key=lambda wk: string_order(wk[0]))
     arcs = [t.arc_from_word(w) for w, _ in mapped]
 
     def compatible(i, j):
@@ -353,26 +352,21 @@ def verify_thm1(marked_max=8, mult_cap=3):
                             "multisets": [by_profile[prof], chosen]})
                     else:
                         by_profile[prof] = chosen
-            forbidden_ok = t.forbidden_tile_scan()
-            if forbidden_ok:
+            witness = None if collision is None else {
+                "vector": _unpack(collision[2], n_arcs, width),
+                "multisets": [_multiset_desc(arcs, collision[0]),
+                              _multiset_desc(arcs, collision[1])]}
+            if t.forbidden_tile_scan():
                 passing += 1
-                if collision is not None:
+                if witness is not None:
                     report.fail({
                         "check": "injectivity broken on admissible tiling",
-                        "tiling": disc.chords,
-                        "vector": _unpack(collision[2], n_arcs, width),
-                        "multisets": [
-                            _multiset_desc(arcs, collision[0]),
-                            _multiset_desc(arcs, collision[1])]})
+                        "tiling": disc.chords, **witness})
             else:
                 failing += 1
-                if collision is not None:
-                    converse_found.append({
-                        "tiling": (m, disc.chords),
-                        "vector": _unpack(collision[2], n_arcs, width),
-                        "multisets": [
-                            _multiset_desc(arcs, collision[0]),
-                            _multiset_desc(arcs, collision[1])]})
+                if witness is not None:
+                    converse_found.append(
+                        {"tiling": (m, disc.chords), **witness})
     report.counts = {
         "tilings": tilings, "outside_taxonomy": unclassifiable,
         "admissible": passing, "forbidden": failing,
@@ -573,15 +567,23 @@ def enumerate_gentle_algebras(vertex_max, arrow_max):
     return out
 
 
+def _rigid_multisets(rigid, inv, cap):
+    """(width, sweep): `_compatible_multisets` over the tau-rigid strings
+    `rigid` of the inventory up to total multiplicity `cap`, their
+    compatibility read from the inventory and their dimension vectors
+    packed `width` bits a field (`_pack`)."""
+    words = [w for w, _ in rigid]
+    width = _field_width([d for _, d in rigid], cap)
+    return width, _compatible_multisets(
+        lambda i, j: inv.compatible(words[i], words[j]),
+        [_pack(d, width) for _, d in rigid], cap)
+
+
 def _dim_collision(rigid, inv, cap):
     """The first collision of total dimension vectors among compatible
     multisets: (earlier multiset, later multiset, vector), or None.  The
-    vectors are swept packed (`_pack`)."""
-    words = [w for w, _ in rigid]
-    width = _field_width([d for _, d in rigid], cap)
-    multisets = _compatible_multisets(
-        lambda i, j: inv.compatible(words[i], words[j]),
-        [_pack(d, width) for _, d in rigid], cap)
+    vectors are swept packed (`_rigid_multisets`)."""
+    width, multisets = _rigid_multisets(rigid, inv, cap)
     next(multisets)  # the empty multiset
     by_vec = {}
     for chosen, vec in multisets:
@@ -834,16 +836,13 @@ def _tau_rigid_pairs(rigid, inv, cap):
 
     The projective part P(i)^c needs Hom(P(i), M) = 0, i.e. the module part
     vanishes at vertex i; projectives are pairwise compatible.  The module
-    dimension vectors are swept packed (`_pack`) and unpacked once per
-    module multiset.
+    dimension vectors are swept packed (`_rigid_multisets`) and unpacked
+    once per module multiset.
     """
     n = inv.q.n
-    words = [w for w, _ in rigid]
-    width = _field_width([d for _, d in rigid], cap)
+    width, multisets = _rigid_multisets(rigid, inv, cap)
     pairs = []
-    for chosen, packed in _compatible_multisets(
-            lambda i, j: inv.compatible(words[i], words[j]),
-            [_pack(d, width) for _, d in rigid], cap):
+    for chosen, packed in multisets:
         mdim = _unpack(packed, n, width)
         total = sum(mult for _, mult in chosen)
         allowed = [v for v in range(n) if mdim[v] == 0]

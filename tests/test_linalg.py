@@ -54,15 +54,21 @@ def test_nullspace_and_solve():
     assert linalg.solve([[1], [1]], [1, 2], 1) is None
 
 
+def quotient_coords(coords, v):
+    """Quotient coordinates of v from those of the unit vectors."""
+    return [sum(x * row[k] for x, row in zip(v, coords))
+            for k in range(len(coords[0]) if coords else 0)]
+
+
 def test_quotient_projection_section():
     vectors = [[1, 0, 1], [0, 1, 1]]
-    proj, sect = linalg.column_space_projection(vectors, 3)
-    assert len(proj) == 1
-    prod = linalg.mat_mul(proj, sect)
-    assert prod == [[Fraction(1)]]
+    coords, free = linalg.column_space_projection(vectors, 3)
+    assert free == [2]
+    # the coordinates at the free columns form the identity
+    assert [coords[c] for c in free] == [[Fraction(1)]]
     # the subspace maps to zero
     for v in vectors:
-        assert linalg.mat_vec(proj, v) == [0]
+        assert quotient_coords(coords, v) == [0]
 
 
 def reference_rref(rows, ncols):
@@ -144,14 +150,12 @@ def test_nullspace_matches_fraction_reference():
 
 def test_column_space_projection_random():
     for vectors, dim in _random_int_matrices(13, 800):
-        proj, sect = linalg.column_space_projection(vectors, dim)
+        coords, free = linalg.column_space_projection(vectors, dim)
         q = dim - len(reference_rref(vectors, dim)[0])
-        assert len(proj) == q and len(sect) == dim
-        if q:
-            assert linalg.mat_mul(proj, sect) == linalg.identity(q), vectors
+        assert len(free) == q and len(coords) == dim
+        assert free == sorted(set(free)) and set(free) <= set(range(dim))
+        assert [coords[c] for c in free] == linalg.identity(q), vectors
         for v in vectors:
-            assert linalg.mat_vec(proj, v) == [0] * q, vectors
-        assert all(sorted(col) == [0] * (dim - 1) + [1]
-                   for col in zip(*sect)), vectors
+            assert quotient_coords(coords, v) == [0] * q, vectors
     assert linalg.column_space_projection([], 3) == (linalg.identity(3),
-                                                     linalg.identity(3))
+                                                     [0, 1, 2])

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,34 @@ def test_presented_hom_matches_intertwiner():
     assert pairs == 67902
 
 
+def test_projectives_presentations_translates_fingerprint():
+    # pins the bases, not just the isomorphism classes: the dims and
+    # matrices of every projective, and the minimal presentation and
+    # translate of every string, over the 143 representation-finite
+    # algebras of enumerate_gentle_algebras(4, 4)
+    h = hashlib.sha256()
+    algebras = strings = 0
+    for q in enumerate_gentle_algebras(4, 4):
+        acyclic, longest = letter_graph_acyclic(q)
+        if not acyclic:
+            continue
+        algebras += 1
+        for v in range(q.n):
+            p = projective_module(q, v)
+            h.update(repr((p.dims, sorted(p.mats.items()))).encode())
+        for w in enumerate_strings(q, max(longest, 1))[0]:
+            m = string_module(q, w)
+            presentation = minimal_presentation(q, m)
+            tops0, tops1, entries = presentation
+            tau = ar_translate(q, m, presentation)
+            h.update(repr((tops0, tops1, sorted(entries.items()), (
+                tau.dims, sorted(tau.mats.items())))).encode())
+            strings += 1
+    assert (algebras, strings) == (143, 2025)
+    assert h.hexdigest() == (
+        "9348c50d895cd50861d4458edcc6361f33aa1a9252513deb9deccb4ce3a5370d")
+
+
 def test_presented_hom_of_a_presentation_with_fraction_entries():
     # the Kronecker point (1/2 : 1/3) is the cokernel of
     # P(2) -> P(1), e_2 -> (1/3) a - (1/2) b
@@ -221,8 +250,8 @@ def test_kernel_arrow_stability_check_catches_a_wrong_action(monkeypatch):
     q = loop_algebra()
     tops0, tops1, _ = minimal_presentation(q, simple(q, 0))
     assert (tops0, tops1) == ([0], [0])
-    monkeypatch.setattr(modules, "_p0_arrow_apply",
-                        lambda p0, q, coords, arrow: [1, 0])
+    monkeypatch.setattr(modules._ProjectiveSum, "arrow_action",
+                        lambda self, aid, src: [None, 0])
     with pytest.raises(AssertionError, match="kernel is not arrow-stable"):
         minimal_presentation(q, simple(q, 0))
 

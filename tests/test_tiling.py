@@ -61,6 +61,23 @@ def test_builders_fingerprint():
         "9601b8edcf06ee2ac994feafc31240e98f19271380c81cea539a4ec92209be9b")
 
 
+def test_faces_fingerprint():
+    # pins each tiling's faces (directed edges, corner points and holes, in
+    # face-id order) and its directed-edge index, which the iso-invariant
+    # harness digests do not see: every dissection of the 4- to 9-gons,
+    # every one-holed-disc tiling for m = 2..7, and the annulus digon
+    h = hashlib.sha256()
+    tilings = [d.to_complex() for m in range(4, 10) for d in disc_tilings(m)]
+    tilings += [t for m in range(2, 8) for t in one_holed_disc_tilings(m)]
+    tilings.append(annulus_digon_tiling())
+    for t in tilings:
+        h.update(repr(([(f.dedges, f.corner_points, f.holes) for f in t.faces],
+                       sorted(t.face_of_dedge.items()))).encode())
+    assert len(tilings) == 5753
+    assert h.hexdigest() == (
+        "1fcd26e53c40092cbd98e5febba8ec7e4d41e448c727e09c8db6030c63a897d0")
+
+
 @pytest.mark.parametrize("chords", [
     [(1, 3), (1, 3)],  # duplicate
     [(1, 2)],          # adjacent occurrences

@@ -608,6 +608,23 @@ def test_cli_type_c_rejects_rank_one():
     assert "Invalid value for '--rank-max'" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    # sizes whose family is empty or holds only the empty multiset, so a
+    # pass would check nothing
+    ["thm1", "--marked-max", "3"], ["thm1", "--mult-cap", "0"],
+    ["thm2", "--vertex-max", "0"], ["thm2", "--arrow-max", "0"],
+    ["thm2", "--mult-cap", "0"],
+    ["fvector", "--rank-max", "1"], ["fvector", "--degree-cap", "0"],
+    ["denominator", "--rank-max", "1"], ["denominator", "--degree-cap", "0"],
+    ["duality", "--rank-max", "1"], ["duality", "--degree-cap", "0"],
+    ["type-c", "--degree-cap", "0"],
+])
+def test_cli_verify_rejects_vacuous_sizes(args):
+    res = CliRunner().invoke(main, ["verify"] + args)
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{args[1]}'" in res.output
+
+
 def test_cli_vectors_matches_explored_monomial(tmp_path):
     from clusterlab.explore import explore, monomial_vectors, standard_matrix
     from clusterlab.tracking import run_walk
