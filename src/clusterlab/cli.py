@@ -188,7 +188,8 @@ def gentle():
 
 @gentle.command()
 @click.option("--quiver", "quiver_path", required=True, type=click.Path(exists=True))
-@click.option("--cap", default=None, type=int, help="string length cap")
+@click.option("--cap", default=None, type=click.IntRange(min=1),
+              help="string length cap")
 @format_options
 def analyze(quiver_path, cap, fmt, out):
     """Gentleness, full-relation cycles, Cartan data, tau-rigid modules."""
@@ -257,7 +258,7 @@ def algebra(tiling_path, fmt, out):
 
 @tiling.command()
 @click.option("--tiling", "tiling_path", required=True, type=click.Path(exists=True))
-@click.option("--cap", default=None, type=int)
+@click.option("--cap", default=None, type=click.IntRange(min=1))
 @format_options
 def arcs(tiling_path, cap, fmt, out):
     """Self-compatible permissible arcs with intersection vectors."""

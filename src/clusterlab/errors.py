@@ -19,3 +19,12 @@ class InfiniteDimensionalAlgebraError(ValueError):
 
 class InvalidStringError(ValueError):
     """Raised when a letter sequence is not a valid reduced walk."""
+
+
+class WitnessedFault(AssertionError):
+    """Raised when a cross-check fails; `witness` is a JSON-ready dict of
+    the check's name ("check") and the inputs that reproduce it."""
+
+    def __init__(self, witness):
+        super().__init__(witness)
+        self.witness = witness

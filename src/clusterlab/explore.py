@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .errors import WitnessedFault
 from .exchange import ExchangeMatrix
 from .tracking import TrackedSeed, mutate_tracked, vectors_of_factors
 
@@ -75,8 +76,11 @@ def explore(matrix: ExchangeMatrix, max_seeds: int = 100000) -> ExchangeGraph:
             if poly in graph.variable_index:
                 known = graph.variables[graph.variable_index[poly]]
                 if (known.d, known.g, known.f) != (info.d, info.g, info.f):
-                    raise AssertionError(
-                        "same cluster variable reported different vectors")
+                    raise WitnessedFault({
+                        "check": "same cluster variable, different vectors",
+                        "matrix": matrix.b, "variable": poly.to_str(),
+                        "vectors": [(known.d, known.g, known.f),
+                                    (info.d, info.g, info.f)]})
             else:
                 graph.variable_index[poly] = len(graph.variables)
                 graph.variables.append(info)

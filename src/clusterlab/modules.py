@@ -31,6 +31,7 @@ tests' oracle for them.
 from __future__ import annotations
 
 from . import linalg
+from .errors import WitnessedFault
 from .quiver import BoundQuiver, StringWord, projective_paths, validate_word, word_vertices
 
 
@@ -263,7 +264,10 @@ def minimal_presentation(q: BoundQuiver, m: QuiverRep):
                     for i, x in enumerate(image[target[k]]):
                         in_m[i] += c * x
             if any(in_m):
-                raise AssertionError("kernel is not arrow-stable")
+                raise WitnessedFault({
+                    "check": "kernel is not arrow-stable",
+                    "quiver": q.to_json(), "dims": m.dims, "mats": m.mats,
+                    "arrow": aid})
             for i, c in enumerate(free[a.tgt]):
                 mat[i][j] = img[c]
         kmats[aid] = mat

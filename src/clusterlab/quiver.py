@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import (InfiniteDimensionalAlgebraError, InvalidStringError,
-                     NotSkewSymmetrizableError)
+                     NotSkewSymmetrizableError, WitnessedFault)
 
 
 @dataclass(frozen=True)
@@ -416,7 +416,9 @@ def type_c_quiver(matrix) -> BoundQuiver:
     q = BoundQuiver(n, arrows, relations)
     cert = check_gentle(q)
     if not cert:
-        raise AssertionError(f"type C quiver failed gentleness: {cert}")
+        raise WitnessedFault({"check": "type C quiver not gentle",
+                              "matrix": matrix.b, "violated": cert.violated,
+                              "witness": cert.witness})
     return q
 
 

@@ -28,16 +28,16 @@ of chords of a polygon; one chord model checks (`_check_chords`), enumerates
 
 Arcs not in the tiling are represented by strings of the tiling algebra;
 those whose string module is tau-rigid are the self-compatible permissible
-arcs, and their intersection vectors are the dimension vectors.  On discs an
-independent chord-geometry oracle recomputes everything and any disagreement
-raises.
+arcs, and their intersection vectors are the dimension vectors.  On discs
+`geometric_disc_arcs` recomputes the arcs and vectors from chord geometry
+alone, as an independent oracle for the harnesses to check against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnclassifiableTileError
+from .errors import UnclassifiableTileError, WitnessedFault
 from .modules import StringInventory, enumerate_tau_rigid
 from .quiver import Arrow, BoundQuiver, StringWord, check_gentle, word_vertices
 
@@ -66,7 +66,7 @@ class TileFace:
 class TilingComplex:
     """A tiling with derived faces, classification, algebra and arc machinery."""
 
-    def __init__(self, n_points, boundary, arcs, fans, holes=None, disc=None):
+    def __init__(self, n_points, boundary, arcs, fans, holes=None):
         """
         n_points: number of marked points (ids 0..n_points-1)
         boundary: list of boundary components, each an anticlockwise list of
@@ -75,7 +75,6 @@ class TilingComplex:
         fans: dict point -> anticlockwise list of (arc_id, end_index)
         holes: dict (arc_id, dir) -> number of unmarked components in the
             face to the left of that traversal
-        disc: optional DiscTiling this complex was built from
         """
         self.n_points = n_points
         self.boundary = [list(c) for c in boundary]
@@ -95,7 +94,6 @@ class TilingComplex:
                 if self.arc_ends[a][e] != p:
                     raise ValueError(f"end ({a},{e}) listed at the wrong point {p}")
         self.hole_marks = dict(holes or {})
-        self.disc = disc
         self.faces = []
         self.face_of_dedge = {}
         self._trace_faces()
@@ -232,8 +230,9 @@ class TilingComplex:
         q = BoundQuiver(len(self.arcs), arrows, rels)
         cert = check_gentle(q)
         if not cert:
-            raise AssertionError(
-                f"tiling algebra is not gentle ({cert.violated}: {cert.witness})")
+            raise WitnessedFault({
+                "check": "tiling algebra not gentle", "quiver": q.to_json(),
+                "violated": cert.violated, "witness": cert.witness})
         self._algebra, self._arrow_geo = q, geo
         return q, geo
 
@@ -274,8 +273,10 @@ class TilingComplex:
             left = sides[i][1]
             right = sides[i + 1][0]
             if left[0] != right[0] or left[1] == right[1]:
-                raise AssertionError(
-                    "string crosses an arc without switching sides")
+                raise WitnessedFault({
+                    "check": "string crosses an arc without switching sides",
+                    "quiver": q.to_json(), "letters": letters,
+                    "base": word.base, "letter": i})
         if letters:
             first_arc = self.arcs[verts[0]][0]
             start_side = (first_arc, 1 - sides[0][0][1])
@@ -306,26 +307,8 @@ class TilingComplex:
         return [self.arc_from_word(w) for w, _ in rigid], truncated
 
     def arcs_compatible(self, a1: "PermissibleArc", a2: "PermissibleArc"):
-        """Zero crossing number, decided through tau-rigidity of the sum.
-
-        On disc tilings the chord-interleaving answer must agree; a mismatch
-        raises immediately.
-        """
-        return self.check_compatibility(
-            a1, a2, self.inventory().compatible(a1.word, a2.word))
-
-    def check_compatibility(self, a1: "PermissibleArc", a2: "PermissibleArc",
-                            ok):
-        """Return `ok`, the module answer to whether the two arcs are
-        compatible, after checking it against chord interleaving on a disc
-        tiling; a mismatch raises."""
-        if self.disc is not None:
-            geo = not chords_interleave(a1.endpoints, a2.endpoints)
-            if geo != ok:
-                raise AssertionError(
-                    f"module compatibility {ok} disagrees with chord "
-                    f"geometry for {a1.endpoints} / {a2.endpoints}")
-        return ok
+        """Zero crossing number, decided through tau-rigidity of the sum."""
+        return self.inventory().compatible(a1.word, a2.word)
 
     def corner_point(self, corner):
         fid, pos = corner
@@ -403,7 +386,7 @@ class DiscTiling:
                 for idx, (i, j) in enumerate(self.chords)]
         fans = {p: [(f"t{idx}", e) for idx, e in fan]
                 for p, fan in enumerate(_polygon_fans(m, self.chords))}
-        return TilingComplex(m, [list(range(m))], arcs, fans, disc=self)
+        return TilingComplex(m, [list(range(m))], arcs, fans)
 
 
 def chords_interleave(c1, c2):

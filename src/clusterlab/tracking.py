@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import WitnessedFault
 from .exchange import ExchangeMatrix, Seed, _pos, mutate_seed, langlands_dual
 from .laurent import LaurentPoly
 
@@ -81,7 +82,9 @@ def mutate_tracked(t: TrackedSeed, k: int) -> TrackedSeed:
                    _pos(-c_row[kk]) + sum(w * f_row[i] for i, w in down)) \
             - f_row[kk]
         if f_rk < 0:
-            raise AssertionError("F-column turned negative; recursion bug")
+            raise WitnessedFault({"check": "F-column turned negative",
+                                  "matrix": b, "c": t.c, "f": t.f,
+                                  "direction": k})
         g.append(g_row[:kk] + (g_rk,) + g_row[kk + 1:])
         f.append(f_row[:kk] + (f_rk,) + f_row[kk + 1:])
     return TrackedSeed(mutate_seed(t.seed, k), c, tuple(g), tuple(f),

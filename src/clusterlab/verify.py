@@ -6,6 +6,12 @@ always carry a concrete witness; truncations name the exceeded bound.
 Enumeration order is deterministic, so identical parameters reproduce
 identical verdicts, counts and witnesses, and hence the same result digest;
 only the timings differ between runs.
+
+Every harness body runs in one report frame, `_harness`, which builds the
+report from the call's arguments, zeroes its phases and times the call.  A
+cross-check that disagrees, in a harness or in the library beneath it, raises
+`WitnessedFault`; the frame records its witness as the failure.  Loops over
+a family stop at the first failure (`_until_failed`).
 """
 
 from __future__ import annotations
@@ -13,12 +19,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import time
 from dataclasses import dataclass, field
 
 from . import linalg
+from .errors import WitnessedFault
 from .explore import (_compatible_multisets, enumerate_monomials, explore,
                       monomial_vectors, standard_matrix)
 from .modules import StringInventory, enumerate_tau_rigid, string_order
@@ -28,7 +36,8 @@ from .quiver import (Arrow, BoundQuiver, StringWord, canonical_word,
                      type_c_quiver)
 from .tiling import (ArcMultiset, DiscTiling, _chords_in_taxonomy,
                      _noncrossing_chord_sets, b_matrix_from_triangulation,
-                     disc_tilings, geometric_disc_arcs, seg_profile)
+                     chords_interleave, disc_tilings, geometric_disc_arcs,
+                     seg_profile)
 
 
 @dataclass
@@ -97,14 +106,39 @@ def _phase(report, name):
         report.phases[name] += time.perf_counter() - start
 
 
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.duration_s = time.perf_counter() - start
-        return report
-    return wrapper
+def _harness(experiment, *phases):
+    """Turn `body(report, *params)` into the harness taking `params`: it
+    builds the `experiment` report with the bound arguments as params,
+    zeroes `phases`, times the body and fails the report with the witness of
+    a `WitnessedFault` raised beneath it."""
+    def decorate(body):
+        signature = inspect.signature(body)
+        signature = signature.replace(
+            parameters=tuple(signature.parameters.values())[1:])
+
+        @functools.wraps(body)
+        def harness(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            report = VerifyReport(experiment, dict(bound.arguments))
+            report.phases = dict.fromkeys(phases, 0.0)
+            start = time.perf_counter()
+            try:
+                body(report, *bound.args, **bound.kwargs)
+            except WitnessedFault as fault:
+                report.fail(fault.witness)
+            report.duration_s = time.perf_counter() - start
+            return report
+
+        harness.__signature__ = signature
+        return harness
+    return decorate
+
+
+def _until_failed(report, members):
+    """The members, up to the first one reached once the report has failed:
+    a harness stops at its first failure, whose witness is recorded."""
+    return itertools.takewhile(lambda _: report.verdict != "fail", members)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +272,7 @@ def _tiling_arcs(t, classes):
     The class words are mapped onto the tiling algebra's arrows,
     re-canonicalised there and sorted as `enumerate_tau_rigid` sorts, so the
     arcs come in the order the tiling's own inventory would give.
-    `compatible` reads the clash bit and checks it against chord geometry.
+    `compatible` reads the clash bit.
     """
     q, _ = t.algebra()
     key, p = _algebra_class(q)
@@ -258,14 +292,13 @@ def _tiling_arcs(t, classes):
 
     def compatible(i, j):
         a, b = mapped[i][1], mapped[j][1]
-        return t.check_compatibility(
-            arcs[i], arcs[j], not clashes[max(a, b)] >> min(a, b) & 1)
+        return not clashes[max(a, b)] >> min(a, b) & 1
 
     return arcs, truncated, compatible
 
 
-@_timed
-def verify_thm1(marked_max=8, mult_cap=3):
+@_harness("thm1-intersection-injectivity", "tilings", "arcs", "multisets")
+def verify_thm1(report, marked_max=8, mult_cap=3):
     """Intersection vectors determine compatible multisets on admissible
     disc tilings; even type V tilings yield explicit counterexamples.
 
@@ -279,31 +312,22 @@ def verify_thm1(marked_max=8, mult_cap=3):
     the isomorphism class of the tiling algebra, so they are computed once
     per class (`_algebra_class`, `_class_record`); each tiling maps the
     class words back onto its own arrows and builds its arcs from them, in
-    the order `enumerate_tau_rigid` gives (`_tiling_arcs`).  The
-    chord-geometry oracle and the dual-path check still run on every tiling,
-    and `TilingComplex.enumerate_permissible_arcs` and `arcs_compatible`
-    keep the per-tiling route for other callers.  The intersection vector
-    and the segment profile of each multiset are accumulated arc by arc as
-    the sweep extends it, both packed in one int per multiset (see
+    the order `enumerate_tau_rigid` gives (`_tiling_arcs`), and
+    `_dual_path_check` checks them against chord geometry.  The intersection
+    vector and the segment profile of each multiset are accumulated arc by
+    arc as the sweep extends it, both packed in one int per multiset (see
     `_arc_weights`); neither is recomputed from the whole multiset.
 
     Phases: `tilings` (chord sets, the taxonomy test, maps and their
-    classification), `arcs` (per-class strings, arcs and the chord oracle)
-    and `multisets` (the sweep with its compatibility tests).
+    classification; timed once per polygon and once per tiling), `arcs`
+    (per-class strings, arcs and the chord oracle) and `multisets` (the
+    sweep with its compatibility tests), both timed once per tiling.
     """
-    report = VerifyReport(
-        "thm1-intersection-injectivity",
-        {"marked_max": marked_max, "mult_cap": mult_cap})
-    # tilings timed once per polygon and once per tiling, the others once
-    # per tiling
-    report.phases = dict.fromkeys(("tilings", "arcs", "multisets"), 0.0)
     tilings = unclassifiable = passing = failing = 0
     multisets_checked = 0
     converse_found = []
     classes = {}  # _algebra_class key -> _class_record
-    for m in range(4, marked_max + 1):
-        if report.verdict == "fail":
-            break  # fail fast: the witness is already recorded
+    for m in _until_failed(report, range(4, marked_max + 1)):
         with _phase(report, "tilings"):
             chord_sets = []
             for chords in _noncrossing_chord_sets(m):
@@ -311,9 +335,7 @@ def verify_thm1(marked_max=8, mult_cap=3):
                     chord_sets.append(chords)
                 else:
                     unclassifiable += 1
-        for chords in chord_sets:
-            if report.verdict == "fail":
-                break
+        for chords in _until_failed(report, chord_sets):
             with _phase(report, "tilings"):
                 disc = DiscTiling(m, chords)
                 t = disc.to_complex()
@@ -322,7 +344,7 @@ def verify_thm1(marked_max=8, mult_cap=3):
             with _phase(report, "arcs"):
                 arcs, truncated, compatible = _tiling_arcs(t, classes)
                 if not truncated:
-                    _dual_path_check(disc, t, arcs)
+                    _dual_path_check(disc, arcs, compatible)
             if truncated:
                 report.verdict = "truncated"
                 report.witnesses.append(
@@ -383,7 +405,6 @@ def verify_thm1(marked_max=8, mult_cap=3):
     if marked_max >= 8 and mult_cap >= 2 and not octagon_square:
         report.fail({"converse": "no collision found on the octagon "
                                  "central-square tiling"})
-    return report
 
 
 def _multiset_desc(arcs, chosen):
@@ -391,20 +412,26 @@ def _multiset_desc(arcs, chosen):
              "mult": mult} for i, mult in chosen]
 
 
-def _dual_path_check(disc, t, arcs):
-    geo = geometric_disc_arcs(disc)
-    str_eps = sorted(tuple(sorted(p + 1 for p in a.endpoints)) for a in arcs)
-    geo_eps = sorted(g["endpoints"] for g in geo)
-    if str_eps != geo_eps:
-        raise AssertionError(
-            f"string and geometric arc sets disagree on {disc.chords}: "
-            f"{str_eps} vs {geo_eps}")
-    geo_by_ep = {g["endpoints"]: g for g in geo}
-    for a in arcs:
-        ep = tuple(sorted(p + 1 for p in a.endpoints))
-        if a.intersection != geo_by_ep[ep]["vector"]:
-            raise AssertionError(
-                f"intersection vectors disagree on {disc.chords} at {ep}")
+def _dual_path_check(disc, arcs, compatible):
+    """Check the string route's arcs of the disc tiling, as (endpoints,
+    intersection vector) pairs, and `compatible(i, j)` against chord
+    geometry: the arcs of `geometric_disc_arcs`, and chords that do not
+    interleave.  A disagreement raises `WitnessedFault`."""
+    string = sorted((tuple(sorted(p + 1 for p in a.endpoints)), a.intersection)
+                    for a in arcs)
+    geometric = sorted((g["endpoints"], g["vector"])
+                       for g in geometric_disc_arcs(disc))
+    if string != geometric:
+        raise WitnessedFault({"check": "string and geometric arcs differ",
+                              "tiling": disc.chords, "string": string,
+                              "geometric": geometric})
+    for i, j in itertools.combinations(range(len(arcs)), 2):
+        ok = compatible(i, j)
+        if ok == chords_interleave(arcs[i].endpoints, arcs[j].endpoints):
+            raise WitnessedFault({
+                "check": "module and chord compatibility differ",
+                "tiling": disc.chords, "module": ok, "endpoints": [
+                    tuple(p + 1 for p in arcs[k].endpoints) for k in (i, j)]})
 
 
 # ---------------------------------------------------------------------------
@@ -593,24 +620,18 @@ def _dim_collision(rigid, inv, cap):
     return None
 
 
-@_timed
-def verify_thm2(vertex_max=4, arrow_max=6, mult_cap=3):
+@_harness("thm2-dimension-dichotomy", "enumerate", "tau", "collisions")
+def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
     """Even full-relation cycles exist exactly when distinct tau-rigid
-    modules share a dimension vector; Cartan determinant cross-check."""
-    report = VerifyReport(
-        "thm2-dimension-dichotomy",
-        {"vertex_max": vertex_max, "arrow_max": arrow_max,
-         "mult_cap": mult_cap})
-    # collisions include the Hom computations of the compatibility tests
-    report.phases = dict.fromkeys(("enumerate", "tau", "collisions"), 0.0)
+    modules share a dimension vector; Cartan determinant cross-check.  The
+    `collisions` phase includes the Hom computations of the compatibility
+    tests."""
     with _phase(report, "enumerate"):
         algebras = enumerate_gentle_algebras(vertex_max, arrow_max)
     finite = skipped = with_cycle = without_cycle = 0
     max_cap_needed = 0
     report.cache = {"tau_hits": 0, "tau_misses": 0}
-    for q in algebras:
-        if report.verdict == "fail":
-            break  # fail fast
+    for q in _until_failed(report, algebras):
         acyclic, _ = letter_graph_acyclic(q)
         if not acyclic:
             skipped += 1
@@ -653,7 +674,6 @@ def verify_thm2(vertex_max=4, arrow_max=6, mult_cap=3):
                      "with_even_cycle": with_cycle,
                      "without_even_cycle": without_cycle,
                      "max_multiplicity_needed": max_cap_needed}
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -680,23 +700,18 @@ def _check_injectivity(graph, degree_cap, kind, where, report):
 # f-vector injectivity for type A via discs
 
 
-@_timed
-def verify_fvector_injectivity(n_max=3, degree_cap=3):
+@_harness("thm3-fbar-injectivity", "monomials", "triangulations")
+def verify_fvector_injectivity(report, n_max=3, degree_cap=3):
     """Modified f-vectors separate cluster monomials in type A; intersection
     vectors of polygon arcs match the f-vectors of their cluster variables.
 
     The f-vectors depend only on the exchange matrix, and triangulations of
     one polygon share matrices, so each distinct matrix is explored once per
-    call; the arcs are still enumerated for every triangulation.
+    call; the arcs are still enumerated for every triangulation.  Phases:
+    `monomials`, timed once per rank, and `triangulations`, once per polygon.
     """
-    report = VerifyReport(
-        "thm3-fbar-injectivity", {"n_max": n_max, "degree_cap": degree_cap})
-    # monomials timed once per rank, triangulations once per polygon
-    report.phases = dict.fromkeys(("monomials", "triangulations"), 0.0)
     totals = {}
-    for n in range(2, n_max + 1):
-        if report.verdict == "fail":
-            break  # fail fast
+    for n in _until_failed(report, range(2, n_max + 1)):
         where = f"A{n}"
         with _phase(report, "monomials"):
             graph = explore(standard_matrix("A", n))
@@ -712,13 +727,9 @@ def verify_fvector_injectivity(n_max=3, degree_cap=3):
     # cross-check: arcs of triangulated polygons against cluster f-vectors
     matched = 0
     f_vectors = {}  # matrix -> sorted f-vectors of its non-initial variables
-    for m in range(5, n_max + 4):
-        if report.verdict == "fail":
-            break
+    for m in _until_failed(report, range(5, n_max + 4)):
         with _phase(report, "triangulations"):
-            for disc in disc_tilings(m):
-                if report.verdict == "fail":
-                    break
+            for disc in _until_failed(report, disc_tilings(m)):
                 if len(disc.chords) != m - 3:
                     continue
                 t = disc.to_complex()
@@ -736,7 +747,6 @@ def verify_fvector_injectivity(n_max=3, degree_cap=3):
                 else:
                     matched += 1
     report.counts = {**totals, "triangulations_cross_checked": matched}
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +762,9 @@ def _check_d_columns_independent(graph, where, report):
                          "vertex": vid, "d_vectors": d_vectors})
 
 
-@_timed
-def verify_denominator(series="C", n_max=3, degree_cap=3, initial_seeds="all"):
+@_harness("thm4-denominator-injectivity", "explore", "checks")
+def verify_denominator(report, series="C", n_max=3, degree_cap=3,
+                       initial_seeds="all"):
     """Denominator vectors separate bounded-degree cluster monomials, from
     every cluster of every explored finite-type pattern in the series.
 
@@ -763,11 +774,6 @@ def verify_denominator(series="C", n_max=3, degree_cap=3, initial_seeds="all"):
     `explore` and `checks` (both d-vector checks), timed once per distinct
     matrix.
     """
-    report = VerifyReport(
-        "thm4-denominator-injectivity",
-        {"series": series, "n_max": n_max, "degree_cap": degree_cap,
-         "initial_seeds": initial_seeds})
-    report.phases = dict.fromkeys(("explore", "checks"), 0.0)
     monomials = 0
     reroots = 0
 
@@ -780,18 +786,14 @@ def verify_denominator(series="C", n_max=3, degree_cap=3, initial_seeds="all"):
             _check_d_columns_independent(graph, where, report)
         return graph, count
 
-    for n in range(2, n_max + 1):
-        if report.verdict == "fail":
-            break  # fail fast
+    for n in _until_failed(report, range(2, n_max + 1)):
         base = standard_matrix(series, n)
         graph, count = check(base, f"{series}{n} root")
         monomials += count
         # matrix -> monomial count; counts, not graphs, to keep memory flat
         counted = {base: count}
         if initial_seeds == "all":
-            for vid in range(graph.cluster_count()):
-                if report.verdict == "fail":
-                    break
+            for vid in _until_failed(report, range(graph.cluster_count())):
                 b_t = graph.reps[vid].matrix()
                 if b_t not in counted:
                     counted[b_t] = check(
@@ -799,18 +801,13 @@ def verify_denominator(series="C", n_max=3, degree_cap=3, initial_seeds="all"):
                 reroots += 1
                 monomials += counted[b_t]
     report.counts = {"monomials": monomials, "reroots": reroots}
-    return report
 
 
-@_timed
-def verify_denominator_duality(n_max=3, degree_cap=3, initial_seeds="root"):
+@_harness("thm4-bc-duality", "explore", "checks")
+def verify_denominator_duality(report, n_max=3, degree_cap=3,
+                               initial_seeds="root"):
     """Paired B/C verdicts agree, mirroring the Langlands reduction.  The
     phases are the sums of the two `verify_denominator` runs' phases."""
-    report = VerifyReport(
-        "thm4-bc-duality",
-        {"n_max": n_max, "degree_cap": degree_cap,
-         "initial_seeds": initial_seeds})
-    report.phases = dict.fromkeys(("explore", "checks"), 0.0)
     verdicts = {}
     for series in ("B", "C"):
         sub = verify_denominator(series=series, n_max=n_max,
@@ -819,12 +816,11 @@ def verify_denominator_duality(n_max=3, degree_cap=3, initial_seeds="root"):
         for name, seconds in sub.phases.items():
             report.phases[name] += seconds
         verdicts[series] = sub.verdict
-        if sub.verdict == "fail":
+        if sub.verdict != "pass":
             report.fail({"series": series, "witnesses": sub.witnesses})
     if verdicts["B"] != verdicts["C"]:
         report.fail({"check": "paired verdicts differ", "verdicts": verdicts})
     report.counts = {"verdicts": verdicts}
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -854,8 +850,8 @@ def _tau_rigid_pairs(rigid, inv, cap):
     return pairs
 
 
-@_timed
-def verify_type_c_categorification(n_max=2, degree_cap=3):
+@_harness("typec-categorification", "tau", "pairs", "monomials")
+def verify_type_c_categorification(report, n_max=2, degree_cap=3):
     """tau-rigid pairs of the type C quiver algebra match cluster monomials
     through the halved first dimension coordinate.
 
@@ -865,13 +861,8 @@ def verify_type_c_categorification(n_max=2, degree_cap=3):
     """
     if n_max < 2:
         raise ValueError("type C needs rank at least 2")
-    report = VerifyReport(
-        "typec-categorification", {"n_max": n_max, "degree_cap": degree_cap})
-    report.phases = dict.fromkeys(("tau", "pairs", "monomials"), 0.0)
     report.cache = {"tau_hits": 0, "tau_misses": 0}
-    for n in range(2, n_max + 1):
-        if report.verdict == "fail":
-            break  # fail fast
+    for n in _until_failed(report, range(2, n_max + 1)):
         base = standard_matrix("C", n)
         q = type_c_quiver(base)
         cond = check_qb_conditions(q)
@@ -927,4 +918,3 @@ def verify_type_c_categorification(n_max=2, degree_cap=3):
         report.counts[f"C{n}_ind_tau_rigid"] = len(rigid)
         report.counts[f"C{n}_pairs"] = sum(
             len(v) for v in module_vectors.values())
-    return report

@@ -171,7 +171,9 @@ def test_criterion_8_dimension_dichotomy():
     ok = r.verdict == "pass" and r.counts == {
         "algebras": 2209, "representation_finite": 355,
         "representation_infinite_skipped": 1854, "with_even_cycle": 113,
-        "without_even_cycle": 242, "max_multiplicity_needed": 2}
+        "without_even_cycle": 242, "max_multiplicity_needed": 2} \
+        and r.result_digest == \
+        "ebe44bded2c74641be266c0b994432acdaa83fc980e0cc24b5d3eb1e5ef9b6c2"
     _criterion(8, "even-full-cycle presence matches dimension-vector "
                   "collisions, with the Cartan determinant cross-check, on "
                   f"{r.counts['representation_finite']} representation-finite "

@@ -253,7 +253,8 @@ def test_compatibility_matches_interleaving():
     arcs, _ = t.enumerate_permissible_arcs()
     for a in arcs:
         for b in arcs:
-            t.arcs_compatible(a, b)  # raises on any geometry mismatch
+            assert t.arcs_compatible(a, b) == \
+                (not chords_interleave(a.endpoints, b.endpoints))
 
 
 def test_pentagon_seg_profile_golden():
@@ -327,7 +328,9 @@ def test_dual_path_agreement_small_discs():
                 assert Counter(keys["p1"]) == Counter(g["p1"])
             for a in arcs:
                 for b in arcs:
-                    t.arcs_compatible(a, b)  # internal cross-check
+                    assert t.arcs_compatible(a, b) == \
+                        (not chords_interleave(a.endpoints, b.endpoints)), \
+                        (disc.chords, a.endpoints, b.endpoints)
     assert checked > 50
 
 

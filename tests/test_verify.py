@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import importlib
+import inspect
 import itertools
 import json
 import math
@@ -12,13 +13,14 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from clusterlab.cli import main
-from clusterlab.errors import UnclassifiableTileError
+from clusterlab.errors import UnclassifiableTileError, WitnessedFault
 from clusterlab.quiver import Arrow, BoundQuiver, check_gentle
-from clusterlab.tiling import ArcMultiset, disc_tilings, seg_profile
+from clusterlab.tiling import ArcMultiset, DiscTiling, disc_tilings, seg_profile
 from clusterlab.verify import (
     VerifyReport, _algebra_class, _arc_weights, _arrow_grids,
     _automorphisms, _canonical_bound_quiver, _class_arrow, _class_quiver,
-    _compatible_multisets, _connected, _field_width, _grid_key, _pack,
+    _compatible_multisets, _connected, _dual_path_check, _field_width,
+    _grid_key, _pack,
     _relation_choices, _tiling_arcs, _unpack,
     enumerate_gentle_algebras, verify_denominator,
     verify_denominator_duality, verify_fvector_injectivity, verify_thm1,
@@ -306,6 +308,114 @@ def test_fail_reports_carry_witnesses():
     r = VerifyReport("demo", {})
     r.fail({"reason": "example"})
     assert r.verdict == "fail" and r.witnesses
+
+
+def test_harness_frame_keeps_signatures_and_params():
+    # the frame hides each body's report argument; params are the bound
+    # arguments, defaults included, in signature order
+    for harness, signature in (
+            (verify_thm1, "(marked_max=8, mult_cap=3)"),
+            (verify_thm2, "(vertex_max=4, arrow_max=6, mult_cap=3)"),
+            (verify_fvector_injectivity, "(n_max=3, degree_cap=3)"),
+            (verify_denominator,
+             "(series='C', n_max=3, degree_cap=3, initial_seeds='all')"),
+            (verify_denominator_duality,
+             "(n_max=3, degree_cap=3, initial_seeds='root')"),
+            (verify_type_c_categorification, "(n_max=2, degree_cap=3)")):
+        assert str(inspect.signature(harness)) == signature
+    r = verify_denominator("A", 2, degree_cap=2)
+    assert list(r.params.items()) == [
+        ("series", "A"), ("n_max", 2), ("degree_cap", 2),
+        ("initial_seeds", "all")]
+
+
+def test_cluster_harnesses_keep_their_digests():
+    # digests read before the harnesses shared one report frame
+    for series, digest in (
+            ("A", "478a6d77643a1ed41568e5cef203a2a5328701a86de887f78aaf02f99cafbb82"),
+            ("B", "b9cfec1b6d1e1461a4f270d0f66f7ab049af456acbd2e553cd46b4ebd510dc22"),
+            ("C", "b9cfec1b6d1e1461a4f270d0f66f7ab049af456acbd2e553cd46b4ebd510dc22")):
+        r = verify_denominator(series, 3, 3, "all")
+        assert r.result_digest == digest, series
+    assert verify_denominator_duality(3).result_digest == (
+        "19574c33151e3400d886e9e02af4aef1cee8d502f28878c2190694462ddc8464")
+
+
+def _drop_first_geometric_arc(monkeypatch):
+    """Make thm1's chord-geometry oracle lose one arc of every tiling."""
+    from clusterlab import verify
+    real = verify.geometric_disc_arcs
+    monkeypatch.setattr(verify, "geometric_disc_arcs",
+                        lambda disc: real(disc)[1:])
+
+
+def test_thm1_reports_a_dual_path_fault(monkeypatch):
+    _drop_first_geometric_arc(monkeypatch)
+    r = verify_thm1(5, 2)
+    assert r.verdict == "fail"
+    # the first tiling, the square cut by (2, 4), has the one arc (1, 3)
+    assert r.witnesses == [{"check": "string and geometric arcs differ",
+                            "tiling": ((2, 4),),
+                            "string": [((1, 3), (1,))], "geometric": []}]
+
+
+def test_dual_path_check_catches_a_wrong_compatibility():
+    disc = DiscTiling(5, ((1, 3), (1, 4)))
+    arcs, _ = disc.to_complex().enumerate_permissible_arcs()
+    with pytest.raises(WitnessedFault) as fault:
+        _dual_path_check(disc, arcs, lambda i, j: True)
+    witness = fault.value.witness
+    assert witness["check"] == "module and chord compatibility differ"
+    assert witness["tiling"] == disc.chords and witness["module"] is True
+
+
+def test_thm2_reports_an_arrow_stability_fault(monkeypatch):
+    # the wrong action of test_kernel_arrow_stability_check_catches_a_wrong_
+    # action, met through the loop algebra with rho^2 = 0, the one
+    # representation-finite gentle algebra with one vertex and one arrow
+    from clusterlab import modules
+    monkeypatch.setattr(modules._ProjectiveSum, "arrow_action",
+                        lambda self, aid, src: [None, 0])
+    r = verify_thm2(1, 1)
+    assert r.verdict == "fail"
+    (witness,) = r.witnesses
+    assert witness["check"] == "kernel is not arrow-stable"
+    assert json.loads(witness["quiver"])["relations"] == [["a0_0_0",
+                                                           "a0_0_0"]]
+    assert witness["dims"] == (1,)
+
+
+def test_denominator_reports_an_explore_vector_fault(monkeypatch):
+    # every VariableInfo gets a fresh g-vector, so the second sighting of a
+    # cluster variable disagrees with the first
+    explore_module = importlib.import_module("clusterlab.explore")
+    real = explore_module.VariableInfo
+    drift = itertools.count()
+    monkeypatch.setattr(
+        explore_module, "VariableInfo",
+        lambda poly, d, g, f: real(poly, d, tuple(x + next(drift) for x in g),
+                                   f))
+    r = verify_denominator("A", 2, 2, "root")
+    assert r.verdict == "fail"
+    (witness,) = r.witnesses
+    assert witness["check"] == "same cluster variable, different vectors"
+    assert witness["matrix"] == ((0, 1), (-1, 0))
+    first, second = witness["vectors"]
+    assert first[0] == second[0] and first[1] != second[1]
+
+
+def test_type_c_reports_a_non_gentle_quiver(monkeypatch):
+    # type_c_quiver built without its relations: the loop squares freely
+    from clusterlab import quiver
+    real = quiver.BoundQuiver
+    monkeypatch.setattr(quiver, "BoundQuiver",
+                        lambda n, arrows, relations: real(n, arrows, []))
+    r = verify_type_c_categorification(2, 2)
+    assert r.verdict == "fail"
+    (witness,) = r.witnesses
+    assert witness["check"] == "type C quiver not gentle"
+    assert witness["matrix"] == ((0, 1), (-2, 0))
+    assert witness["violated"] == "G2"
 
 
 def test_thm1_small_run():
@@ -623,6 +733,38 @@ def test_cli_verify_rejects_vacuous_sizes(args):
     res = CliRunner().invoke(main, ["verify"] + args)
     assert res.exit_code == 2, res.output
     assert f"Invalid value for '{args[1]}'" in res.output
+
+
+@pytest.mark.parametrize("command, flag, data", [
+    # the hexagon fan, and the Kronecker quiver, whose strings never end
+    (["tiling", "arcs"], "--tiling",
+     {"surface": "disc", "marked": 6, "chords": [[1, 3], [1, 4], [1, 5]]}),
+    (["gentle", "analyze"], "--quiver",
+     {"vertices": 2, "arrows": [{"id": "a", "src": 1, "tgt": 2},
+                                {"id": "b", "src": 1, "tgt": 2}],
+      "relations": []}),
+])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cli_rejects_nonpositive_string_caps(tmp_path, command, flag, data,
+                                             cap):
+    # a cap below 1 used to act as cap 1
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, command + [flag, str(path), "--cap", cap])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--cap'" in res.output
+
+
+def test_cli_verify_prints_a_failed_report_on_a_fault(monkeypatch):
+    _drop_first_geometric_arc(monkeypatch)
+    res = CliRunner().invoke(main, ["verify", "thm1", "--marked-max", "5",
+                                    "--mult-cap", "2", "--format", "json"])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    report = json.loads(res.output)
+    assert report["verdict"] == "fail"
+    assert report["witnesses"][0]["check"] == \
+        "string and geometric arcs differ"
 
 
 def test_cli_vectors_matches_explored_monomial(tmp_path):
