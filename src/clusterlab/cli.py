@@ -104,6 +104,18 @@ def format_options(fn):
     return fn
 
 
+def _walk(matrix, seq):
+    """The walk `seq` names and the tracked seed it reaches; a direction
+    that is not an integer in 1..n is a usage error."""
+    try:
+        walk = parse_mutation_sequence(seq)
+        if not all(1 <= k <= matrix.n for k in walk):
+            raise ValueError(f"directions must lie in 1..{matrix.n}")
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--seq'") from None
+    return walk, run_walk(matrix, walk)
+
+
 def _tracked_matrices(t):
     """The C, G, F and D matrices of a tracked seed, as row lists."""
     return {"C": [list(r) for r in t.c], "G": [list(r) for r in t.g],
@@ -121,9 +133,7 @@ def main():
 @format_options
 def mutate(matrix_path, seq, fmt, out):
     """Mutate a seed along a direction sequence."""
-    matrix = _load_matrix(matrix_path)
-    walk = parse_mutation_sequence(seq)
-    t = run_walk(matrix, walk)
+    walk, t = _walk(_load_matrix(matrix_path), seq)
     result = {
         "walk": walk,
         "B": [list(r) for r in t.seed.matrix.b],
@@ -141,12 +151,16 @@ def mutate(matrix_path, seq, fmt, out):
 @format_options
 def vectors(matrix_path, seq, exponents, fmt, out):
     """C/G/F/D matrices and per-monomial d/g/f/fbar vectors."""
-    matrix = _load_matrix(matrix_path)
-    t = run_walk(matrix, parse_mutation_sequence(seq))
+    _, t = _walk(_load_matrix(matrix_path), seq)
     result = _tracked_matrices(t)
     if exponents:
-        exps = tuple(int(x) for x in exponents.split(","))
-        vecs = vectors_of_monomial(ClusterMonomial(t, exps))
+        try:
+            monomial = ClusterMonomial(
+                t, tuple(int(x) for x in exponents.split(",")))
+        except ValueError as exc:
+            raise click.BadParameter(str(exc),
+                                     param_hint="'--exponents'") from None
+        vecs = vectors_of_monomial(monomial)
         result["monomial"] = {k: list(v) for k, v in vecs.items()}
     _emit(result, fmt, out)
 
@@ -155,7 +169,8 @@ def vectors(matrix_path, seq, exponents, fmt, out):
 @click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
 @click.option("--max-seeds", default=100000, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--degree-cap", default=0, help="also count monomials up to this degree")
+@click.option("--degree-cap", default=0, type=click.IntRange(min=0),
+              help="also count monomials up to this degree")
 @click.option("--variables/--no-variables", default=False,
               help="include the full variable table")
 @format_options
@@ -249,10 +264,11 @@ def classify(tiling_path, fmt, out):
 def algebra(tiling_path, fmt, out):
     """The tiling algebra as a bound quiver."""
     t = _load_tiling(tiling_path)
-    q, geo = t.algebra()
+    q, corners = t.algebra()
     result = json.loads(q.to_json())
     result["vertices_are_arcs"] = [a for a, _, _ in t.arcs]
-    result["arrow_points"] = {aid: g["point"] + 1 for aid, g in geo.items()}
+    result["arrow_points"] = {aid: t.corner_point(c) + 1
+                              for aid, c in corners.items()}
     _emit(result, fmt, out)
 
 

@@ -18,9 +18,11 @@ segments are traversed only in their anticlockwise direction.
 
 The quiver of the tiling has one vertex per arc; every anticlockwise-adjacent
 pair of arc ends in a fan contributes an arrow between the corresponding
-arcs.  Each arrow comes from exactly one corner of one tile, and that corner
-is the angle its crossing segments cut out, so segment-profile counting keys
-directly off the arrow geometry.
+arcs.  Each arrow is the angle at exactly one corner of one tile, and a path
+of two arrows is a relation exactly when both angles lie in one tile (the
+tiling algebra of Baur and Coelho Simoes).  The angle is also what the
+arrow's crossing segments cut out, so segment-profile counting keys directly
+off the arrow's corner.
 
 Disc tilings and one-holed-disc tilings (cut along their loop) are both sets
 of chords of a polygon; one chord model checks (`_check_chords`), enumerates
@@ -99,7 +101,6 @@ class TilingComplex:
         self._trace_faces()
         self._types = None
         self._algebra = None
-        self._arrow_geo = None
         self._inventory = None
 
     # -- face tracing -------------------------------------------------------
@@ -181,60 +182,36 @@ class TilingComplex:
     # -- the tiling algebra ---------------------------------------------------
 
     def algebra(self):
-        """(BoundQuiver, arrow geometry).
+        """(BoundQuiver, corners): the tiling algebra and its arrows' angles.
 
-        Quiver vertices are the arcs in input order.  Arrow geometry maps
-        each arrow id to a dict with the marked point, the corner (face id,
-        corner position), and the two tile-side traversals its crossing
-        segments touch.
+        Quiver vertices are the arcs in input order.  The neighbouring fan
+        ends i and i + 1 at point p cut out one angle, the arrow r{p}_{i}
+        from the arc of end i to the arc of end i + 1; `corners` maps each
+        arrow id to that angle's (face id, corner position).  A path of two
+        arrows is a relation exactly when both angles lie in one tile.
         """
-        if self._algebra is not None:
-            return self._algebra, self._arrow_geo
-        self.classify_tiles()
-        arrows = []
-        geo = {}
-        rels = []
-        is_loop_arc = {a: e0 == e1 for a, e0, e1 in self.arcs}
-        for p in range(self.n_points):
-            fan = self.fans[p]
-            for i in range(len(fan) - 1):
-                (a_src, e_src), (a_tgt, e_tgt) = fan[i], fan[i + 1]
-                aid = f"r{p}_{i}"
-                arrows.append(Arrow(aid, self.arc_index[a_src],
-                                    self.arc_index[a_tgt]))
-                src_side = (a_src, e_src)            # departs via this end
-                tgt_side = (a_tgt, 1 - e_tgt)        # arrives at this end
-                # the corner sits at the arrival of the target-side dedge
-                corner = self.face_of_dedge[("a",) + tgt_side]
-                geo[aid] = {"point": p, "corner": corner,
-                            "src_side": src_side, "tgt_side": tgt_side}
-        # relations: compositions at different points always vanish; through
-        # a loop arc the straight-through compositions vanish while the ones
-        # using the loop arrow itself survive (and the loop squares to zero)
-        loop_arrow_of = {}
-        for a in arrows:
-            if a.src == a.tgt:
-                loop_arrow_of[a.src] = a.id
-        for a in arrows:
-            for b in arrows:
-                if a.tgt != b.src:
-                    continue
-                mid_arc = self.arcs[a.tgt][0]
-                if geo[a.id]["point"] != geo[b.id]["point"]:
-                    rels.append((a.id, b.id))
-                elif a.id == b.id and a.src == a.tgt:
-                    rels.append((a.id, a.id))
-                elif is_loop_arc[mid_arc] and \
-                        loop_arrow_of.get(a.tgt) not in (a.id, b.id):
-                    rels.append((a.id, b.id))
-        q = BoundQuiver(len(self.arcs), arrows, rels)
-        cert = check_gentle(q)
-        if not cert:
-            raise WitnessedFault({
-                "check": "tiling algebra not gentle", "quiver": q.to_json(),
-                "violated": cert.violated, "witness": cert.witness})
-        self._algebra, self._arrow_geo = q, geo
-        return q, geo
+        if self._algebra is None:
+            self.classify_tiles()
+            arrows, corners = [], {}
+            for p in range(self.n_points):
+                fan = self.fans[p]
+                for i, ((a_src, _), (a_tgt, e_tgt)) in enumerate(
+                        zip(fan, fan[1:])):
+                    aid = f"r{p}_{i}"
+                    arrows.append(Arrow(aid, self.arc_index[a_src],
+                                        self.arc_index[a_tgt]))
+                    # the corner at the target arc's arrival at p
+                    corners[aid] = self.face_of_dedge[("a", a_tgt, 1 - e_tgt)]
+            rels = [(a.id, b.id) for a in arrows for b in arrows
+                    if a.tgt == b.src and corners[a.id][0] == corners[b.id][0]]
+            q = BoundQuiver(len(self.arcs), arrows, rels)
+            cert = check_gentle(q)
+            if not cert:
+                raise WitnessedFault({
+                    "check": "tiling algebra not gentle", "quiver": q.to_json(),
+                    "violated": cert.violated, "witness": cert.witness})
+            self._algebra = q, corners
+        return self._algebra
 
     def inventory(self) -> StringInventory:
         if self._inventory is None:
@@ -257,18 +234,16 @@ class TilingComplex:
         return (fid, corner), self.faces[fid].corner_points[corner]
 
     def arc_from_word(self, word: StringWord):
-        q, geo = self.algebra()
+        q, corners = self.algebra()
         letters = word.letters
         verts = word_vertices(q, word)
-        p2 = []
         sides = []  # per letter: (side at left walk vertex, side at right)
         for aid, inv in letters:
-            g = geo[aid]
-            p2.append(g["corner"])
-            if not inv:
-                sides.append((g["src_side"], g["tgt_side"]))
-            else:
-                sides.append((g["tgt_side"], g["src_side"]))
+            # the angle's face arrives by the target side, leaves by the source
+            fid, pos = corners[aid]
+            dedges = self.faces[fid].dedges
+            src, tgt = dedges[(pos + 1) % len(dedges)][1:], dedges[pos][1:]
+            sides.append((tgt, src) if inv else (src, tgt))
         for i in range(len(letters) - 1):
             left = sides[i][1]
             right = sides[i + 1][0]
@@ -294,7 +269,7 @@ class TilingComplex:
         return PermissibleArc(
             word=word,
             intersection=tuple(dims),
-            p2_corners=tuple(p2),
+            p2_corners=tuple(corners[aid] for aid, _ in letters),
             p1_corners=(p1_start, p1_end),
             endpoints=(pt_start, pt_end))
 

@@ -323,8 +323,9 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
     (per-class strings, arcs and the chord oracle) and `multisets` (the
     sweep with its compatibility tests), both timed once per tiling.
     """
-    tilings = unclassifiable = passing = failing = 0
-    multisets_checked = 0
+    counts = report.counts = dict.fromkeys(
+        ("tilings", "outside_taxonomy", "admissible", "forbidden",
+         "multisets", "converse_witnesses"), 0)
     converse_found = []
     classes = {}  # _algebra_class key -> _class_record
     for m in _until_failed(report, range(4, marked_max + 1)):
@@ -334,15 +335,18 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                 if _chords_in_taxonomy(m, chords):
                     chord_sets.append(chords)
                 else:
-                    unclassifiable += 1
+                    counts["outside_taxonomy"] += 1
         for chords in _until_failed(report, chord_sets):
             with _phase(report, "tilings"):
                 disc = DiscTiling(m, chords)
                 t = disc.to_complex()
                 t.classify_tiles()
-            tilings += 1
+            counts["tilings"] += 1
             with _phase(report, "arcs"):
                 arcs, truncated, compatible = _tiling_arcs(t, classes)
+                report.cache = {
+                    "algebra_classes": len(classes),
+                    "class_reuses": counts["tilings"] - len(classes)}
                 if not truncated:
                     _dual_path_check(disc, arcs, compatible)
             if truncated:
@@ -358,9 +362,8 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                 weights, (_, width) = _arc_weights(t, arcs, mult_cap)
                 shift = width * n_arcs
                 mask = (1 << shift) - 1
-                for chosen, weight in _compatible_multisets(
-                        compatible, weights, mult_cap):
-                    multisets_checked += 1
+                for swept, (chosen, weight) in enumerate(
+                        _compatible_multisets(compatible, weights, mult_cap)):
                     vec = weight & mask
                     if vec in by_vec:
                         collision = (by_vec[vec], chosen, vec)
@@ -374,28 +377,23 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                             "multisets": [by_profile[prof], chosen]})
                     else:
                         by_profile[prof] = chosen
+                counts["multisets"] += swept + 1  # the empty one included
             witness = None if collision is None else {
                 "vector": _unpack(collision[2], n_arcs, width),
                 "multisets": [_multiset_desc(arcs, collision[0]),
                               _multiset_desc(arcs, collision[1])]}
             if t.forbidden_tile_scan():
-                passing += 1
+                counts["admissible"] += 1
                 if witness is not None:
                     report.fail({
                         "check": "injectivity broken on admissible tiling",
                         "tiling": disc.chords, **witness})
             else:
-                failing += 1
+                counts["forbidden"] += 1
                 if witness is not None:
+                    counts["converse_witnesses"] += 1
                     converse_found.append(
                         {"tiling": (m, disc.chords), **witness})
-    report.counts = {
-        "tilings": tilings, "outside_taxonomy": unclassifiable,
-        "admissible": passing, "forbidden": failing,
-        "multisets": multisets_checked,
-        "converse_witnesses": len(converse_found)}
-    report.cache = {"algebra_classes": len(classes),
-                    "class_reuses": tilings - len(classes)}
     if converse_found:
         report.witnesses.append({"converse": converse_found[0]})
     octagon_square = any(w["tiling"] == (8, ((1, 3), (1, 7), (3, 5), (5, 7)))
@@ -628,15 +626,17 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
     tests."""
     with _phase(report, "enumerate"):
         algebras = enumerate_gentle_algebras(vertex_max, arrow_max)
-    finite = skipped = with_cycle = without_cycle = 0
-    max_cap_needed = 0
+    counts = report.counts = {
+        "algebras": len(algebras), "representation_finite": 0,
+        "representation_infinite_skipped": 0, "with_even_cycle": 0,
+        "without_even_cycle": 0, "max_multiplicity_needed": 0}
     report.cache = {"tau_hits": 0, "tau_misses": 0}
     for q in _until_failed(report, algebras):
         acyclic, _ = letter_graph_acyclic(q)
         if not acyclic:
-            skipped += 1
+            counts["representation_infinite_skipped"] += 1
             continue
-        finite += 1
+        counts["representation_finite"] += 1
         cycle = detect_even_full_cycle(q)
         _, det = cartan_matrix(q)
         if (det == 0) != (cycle is not None):
@@ -648,32 +648,27 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
             inv = StringInventory(q)
             rigid, _ = enumerate_tau_rigid(inv)
         if cycle is None:
-            without_cycle += 1
+            counts["without_even_cycle"] += 1
             with _phase(report, "collisions"):
                 coll = _dim_collision(rigid, inv, mult_cap)
             if coll is not None:
                 report.fail({"check": "injectivity broken without even cycle",
                              "quiver": q.to_json(), "vector": coll[2]})
         else:
-            with_cycle += 1
+            counts["with_even_cycle"] += 1
             found = None
             with _phase(report, "collisions"):
                 for cap in range(2, max(mult_cap, q.n + 2) + 1):
                     found = _dim_collision(rigid, inv, cap)
                     if found is not None:
-                        max_cap_needed = max(max_cap_needed, cap)
+                        counts["max_multiplicity_needed"] = max(
+                            counts["max_multiplicity_needed"], cap)
                         break
             if found is None:
                 report.fail({"check": "no collision despite even cycle",
                              "quiver": q.to_json()})
         report.cache["tau_hits"] += inv.tau_hits
         report.cache["tau_misses"] += inv.tau_misses
-    report.counts = {"algebras": len(algebras),
-                     "representation_finite": finite,
-                     "representation_infinite_skipped": skipped,
-                     "with_even_cycle": with_cycle,
-                     "without_even_cycle": without_cycle,
-                     "max_multiplicity_needed": max_cap_needed}
 
 
 # ---------------------------------------------------------------------------
@@ -710,12 +705,11 @@ def verify_fvector_injectivity(report, n_max=3, degree_cap=3):
     call; the arcs are still enumerated for every triangulation.  Phases:
     `monomials`, timed once per rank, and `triangulations`, once per polygon.
     """
-    totals = {}
     for n in _until_failed(report, range(2, n_max + 1)):
         where = f"A{n}"
         with _phase(report, "monomials"):
             graph = explore(standard_matrix("A", n))
-            totals[f"{where}_monomials"] = _check_injectivity(
+            report.counts[f"{where}_monomials"] = _check_injectivity(
                 graph, degree_cap, "fbar", where, report)
         # initial fbar vectors are the d-vectors -e_k, so no non-initial
         # monomial (fbar nonnegative) can collide with them; the root's
@@ -725,7 +719,7 @@ def verify_fvector_injectivity(report, n_max=3, degree_cap=3):
                 report.fail({"where": where, "check": "initial d-vector",
                              "variable": info.poly.to_str(), "d": info.d})
     # cross-check: arcs of triangulated polygons against cluster f-vectors
-    matched = 0
+    report.counts["triangulations_cross_checked"] = 0
     f_vectors = {}  # matrix -> sorted f-vectors of its non-initial variables
     for m in _until_failed(report, range(5, n_max + 4)):
         with _phase(report, "triangulations"):
@@ -745,8 +739,7 @@ def verify_fvector_injectivity(report, n_max=3, degree_cap=3):
                                  "f_vectors": f_vectors[b],
                                  "intersection_vectors": ivecs})
                 else:
-                    matched += 1
-    report.counts = {**totals, "triangulations_cross_checked": matched}
+                    report.counts["triangulations_cross_checked"] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +767,7 @@ def verify_denominator(report, series="C", n_max=3, degree_cap=3,
     `explore` and `checks` (both d-vector checks), timed once per distinct
     matrix.
     """
-    monomials = 0
-    reroots = 0
+    counts = report.counts = {"monomials": 0, "reroots": 0}
 
     def check(matrix, where):
         with _phase(report, "explore"):
@@ -789,7 +781,7 @@ def verify_denominator(report, series="C", n_max=3, degree_cap=3,
     for n in _until_failed(report, range(2, n_max + 1)):
         base = standard_matrix(series, n)
         graph, count = check(base, f"{series}{n} root")
-        monomials += count
+        counts["monomials"] += count
         # matrix -> monomial count; counts, not graphs, to keep memory flat
         counted = {base: count}
         if initial_seeds == "all":
@@ -798,9 +790,8 @@ def verify_denominator(report, series="C", n_max=3, degree_cap=3,
                 if b_t not in counted:
                     counted[b_t] = check(
                         b_t, f"{series}{n} cluster {vid}")[1]
-                reroots += 1
-                monomials += counted[b_t]
-    report.counts = {"monomials": monomials, "reroots": reroots}
+                counts["reroots"] += 1
+                counts["monomials"] += counted[b_t]
 
 
 @_harness("thm4-bc-duality", "explore", "checks")
@@ -808,7 +799,7 @@ def verify_denominator_duality(report, n_max=3, degree_cap=3,
                                initial_seeds="root"):
     """Paired B/C verdicts agree, mirroring the Langlands reduction.  The
     phases are the sums of the two `verify_denominator` runs' phases."""
-    verdicts = {}
+    verdicts = report.counts["verdicts"] = {}
     for series in ("B", "C"):
         sub = verify_denominator(series=series, n_max=n_max,
                                  degree_cap=degree_cap,
@@ -820,7 +811,6 @@ def verify_denominator_duality(report, n_max=3, degree_cap=3,
             report.fail({"series": series, "witnesses": sub.witnesses})
     if verdicts["B"] != verdicts["C"]:
         report.fail({"check": "paired verdicts differ", "verdicts": verdicts})
-    report.counts = {"verdicts": verdicts}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import hashlib
+import json
 import warnings
 from collections import Counter
 
 import pytest
+from click.testing import CliRunner
 
+from clusterlab.cli import _load_tiling, main
 from clusterlab.errors import UnclassifiableTileError
-from clusterlab.quiver import detect_even_full_cycle
+from clusterlab.quiver import check_gentle, detect_even_full_cycle
 from clusterlab.tiling import (
     ArcMultiset, DiscTiling, _chords_in_taxonomy, _noncrossing_chord_sets,
     annulus_digon_tiling, b_matrix_from_triangulation, chords_interleave,
@@ -76,6 +79,25 @@ def test_faces_fingerprint():
     assert len(tilings) == 5753
     assert h.hexdigest() == (
         "1fcd26e53c40092cbd98e5febba8ec7e4d41e448c727e09c8db6030c63a897d0")
+
+
+def test_algebra_fingerprint():
+    # pins each classifiable tiling's algebra and the angle (face id, corner
+    # position) of each arrow: the dissections of the 4- to 9-gons inside
+    # the taxonomy, every one-holed-disc tiling for m = 2..7, and the
+    # annulus digon
+    tilings = [DiscTiling(m, chords).to_complex() for m in range(4, 10)
+               for chords in _noncrossing_chord_sets(m)
+               if _chords_in_taxonomy(m, chords)]
+    tilings += [t for m in range(2, 8) for t in one_holed_disc_tilings(m)]
+    tilings.append(annulus_digon_tiling())
+    h = hashlib.sha256()
+    for t in tilings:
+        q, corners = t.algebra()
+        h.update(repr((q.to_json(), sorted(corners.items()))).encode())
+    assert len(tilings) == 1266
+    assert h.hexdigest() == (
+        "633f71dcb7d43f35e3b3d86a34b44d51fc4ab3ca1009338d8ba4a3a1f770de0b")
 
 
 @pytest.mark.parametrize("chords", [
@@ -200,6 +222,41 @@ def test_digon_algebra_is_two_cycle_full():
     q, _ = annulus_digon_tiling().algebra()
     assert len(q.arrows) == 2 and len(q.relations) == 2
     assert detect_even_full_cycle(q) is not None
+
+
+TWO_HOLES = {
+    "surface": "general", "marked": 4, "boundary": [[0, 1, 2, 3]],
+    "arcs": [{"id": "A", "ends": [0, 2]}, {"id": "B", "ends": [2, 0]},
+             {"id": "X", "ends": [0, 0]}, {"id": "Y", "ends": [0, 0]}],
+    "fans": {"0": [["A", 0], ["X", 0], ["Y", 0], ["Y", 1], ["X", 1],
+                   ["B", 1]],
+             "1": [], "2": [["B", 0], ["A", 1]], "3": []},
+    "holes": [["Y", 0, 1], ["Y", 1, 1]]}
+
+
+def test_two_hole_algebra_relates_angles_of_one_tile(tmp_path):
+    # the loop X at point 1 encloses the loop Y, with a hole on each side
+    # of Y.  The angles A-X and X-Y at X's first end lie in different
+    # tiles, so the path through them is no relation; a rule that compared
+    # marked points made it one and broke G2
+    path = tmp_path / "two_holes.json"
+    path.write_text(json.dumps(TWO_HOLES))
+    t = _load_tiling(str(path))
+    assert sorted(t.classify_tiles().values()) == ["I", "II", "III", "III",
+                                                   "V"]
+    q, corners = t.algebra()
+    assert check_gentle(q).ok
+    assert sorted(q.relations) == [
+        ("r0_0", "r0_4"), ("r0_1", "r0_3"), ("r0_2", "r0_2"),
+        ("r0_3", "r0_1"), ("r0_4", "r2_0"), ("r2_0", "r0_0")]
+    assert all(corners[a][0] == corners[b][0] for a, b in q.relations)
+    arcs, truncated = t.enumerate_permissible_arcs()
+    assert not truncated and len(arcs) == 28
+    for command in ("algebra", "arcs"):
+        res = CliRunner().invoke(main, ["tiling", command, "--tiling",
+                                        str(path), "--format", "json"])
+        assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["truncated"] is False
 
 
 def test_pentagon_arcs_and_vectors():

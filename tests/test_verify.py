@@ -357,6 +357,9 @@ def test_thm1_reports_a_dual_path_fault(monkeypatch):
     assert r.witnesses == [{"check": "string and geometric arcs differ",
                             "tiling": ((2, 4),),
                             "string": [((1, 3), (1,))], "geometric": []}]
+    # the counts reached before the fault: the empty square is outside the
+    # taxonomy, and the fault came on the first tiling
+    assert r.counts["tilings"] == 1 and r.counts["outside_taxonomy"] == 1
 
 
 def test_dual_path_check_catches_a_wrong_compatibility():
@@ -383,6 +386,11 @@ def test_thm2_reports_an_arrow_stability_fault(monkeypatch):
     assert json.loads(witness["quiver"])["relations"] == [["a0_0_0",
                                                            "a0_0_0"]]
     assert witness["dims"] == (1,)
+    # the free loop came first and was skipped; the fault came on the next
+    assert r.counts == {
+        "algebras": 2, "representation_finite": 1,
+        "representation_infinite_skipped": 1, "with_even_cycle": 0,
+        "without_even_cycle": 0, "max_multiplicity_needed": 0}
 
 
 def test_denominator_reports_an_explore_vector_fault(monkeypatch):
@@ -753,6 +761,24 @@ def test_cli_rejects_nonpositive_string_caps(tmp_path, command, flag, data,
     res = CliRunner().invoke(main, command + [flag, str(path), "--cap", cap])
     assert res.exit_code == 2, res.output
     assert "Invalid value for '--cap'" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["mutate", "--seq", "3"], ["mutate", "--seq", "1,x"],
+    ["vectors", "--exponents", "1,0", "--seq", "0"],
+    ["vectors", "--exponents", "1"], ["vectors", "--exponents", "0,0"],
+    ["vectors", "--exponents", "1,-1"], ["explore", "--degree-cap", "-2"],
+])
+def test_cli_rejects_bad_walks_exponents_and_degree_caps(tmp_path, args):
+    # on C2: a direction outside 1..2 or not an integer, an exponent list
+    # of the wrong length, all zero or negative, and a negative degree cap
+    # (which used to count no monomials) are usage errors, not tracebacks
+    matrix = tmp_path / "c2.json"
+    matrix.write_text('{"n": 2, "B": [[0, 1], [-2, 0]]}')
+    res = CliRunner().invoke(main, [args[0], "--matrix", str(matrix)]
+                             + args[1:])
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{args[-2]}'" in res.output
 
 
 def test_cli_verify_prints_a_failed_report_on_a_fault(monkeypatch):
