@@ -25,19 +25,34 @@ from .tiling import DiscTiling, TilingComplex, one_holed_disc_tiling
 from . import verify as verify_mod
 
 
-def _load_matrix(path):
+def _load(path, option, build):
+    """`build` applied to the text of the input file at `path`.  A malformed
+    file is a usage error of `option`, not a traceback: a missing key or
+    index, a wrong type, bad JSON or a value the library rejects
+    (json.JSONDecodeError and NotSkewSymmetrizableError are ValueErrors,
+    and reading a key off a JSON array is an AttributeError)."""
     with open(path, encoding="utf-8") as fh:
-        return ExchangeMatrix.from_json(fh.read())
+        text = fh.read()
+    try:
+        return build(text)
+    except (LookupError, AttributeError, TypeError, ValueError) as exc:
+        raise click.BadParameter(f"{path}: {type(exc).__name__}: {exc}",
+                                 param_hint=f"'{option}'") from None
+
+
+def _load_matrix(path):
+    return _load(path, "--matrix", ExchangeMatrix.from_json)
 
 
 def _load_quiver(path):
-    with open(path, encoding="utf-8") as fh:
-        return BoundQuiver.from_json(fh.read())
+    return _load(path, "--quiver", BoundQuiver.from_json)
 
 
 def _load_tiling(path):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    return _load(path, "--tiling", lambda text: _tiling(json.loads(text)))
+
+
+def _tiling(data):
     surface = data.get("surface", "disc")
     if surface == "disc":
         disc = DiscTiling(data["marked"],
@@ -54,7 +69,7 @@ def _load_tiling(path):
             data["marked"], data["boundary"],
             [(a["id"], a["ends"][0], a["ends"][1]) for a in data["arcs"]],
             fans, holes=holes)
-    raise click.ClickException(f"unknown surface kind {surface!r}")
+    raise ValueError(f"unknown surface kind {surface!r}")
 
 
 def _emit(result, fmt, out):

@@ -12,11 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotSkewSymmetrizableError
-from .laurent import LaurentPoly, divide_exact
-
-
-def _pos(x):
-    return x if x > 0 else 0
+from .laurent import LaurentPoly, divide_exact, product
 
 
 def find_skew_symmetrizer(b):
@@ -134,17 +130,38 @@ def mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     kk = k - 1
-    b = m.b
-    new = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == kk or j == kk:
-                new[i][j] = -b[i][j]
-            else:
-                new[i][j] = b[i][j] + _pos(b[i][kk]) * b[kk][j] \
-                    + b[i][kk] * _pos(-b[kk][j])
-    return ExchangeMatrix._with_symmetrizer(tuple(map(tuple, new)),
-                                            m.skew_symmetrizer())
+    signs = split_signs(m.b[kk])
+    rows = tuple(tuple(-x for x in row) if i == kk
+                 else mutate_row(row, kk, signs)
+                 for i, row in enumerate(m.b))
+    return ExchangeMatrix._with_symmetrizer(rows, m.skew_symmetrizer())
+
+
+def split_signs(values):
+    """The nonzero entries of a row or column by sign, with their indices:
+    ([(j, v) for v > 0], [(j, -v) for v < 0])."""
+    return ([(j, v) for j, v in enumerate(values) if v > 0],
+            [(j, -v) for j, v in enumerate(values) if v < 0])
+
+
+def mutate_row(row, kk, signs):
+    """A row of the extended exchange matrix, other than row k, mutated in
+    direction k (0-based `kk`; `signs` is `split_signs` of row k of B).
+
+    x_ij + [x_ik]+ b_kj + x_ik [-b_kj]+ is x_ij + |b_kj| x_ik when b_kj has
+    the sign of x_ik and x_ij otherwise, and x_ik turns into -x_ik; so a
+    row with x_ik = 0 comes back as it is.  The rows of B other than row k
+    mutate this way, and so do the rows of the C-matrix, which sits below B
+    in the extended matrix of principal coefficients.
+    """
+    x_k = row[kk]
+    if not x_k:
+        return row
+    new = list(row)
+    for j, w in signs[0] if x_k > 0 else signs[1]:
+        new[j] += w * x_k
+    new[kk] = -x_k
+    return tuple(new)
 
 
 def langlands_dual(m: ExchangeMatrix) -> ExchangeMatrix:
@@ -187,20 +204,16 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     """Seed mutation: replaces cluster entry k via the exchange relation.
 
     The division by the old variable is exact Laurent division; a failure
-    there would falsify the Laurent phenomenon and signals a bug.
+    there would falsify the Laurent phenomenon and signals a bug.  Each
+    monomial of the relation is the product of its factors x_i^|b_ik|,
+    started from the first factor.
     """
     n = s.matrix.n
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     kk = k - 1
-    col = [s.matrix.b[i][kk] for i in range(n)]
-    plus = LaurentPoly.one(n)
-    minus = LaurentPoly.one(n)
-    for i in range(n):
-        if col[i] > 0:
-            plus = plus * s.cluster[i] ** col[i]
-        elif col[i] < 0:
-            minus = minus * s.cluster[i] ** (-col[i])
+    plus, minus = (product(n, [s.cluster[i] ** w for i, w in part])
+                   for part in split_signs([row[kk] for row in s.matrix.b]))
     new_entry = divide_exact(plus + minus, s.cluster[kk])
     cluster = list(s.cluster)
     cluster[kk] = new_entry

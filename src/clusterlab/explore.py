@@ -4,7 +4,9 @@ Vertices are unlabeled clusters: a cluster is identified with the frozen set
 of its variables' Laurent expansions, so relabelings of the same seed are
 merged.  Per distinct cluster variable the explorer records the d-, g- and
 f-vectors, asserting along the way that repeated encounters of a variable at
-different vertices always report the same vectors.
+different vertices always report the same vectors.  Each edge is computed
+from both of its ends, and a complete graph is checked to be n-regular and
+symmetric, so the second computation of every edge is a check on the first.
 """
 
 from __future__ import annotations
@@ -38,11 +40,17 @@ class ExchangeGraph:
     n: int
     complete: bool
     vertices: list = field(default_factory=list)   # sorted var-id tuples
-    edges: set = field(default_factory=set)        # frozenset({u, v}) pairs
+    reached: list = field(default_factory=list)    # id -> ids reached by 1..n
     variable_index: dict = field(default_factory=dict)  # poly -> id
     variables: list = field(default_factory=list)  # id -> VariableInfo
     reps: list = field(default_factory=list)       # one TrackedSeed per vertex
     seeds_expanded: int = 0
+
+    @property
+    def edges(self):
+        """The frozenset({v, w}) pairs, w != v, with (v, k) -> w."""
+        return {frozenset({v, w}) for v, targets in enumerate(self.reached)
+                for w in targets if w != v}
 
     def cluster_count(self):
         return len(self.vertices)
@@ -55,7 +63,9 @@ def explore(matrix: ExchangeMatrix, max_seeds: int = 100000) -> ExchangeGraph:
     """Breadth-first closure of the seed pattern under all n mutations.
 
     Returns the complete graph when closure happens within `max_seeds`
-    clusters; otherwise the graph comes back flagged incomplete.
+    clusters; otherwise the graph comes back flagged incomplete.  Vertex v
+    is expanded as the v-th, so `reached[v][k - 1]` is the vertex that
+    mutating v's representative in direction k reaches.
     """
     if max_seeds <= 0:
         raise ValueError("max_seeds must be positive")
@@ -98,15 +108,31 @@ def explore(matrix: ExchangeMatrix, max_seeds: int = 100000) -> ExchangeGraph:
             return graph
         graph.seeds_expanded += 1
         t = graph.reps[vid]
+        targets = []
         for k in range(1, n + 1):
-            t2 = mutate_tracked(t, k)
-            wid, fresh = intern_vertex(t2)
-            if wid != vid:
-                graph.edges.add(frozenset({vid, wid}))
+            wid, fresh = intern_vertex(mutate_tracked(t, k))
+            targets.append(wid)
             if fresh:
                 queue.append(wid)
+        graph.reached.append(tuple(targets))
     graph.complete = True
+    _check_regular(matrix, graph.reached)
     return graph
+
+
+def _check_regular(matrix, reached):
+    """Raise a WitnessedFault unless the n directions at each vertex v lead
+    to n distinct vertices other than v, and v is among the neighbours of
+    each of them (vertices are unlabeled clusters, so the direction back
+    from w may have another index)."""
+    for v, targets in enumerate(reached):
+        for k, w in enumerate(targets, 1):
+            if w == v or w in targets[:k - 1] or v not in reached[w]:
+                raise WitnessedFault({
+                    "check": "exchange graph not n-regular and symmetric",
+                    "matrix": matrix.b, "vertex": v, "direction": k,
+                    "reached": w, "vertex_neighbours": targets,
+                    "reached_neighbours": reached[w]})
 
 
 def standard_matrix(series: str, rank: int) -> ExchangeMatrix:

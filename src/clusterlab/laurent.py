@@ -6,12 +6,23 @@ canonical: two polynomials are equal exactly when their term maps are equal,
 so they can serve as dictionary keys and set members, which the exchange-graph
 machinery relies on for deduplicating clusters.
 
+The public constructor validates and cleans the term map it is given.  The
+arithmetic builds term maps that are canonical by construction (tuple keys
+of the right length, no zero coefficient) and wraps them through the internal
+`LaurentPoly._of`, which skips that validation.  Powers and products start
+from their first factor, so no multiplication is by one.
+
 Printing and iteration use a fixed graded-lexicographic term order (total
 degree first, then lexicographic on exponent tuples, both descending) so that
-serialized output is deterministic.
+serialized output is deterministic.  `divide_exact` walks the remainder in
+the same order, taking each leading term off a heap of its exponent keys.
 """
 
 from __future__ import annotations
+
+import heapq
+from functools import reduce
+from operator import add, mul, sub
 
 from .errors import InexactDivisionError
 
@@ -39,6 +50,17 @@ class LaurentPoly:
                 clean[tuple(exps)] = int(coef)
         self._terms = clean
         self._hash = None
+
+    @classmethod
+    def _of(cls, n_vars, clean):
+        """The polynomial whose term map is `clean`, taken as it is: the
+        caller guarantees tuple keys of length n_vars and no zero
+        coefficient."""
+        p = object.__new__(cls)
+        p.n_vars = n_vars
+        p._terms = clean
+        p._hash = None
+        return p
 
     # -- constructors ----------------------------------------------------
 
@@ -69,9 +91,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self._terms
-
-    def is_monomial(self):
-        return len(self._terms) == 1
 
     def __len__(self):
         return len(self._terms)
@@ -107,10 +126,11 @@ class LaurentPoly:
                 out[exps] = s
             else:
                 out.pop(exps, None)
-        return LaurentPoly(self.n_vars, out)
+        return LaurentPoly._of(self.n_vars, out)
 
     def __neg__(self):
-        return LaurentPoly(self.n_vars, {e: -c for e, c in self._terms.items()})
+        return LaurentPoly._of(self.n_vars,
+                               {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -120,26 +140,29 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return LaurentPoly(self.n_vars, out)
+        return LaurentPoly._of(self.n_vars, out)
 
     def __pow__(self, k):
+        """Square-and-multiply from the lowest bit; p ** 1 is p itself."""
         if k < 0:
             raise ValueError("negative powers are not supported")
-        result = LaurentPoly.one(self.n_vars)
+        if k == 0:
+            return LaurentPoly.one(self.n_vars)
+        result = None
         base = self
-        e = k
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        while True:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if not k:
+                return result
+            base = base * base
 
     # -- Laurent structure --------------------------------------------------
 
@@ -180,9 +203,16 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _leading(terms_dict):
-    exps = max(terms_dict, key=_grlex_key)
-    return exps, terms_dict[exps]
+def product(n_vars, factors):
+    """The product of `factors`, taken left to right; one when there are none."""
+    return reduce(mul, factors) if factors else LaurentPoly.one(n_vars)
+
+
+def _heap_key(exps):
+    """Heap entry of an exponent vector: heapq pops the smallest entry,
+    which is the grlex-largest vector, since negating every entry reverses
+    both the degree and the lexicographic comparison."""
+    return (-sum(exps), tuple(-e for e in exps), exps)
 
 
 def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -193,6 +223,14 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     polynomial divisibility (with integer coefficient quotients), decided by
     leading-term division in graded-lex order.  Raises InexactDivisionError
     when no quotient exists.
+
+    The remainder's leading term comes off a heap of its exponent keys.  A
+    key is pushed when its term appears in the remainder, and a popped key
+    whose term has since cancelled is skipped.  Each step adds terms below
+    the current leading term only (grlex is a monomial order), so the heap
+    yields the remainder's leading terms in the order a full scan would, and
+    the division fails on exactly the inputs a full scan fails on.  The
+    quotient is canonical by construction and wrapped by `LaurentPoly._of`.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -203,30 +241,34 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         return num
     num_min = num.min_exponents()
     den_min = den.min_exponents()
-    num0 = {tuple(a - b for a, b in zip(e, num_min)): c
-            for e, c in num._terms.items()}
-    den0 = {tuple(a - b for a, b in zip(e, den_min)): c
-            for e, c in den._terms.items()}
-    den_lead_e, den_lead_c = _leading(den0)
+    rem = {tuple(map(sub, e, num_min)): c for e, c in num._terms.items()}
+    den0 = [(tuple(map(sub, e, den_min)), c) for e, c in den._terms.items()]
+    den_lead_e, den_lead_c = max(den0, key=lambda t: _grlex_key(t[0]))
 
+    heap = [_heap_key(e) for e in rem]
+    heapq.heapify(heap)
     quotient = {}
-    rem = num0
-    while rem:
-        lead_e, lead_c = _leading(rem)
-        q_e = tuple(a - b for a, b in zip(lead_e, den_lead_e))
+    while heap:
+        lead_e = heapq.heappop(heap)[2]
+        lead_c = rem.get(lead_e)
+        if lead_c is None:
+            continue
+        q_e = tuple(map(sub, lead_e, den_lead_e))
         if any(e < 0 for e in q_e) or lead_c % den_lead_c != 0:
             raise InexactDivisionError(
                 "inexact division: remainder has no divisible leading term")
         q_c = lead_c // den_lead_c
         quotient[q_e] = q_c
-        for e, c in den0.items():
-            te = tuple(a + b for a, b in zip(q_e, e))
-            s = rem.get(te, 0) - q_c * c
-            if s:
-                rem[te] = s
+        for e, c in den0:
+            te = tuple(map(add, q_e, e))
+            s = rem.get(te)
+            if s is None:
+                rem[te] = -q_c * c
+                heapq.heappush(heap, _heap_key(te))
+            elif s == q_c * c:
+                del rem[te]
             else:
-                rem.pop(te, None)
-    shift = tuple(a - b for a, b in zip(num_min, den_min))
-    return LaurentPoly(n, {tuple(a + b for a, b in zip(e, shift)): c
-                           for e, c in quotient.items()})
-
+                rem[te] = s - q_c * c
+    shift = tuple(map(sub, num_min, den_min))
+    return LaurentPoly._of(n, {tuple(map(add, e, shift)): c
+                               for e, c in quotient.items()})

@@ -15,10 +15,13 @@ Recursions (k the mutation direction, c_j the j-th column of C, and so on):
   f'_k = -f_k + max([c_k]+ + sum_i [b_ik]+ f_i,
                     [-c_k]+ + sum_i [-b_ik]+ f_i)          (componentwise max)
 
-C changes entrywise; G and F change only in column k.  The g-recursion
-sums initial-matrix columns b0_i weighted by the positive parts of the
-c-column; that reading is pinned down by the exact identity G^tr S C = S,
-which the test suite checks at every reached vertex.
+C changes entrywise, row by row as the rows below B of the extended exchange
+matrix (`exchange.mutate_row`): [b_kj]+ c_rk + b_kj [-c_rk]+ is |b_kj| c_rk
+when b_kj has the sign of c_rk and 0 otherwise, so only the rows with
+c_rk != 0 change.  G and F change only in column k.  The g-recursion sums
+initial-matrix columns b0_i weighted by the positive parts of the c-column;
+that reading is pinned down by the exact identity G^tr S C = S, which the
+test suite checks at every reached vertex.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WitnessedFault
-from .exchange import ExchangeMatrix, Seed, _pos, mutate_seed, langlands_dual
-from .laurent import LaurentPoly
+from .exchange import (ExchangeMatrix, Seed, langlands_dual, mutate_row,
+                       mutate_seed, split_signs)
+from .laurent import LaurentPoly, product
 
 
 @dataclass(frozen=True)
@@ -63,31 +67,33 @@ def mutate_tracked(t: TrackedSeed, k: int) -> TrackedSeed:
         raise IndexError(f"direction {k} out of range 1..{n}")
     kk = k - 1
     b = t.seed.matrix.b
-    b_k = b[kk]
+    signs = split_signs(b[kk])
     # nonzero weights [b_ik]+, [-b_ik]+ and [c_ik]+ as (i, weight) pairs
-    up = [(i, w) for i, w in enumerate(_pos(row[kk]) for row in b) if w]
-    down = [(i, w) for i, w in enumerate(_pos(-row[kk]) for row in b) if w]
-    c_up = [(i, w) for i, w in enumerate(_pos(row[kk]) for row in t.c) if w]
+    up, down = split_signs([row[kk] for row in b])
+    c_up = [(i, row[kk]) for i, row in enumerate(t.c) if row[kk] > 0]
 
-    c = tuple(
-        tuple(-x if j == kk else
-              x + _pos(b_kj) * row[kk] + b_kj * _pos(-row[kk])
-              for j, (x, b_kj) in enumerate(zip(row, b_k)))
-        for row in t.c)
-    g, f = [], []
-    for g_row, f_row, c_row, b0_row in zip(t.g, t.f, t.c, t.b0):
-        g_rk = (-g_row[kk] + sum(w * g_row[i] for i, w in up)
-                - sum(w * b0_row[i] for i, w in c_up))
-        f_rk = max(_pos(c_row[kk]) + sum(w * f_row[i] for i, w in up),
-                   _pos(-c_row[kk]) + sum(w * f_row[i] for i, w in down)) \
-            - f_row[kk]
+    c, g, f = [], [], []
+    for c_row, g_row, f_row, b0_row in zip(t.c, t.g, t.f, t.b0):
+        c_rk = c_row[kk]
+        c.append(mutate_row(c_row, kk, signs))
+        g_rk = -g_row[kk]
+        f_plus = c_rk if c_rk > 0 else 0
+        f_minus = -c_rk if c_rk < 0 else 0
+        for i, w in up:
+            g_rk += w * g_row[i]
+            f_plus += w * f_row[i]
+        for i, w in down:
+            f_minus += w * f_row[i]
+        for i, w in c_up:
+            g_rk -= w * b0_row[i]
+        f_rk = max(f_plus, f_minus) - f_row[kk]
         if f_rk < 0:
             raise WitnessedFault({"check": "F-column turned negative",
                                   "matrix": b, "c": t.c, "f": t.f,
                                   "direction": k})
         g.append(g_row[:kk] + (g_rk,) + g_row[kk + 1:])
         f.append(f_row[:kk] + (f_rk,) + f_row[kk + 1:])
-    return TrackedSeed(mutate_seed(t.seed, k), c, tuple(g), tuple(f),
+    return TrackedSeed(mutate_seed(t.seed, k), tuple(c), tuple(g), tuple(f),
                        t.b0, t.s)
 
 
@@ -149,11 +155,9 @@ class ClusterMonomial:
             raise ValueError("at least one exponent must be positive")
 
     def value(self) -> LaurentPoly:
-        out = LaurentPoly.one(self.vertex.n)
-        for p, e in zip(self.vertex.seed.cluster, self.exponents):
-            if e:
-                out = out * p ** e
-        return out
+        return product(self.vertex.n, [
+            p ** e for p, e in zip(self.vertex.seed.cluster, self.exponents)
+            if e])
 
 
 def vectors_of_factors(n, factors):

@@ -1,12 +1,20 @@
+import hashlib
+import importlib
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
+from clusterlab.errors import WitnessedFault
 from clusterlab.exchange import mutate_seed, Seed
 from clusterlab.explore import (
     enumerate_monomials, explore, monomial_vectors, standard_matrix,
 )
+from clusterlab.tracking import TrackedSeed
+
+# the module, not the function that the package exports under its name
+explore_module = importlib.import_module("clusterlab.explore")
 
 A2 = standard_matrix("A", 2)
 A3 = standard_matrix("A", 3)
@@ -48,6 +56,59 @@ def test_every_vertex_has_n_neighbors():
             name = f"{series}{n}"
             if name in expected_edges:
                 assert len(g.edges) == expected_edges[name], name
+
+
+# A2 explores to the pentagon with reached = [(1, 2), (0, 3), (4, 0),
+# (4, 1), (2, 3)]; vertex 3 is the cluster reached by mutating at 1, then 2
+_A2_THIRD = mutate_seed(mutate_seed(Seed.initial(A2), 1), 2).cluster_key()
+
+
+@pytest.mark.parametrize("wrong, witness", [
+    # every direction acts as direction 1: the root has one neighbour twice
+    (lambda real, t, k: real(t, 1),
+     {"vertex": 0, "direction": 2, "reached": 1,
+      "vertex_neighbours": (1, 1)}),
+    # direction 2 leaves the seed as it is: the root is its own neighbour
+    (lambda real, t, k: t if k == 2 else real(t, k),
+     {"vertex": 0, "direction": 2, "reached": 0,
+      "vertex_neighbours": (1, 0)}),
+    # direction 1 at vertex 3 leads back to the root, which does not have 3
+    # among its neighbours
+    (lambda real, t, k: TrackedSeed.initial(A2)
+     if k == 1 and t.seed.cluster_key() == _A2_THIRD else real(t, k),
+     {"vertex": 3, "direction": 1, "reached": 0,
+      "vertex_neighbours": (0, 1), "reached_neighbours": (1, 2)}),
+])
+def test_explore_checks_the_graph_is_regular_and_symmetric(monkeypatch,
+                                                           wrong, witness):
+    real = explore_module.mutate_tracked
+    monkeypatch.setattr(explore_module, "mutate_tracked",
+                        lambda t, k: wrong(real, t, k))
+    with pytest.raises(WitnessedFault) as fault:
+        explore(A2)
+    got = fault.value.witness
+    assert got["check"] == "exchange graph not n-regular and symmetric"
+    assert got["matrix"] == A2.b
+    assert {key: got[key] for key in witness} == witness
+
+
+def test_explore_pinned():
+    # sha256 of everything explore returns (vertices, edges, variables with
+    # their vectors, and each vertex's representative seed) for the
+    # standard matrices of series A, B and C at ranks 2 to 4, read before
+    # the Laurent and mutation kernel was trimmed
+    record = []
+    for series in "ABC":
+        for n in range(2, 5):
+            g = explore(standard_matrix(series, n))
+            record.append([g.complete, g.seeds_expanded, g.vertices,
+                           sorted(sorted(e) for e in g.edges),
+                           [[v.poly.to_str(), v.d, v.g, v.f]
+                            for v in g.variables],
+                           [[[p.to_str() for p in t.seed.cluster],
+                             t.c, t.g, t.f] for t in g.reps]])
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == (
+        "7b834cd8c1766dca56b79666cec782230d97dc0400b91abb8e9eec9e82860dee")
 
 
 def test_exploration_order_independent():

@@ -147,3 +147,109 @@ def test_denominator_additive_for_monomial_factors(p, e1, e2, c):
     expected = tuple(a + b for a, b in
                      zip(p.denominator_vector(), m.denominator_vector()))
     assert dv_prod == expected
+
+
+@st.composite
+def _poly3(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = tuple(draw(st.integers(-2, 2)) for _ in range(3))
+        terms[exps] = draw(st.integers(-4, 4))
+    return LaurentPoly(3, terms)
+
+
+polys3 = _poly3()
+
+
+def _scan_divide(num, den):
+    """Leading-term division that finds each leading term by scanning the
+    whole remainder: the oracle for divide_exact's heap."""
+    n = num.n_vars
+    if num.is_zero():
+        return num
+    num_min, den_min = num.min_exponents(), den.min_exponents()
+    rem = {tuple(a - b for a, b in zip(e, num_min)): c for e, c in num.terms()}
+    den0 = {tuple(a - b for a, b in zip(e, den_min)): c for e, c in den.terms()}
+    def grlex(e):
+        return (sum(e), e)
+    den_lead = max(den0, key=grlex)
+    quotient = {}
+    while rem:
+        lead = max(rem, key=grlex)
+        q_e = tuple(a - b for a, b in zip(lead, den_lead))
+        if min(q_e) < 0 or rem[lead] % den0[den_lead]:
+            raise InexactDivisionError("scan")
+        q_c = rem[lead] // den0[den_lead]
+        quotient[q_e] = q_c
+        for e, c in den0.items():
+            te = tuple(a + b for a, b in zip(q_e, e))
+            rem[te] = rem.get(te, 0) - q_c * c
+            if not rem[te]:
+                del rem[te]
+    shift = tuple(a - b for a, b in zip(num_min, den_min))
+    return LaurentPoly(n, {tuple(a + b for a, b in zip(e, shift)): c
+                           for e, c in quotient.items()})
+
+
+def _quotient_or_error(num, den, divide):
+    try:
+        return divide(num, den)
+    except InexactDivisionError:
+        return InexactDivisionError
+
+
+@given(polys3, polys3)
+@settings(max_examples=200, deadline=None)
+def test_divide_round_trip_three_variables(a, b):
+    if b.is_zero():
+        return
+    assert divide_exact(a * b, b) == a
+
+
+@given(polys3, polys3, st.tuples(*[st.integers(-2, 2)] * 3),
+       st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_divide_raises_on_a_non_divisible_pair(a, b, exps, c):
+    # a Laurent polynomial with two or more terms is not a unit, so it does
+    # not divide a * b plus a monomial
+    if len(b) < 2:
+        return
+    with pytest.raises(InexactDivisionError):
+        divide_exact(a * b + LaurentPoly.monomial(3, exps, c), b)
+
+
+@given(polys3, polys3, polys3)
+@settings(max_examples=200, deadline=None)
+def test_divide_agrees_with_a_full_scan(a, b, c):
+    # divisible and non-divisible pairs alike: the heap raises exactly when
+    # the scan does, and otherwise returns the same quotient
+    if b.is_zero():
+        return
+    for num in (a, a * b, a * b + c, a * b * b, c * c):
+        assert _quotient_or_error(num, b, divide_exact) == \
+            _quotient_or_error(num, b, _scan_divide)
+
+
+def _assert_canonical(p):
+    rebuilt = LaurentPoly(p.n_vars, dict(p.terms()))
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+    assert all(c != 0 for _, c in p.terms())
+    assert all(type(e) is tuple and len(e) == p.n_vars for e, _ in p.terms())
+
+
+@given(polys3, polys3, st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_results_are_canonical(a, b, k):
+    results = [a + b, a - b, -a, a * b, a ** k, b ** k]
+    if not b.is_zero():
+        results.append(divide_exact(a * b, b))
+    for p in results:
+        _assert_canonical(p)
+
+
+@given(polys3)
+@settings(max_examples=200, deadline=None)
+def test_power_zero_is_one_and_power_one_is_self(p):
+    assert p ** 0 == LaurentPoly.one(3)
+    assert p ** 1 is p
+    assert p ** 3 == p * p * p

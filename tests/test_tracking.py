@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterlab.errors import WitnessedFault
 from clusterlab.exchange import ExchangeMatrix
 from clusterlab.explore import standard_matrix
 from clusterlab.tracking import (
@@ -146,7 +149,7 @@ def test_f_column_zero_iff_initial_entry():
                 f_col = [t.f[r][j] for r in range(matrix.n)]
                 assert all(x >= 0 for x in f_col)
                 entry = t.seed.cluster[j]
-                is_coordinate = entry.is_monomial() and \
+                is_coordinate = len(entry) == 1 and \
                     sorted(entry.terms()[0][0]) == [0] * (matrix.n - 1) + [1]
                 assert (not any(f_col)) == is_coordinate
 
@@ -228,3 +231,34 @@ def test_row_wise_mutation_matches_column_recursion(series, rank, data):
         c, g, f = _column_recursion(t, k, c, g, f)
         t = mutate_tracked(t, k)
         assert (_columns(t.c), _columns(t.g), _columns(t.f)) == (c, g, f)
+
+
+def test_seeded_walks_pinned():
+    # sha256 of the cluster (to_str) and the C, G and F matrices after
+    # every step of three seeded 10-step walks from each standard matrix of
+    # series A, B and C at ranks 2 to 4, read before the Laurent and
+    # mutation kernel was trimmed
+    rng = random.Random(18)
+    record = []
+    for series in "ABC":
+        for n in range(2, 5):
+            matrix = standard_matrix(series, n)
+            for _ in range(3):
+                t = TrackedSeed.initial(matrix)
+                for _ in range(10):
+                    t = mutate_tracked(t, rng.randint(1, n))
+                    record.append([[p.to_str() for p in t.seed.cluster],
+                                   t.c, t.g, t.f])
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == (
+        "f46a1bc621eee99a4cfbb5a6cfb8e7518fbfbc11a4026a98739c25579de1a52f")
+
+
+def test_mutate_tracked_reports_a_negative_f_column():
+    # an F-matrix that mutation in direction 1 would turn negative: on A2,
+    # f'_11 = max([c_11]+, [-c_11]+ + f_12) - f_11 = max(1, f_12) - f_11
+    t = TrackedSeed.initial(A2)
+    bad = TrackedSeed(t.seed, t.c, t.g, ((5, 0), (0, 0)), t.b0, t.s)
+    with pytest.raises(WitnessedFault) as fault:
+        mutate_tracked(bad, 1)
+    assert fault.value.witness["check"] == "F-column turned negative"
+    assert fault.value.witness["direction"] == 1

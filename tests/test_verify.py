@@ -781,6 +781,36 @@ def test_cli_rejects_bad_walks_exponents_and_degree_caps(tmp_path, args):
     assert f"Invalid value for '{args[-2]}'" in res.output
 
 
+@pytest.mark.parametrize("command, flag, data, message", [
+    (["tiling", "algebra"], "--tiling", {"surface": "general", "marked": 2},
+     "KeyError: 'fans'"),
+    (["tiling", "algebra"], "--tiling",
+     {"surface": "general", "marked": 2, "boundary": [], "fans": {},
+      "arcs": [{"id": "a", "ends": [0]}]}, "IndexError"),
+    (["tiling", "arcs"], "--tiling", [1, 2], "AttributeError"),
+    (["tiling", "arcs"], "--tiling",
+     {"surface": "disc", "marked": 5, "chords": [[1, 2]]},
+     "chord (1,2) joins adjacent points"),
+    (["gentle", "analyze"], "--quiver",
+     {"vertices": 2, "arrows": [{"id": "a", "src": 1, "tgt": 5}],
+      "relations": []}, "arrow 'a' endpoint out of range"),
+    (["explore"], "--matrix", {"n": 2, "B": [[0, 1], [1, 0]]},
+     "NotSkewSymmetrizableError"),
+    (["explore"], "--matrix", '{"n": 2, "B": [[0, 1]', "JSONDecodeError"),
+    (["explore"], "--matrix", {"n": 2, "B": 5}, "TypeError"),
+])
+def test_cli_rejects_malformed_input_files(tmp_path, command, flag, data,
+                                           message):
+    # these used to end in Python tracebacks with exit status 1
+    path = tmp_path / "input.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    res = CliRunner().invoke(main, command + [flag, str(path)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"Invalid value for '{flag}'" in res.output
+    assert message in res.output
+
+
 def test_cli_verify_prints_a_failed_report_on_a_fault(monkeypatch):
     _drop_first_geometric_arc(monkeypatch)
     res = CliRunner().invoke(main, ["verify", "thm1", "--marked-max", "5",
