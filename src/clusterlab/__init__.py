@@ -11,9 +11,8 @@ from .explore import (ExchangeGraph, explore, enumerate_monomials,
 from .quiver import (Arrow, BoundQuiver, StringWord, check_gentle,
                      detect_even_full_cycle, cartan_matrix, type_c_quiver,
                      check_qb_conditions)
-from .modules import (QuiverRep, StringInventory, string_module,
-                      projective_module, hom_dim, ar_translate, is_tau_rigid,
-                      enumerate_tau_rigid)
+from .modules import (QuiverRep, StringInventory, string_module, hom_dim,
+                      ar_translate, enumerate_tau_rigid)
 from .tiling import (TilingComplex, DiscTiling, PermissibleArc, ArcMultiset,
                      seg_profile, disc_tilings, one_holed_disc_tiling,
                      one_holed_disc_tilings, b_matrix_from_triangulation)

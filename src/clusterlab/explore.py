@@ -3,10 +3,14 @@
 Vertices are unlabeled clusters: a cluster is identified with the frozen set
 of its variables' Laurent expansions, so relabelings of the same seed are
 merged.  Per distinct cluster variable the explorer records the d-, g- and
-f-vectors, asserting along the way that repeated encounters of a variable at
-different vertices always report the same vectors.  Each edge is computed
-from both of its ends, and a complete graph is checked to be n-regular and
-symmetric, so the second computation of every edge is a check on the first.
+f-vectors.  The d-vector is read off the Laurent expansion once, when the
+variable is first seen: a later sighting is found by that same expansion,
+so its d-vector could only repeat the first.  The g- and f-vectors come
+from the C, G and F recursions along the path that reached the vertex
+(`mutate_tracked`), independently of the expansion, so every later
+sighting checks them against the first.  Each edge is computed from both of
+its ends, and a complete graph is checked to be n-regular and symmetric,
+so the second computation of every edge is a check on the first.
 """
 
 from __future__ import annotations
@@ -82,18 +86,18 @@ def explore(matrix: ExchangeMatrix, max_seeds: int = 100000) -> ExchangeGraph:
         key_to_id[key] = vid
         var_ids = []
         for poly, g_col, f_col in zip(t.seed.cluster, zip(*t.g), zip(*t.f)):
-            info = VariableInfo(poly, poly.denominator_vector(), g_col, f_col)
             if poly in graph.variable_index:
                 known = graph.variables[graph.variable_index[poly]]
-                if (known.d, known.g, known.f) != (info.d, info.g, info.f):
+                if (known.g, known.f) != (g_col, f_col):
                     raise WitnessedFault({
                         "check": "same cluster variable, different vectors",
                         "matrix": matrix.b, "variable": poly.to_str(),
                         "vectors": [(known.d, known.g, known.f),
-                                    (info.d, info.g, info.f)]})
+                                    (known.d, g_col, f_col)]})
             else:
                 graph.variable_index[poly] = len(graph.variables)
-                graph.variables.append(info)
+                graph.variables.append(VariableInfo(
+                    poly, poly.denominator_vector(), g_col, f_col))
             var_ids.append(graph.variable_index[poly])
         graph.vertices.append(tuple(sorted(var_ids)))
         graph.reps.append(t)

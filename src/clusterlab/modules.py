@@ -15,8 +15,8 @@ into modules over the opposite algebra, cokernel, and vector-space duality.
 No string-combinatorial shortcut is used anywhere, so Hom computations stay
 an independent check on the combinatorics built on top.  A sum of
 projectives keeps its path basis, and `_ProjectiveSum.arrow_action` is the
-one arrow action on it: the projective modules, the syzygy of a
-presentation and the translate's dual matrices all read it.
+one arrow action on it: the syzygy of a presentation and the translate's
+dual matrices both read it.
 
 Hom(M, N) has two routes.  `hom_dim` solves the intertwiner system on all
 of M and N.  `presented_hom_dim` reads it off a presentation
@@ -71,26 +71,6 @@ class QuiverRep:
     def is_zero(self):
         return self.total_dim() == 0
 
-    def direct_sum(self, other: "QuiverRep") -> "QuiverRep":
-        if other.quiver is not self.quiver and \
-                other.quiver.to_json() != self.quiver.to_json():
-            raise ValueError("direct sum needs a common quiver")
-        dims = tuple(a + b for a, b in zip(self.dims, other.dims))
-        mats = {}
-        for aid, a in self.quiver.arrows.items():
-            m1, m2 = self.mats[aid], other.mats[aid]
-            rows = self.dims[a.tgt] + other.dims[a.tgt]
-            cols = self.dims[a.src] + other.dims[a.src]
-            m = linalg.zeros(rows, cols)
-            for i in range(self.dims[a.tgt]):
-                for j in range(self.dims[a.src]):
-                    m[i][j] = m1[i][j]
-            for i in range(other.dims[a.tgt]):
-                for j in range(other.dims[a.src]):
-                    m[self.dims[a.tgt] + i][self.dims[a.src] + j] = m2[i][j]
-            mats[aid] = m
-        return QuiverRep(self.quiver, dims, mats)
-
 
 def zero_rep(q: BoundQuiver) -> QuiverRep:
     return QuiverRep(q, (0,) * q.n, {})
@@ -135,18 +115,6 @@ class _ProjectiveSum:
         A path is nonzero exactly when it is a basis path."""
         return [self.pos.get((s, path + (aid,)), (None, None))[1]
                 for s, path in self.vertex_basis[src]]
-
-
-def projective_module(q: BoundQuiver, i) -> QuiverRep:
-    """The projective at vertex i with basis the relation-avoiding paths."""
-    p = _ProjectiveSum(q, [i])
-    mats = {}
-    for aid, a in q.arrows.items():
-        mats[aid] = linalg.zeros(p.dims[a.tgt], p.dims[a.src])
-        for j, t in enumerate(p.arrow_action(aid, a.src)):
-            if t is not None:
-                mats[aid][t][j] = 1
-    return QuiverRep(q, p.dims, mats)
 
 
 def hom_dim(q: BoundQuiver, m: QuiverRep, n: QuiverRep) -> int:
@@ -378,14 +346,6 @@ def ar_translate(q: BoundQuiver, m: QuiverRep, presentation=None) -> QuiverRep:
         dmats[aid] = [[0] * len(free[a.tgt]) if action[t] is None
                       else list(coords[a.tgt][action[t]]) for t in free[a.src]]
     return QuiverRep(q, [len(free[v]) for v in range(q.n)], dmats)
-
-
-def is_tau_rigid(q: BoundQuiver, m: QuiverRep) -> bool:
-    if m.is_zero():
-        return True
-    presentation = minimal_presentation(q, m)
-    return presented_hom_dim(presentation,
-                             ar_translate(q, m, presentation)) == 0
 
 
 class StringInventory:

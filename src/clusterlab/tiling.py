@@ -649,28 +649,6 @@ def geometric_disc_arcs(disc: DiscTiling):
     return out
 
 
-def string_route_profile_keys(t: TilingComplex, arc: PermissibleArc):
-    """Arc profile translated to (cell key, marked point) pairs, 1-based,
-    in the vocabulary of the geometric oracle."""
-    def face_key(fid):
-        edges = set()
-        for d in t.faces[fid].dedges:
-            if d[0] == "a":
-                e0, e1 = t.arc_ends[d[1]]
-                edges.add(("c", (min(e0, e1) + 1, max(e0, e1) + 1)))
-            else:
-                comp = t.boundary[d[1]]
-                edges.add(("s", comp[d[2]] + 1,
-                           comp[(d[2] + 1) % len(comp)] + 1))
-        return frozenset(edges)
-
-    def conv(corner):
-        return face_key(corner[0]), t.corner_point(corner) + 1
-
-    return {"p2": tuple(conv(c) for c in arc.p2_corners),
-            "p1": tuple(conv(c) for c in arc.p1_corners)}
-
-
 def annulus_digon_tiling():
     """Four marked points on the outer boundary, two parallel arcs around
     the hole bounding a type II digon: the face left of cL's traversal

@@ -10,8 +10,10 @@ only the timings differ between runs.
 Every harness body runs in one report frame, `_harness`, which builds the
 report from the call's arguments, zeroes its phases and times the call.  A
 cross-check that disagrees, in a harness or in the library beneath it, raises
-`WitnessedFault`; the frame records its witness as the failure.  Loops over
-a family stop at the first failure (`_until_failed`).
+`WitnessedFault`, and the frame is the one place that fails a report: a
+harness stops at its first failed check, and a `fail` report carries
+exactly that check's witness.  Truncation records and thm1's converse
+record are not failures; the body appends them to the witnesses itself.
 """
 
 from __future__ import annotations
@@ -133,12 +135,6 @@ def _harness(experiment, *phases):
         harness.__signature__ = signature
         return harness
     return decorate
-
-
-def _until_failed(report, members):
-    """The members, up to the first one reached once the report has failed:
-    a harness stops at its first failure, whose witness is recorded."""
-    return itertools.takewhile(lambda _: report.verdict != "fail", members)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,7 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
          "multisets", "converse_witnesses"), 0)
     converse_found = []
     classes = {}  # _algebra_class key -> _class_record
-    for m in _until_failed(report, range(4, marked_max + 1)):
+    for m in range(4, marked_max + 1):
         with _phase(report, "tilings"):
             chord_sets = []
             for chords in _noncrossing_chord_sets(m):
@@ -336,7 +332,7 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                     chord_sets.append(chords)
                 else:
                     counts["outside_taxonomy"] += 1
-        for chords in _until_failed(report, chord_sets):
+        for chords in chord_sets:
             with _phase(report, "tilings"):
                 disc = DiscTiling(m, chords)
                 t = disc.to_complex()
@@ -371,12 +367,11 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                         by_vec[vec] = chosen
                     prof = weight >> shift
                     if prof in by_profile:
-                        report.fail({
+                        raise WitnessedFault({
                             "check": "seg-profile collision",
                             "tiling": disc.chords,
                             "multisets": [by_profile[prof], chosen]})
-                    else:
-                        by_profile[prof] = chosen
+                    by_profile[prof] = chosen
                 counts["multisets"] += swept + 1  # the empty one included
             witness = None if collision is None else {
                 "vector": _unpack(collision[2], n_arcs, width),
@@ -385,7 +380,7 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
             if t.forbidden_tile_scan():
                 counts["admissible"] += 1
                 if witness is not None:
-                    report.fail({
+                    raise WitnessedFault({
                         "check": "injectivity broken on admissible tiling",
                         "tiling": disc.chords, **witness})
             else:
@@ -401,8 +396,8 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
     # the smallest octagon witness sets two arcs against two others, so
     # none exists below total multiplicity 2
     if marked_max >= 8 and mult_cap >= 2 and not octagon_square:
-        report.fail({"converse": "no collision found on the octagon "
-                                 "central-square tiling"})
+        raise WitnessedFault({"converse": "no collision found on the "
+                                          "octagon central-square tiling"})
 
 
 def _multiset_desc(arcs, chosen):
@@ -631,7 +626,7 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
         "representation_infinite_skipped": 0, "with_even_cycle": 0,
         "without_even_cycle": 0, "max_multiplicity_needed": 0}
     report.cache = {"tau_hits": 0, "tau_misses": 0}
-    for q in _until_failed(report, algebras):
+    for q in algebras:
         acyclic, _ = letter_graph_acyclic(q)
         if not acyclic:
             counts["representation_infinite_skipped"] += 1
@@ -640,10 +635,9 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
         cycle = detect_even_full_cycle(q)
         _, det = cartan_matrix(q)
         if (det == 0) != (cycle is not None):
-            report.fail({"check": "cartan-determinant",
-                         "quiver": q.to_json(), "det": det,
-                         "even_cycle": cycle})
-            continue
+            raise WitnessedFault({"check": "cartan-determinant",
+                                  "quiver": q.to_json(), "det": det,
+                                  "even_cycle": cycle})
         with _phase(report, "tau"):
             inv = StringInventory(q)
             rigid, _ = enumerate_tau_rigid(inv)
@@ -652,8 +646,9 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
             with _phase(report, "collisions"):
                 coll = _dim_collision(rigid, inv, mult_cap)
             if coll is not None:
-                report.fail({"check": "injectivity broken without even cycle",
-                             "quiver": q.to_json(), "vector": coll[2]})
+                raise WitnessedFault({
+                    "check": "injectivity broken without even cycle",
+                    "quiver": q.to_json(), "vector": coll[2]})
         else:
             counts["with_even_cycle"] += 1
             found = None
@@ -665,8 +660,9 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
                             counts["max_multiplicity_needed"], cap)
                         break
             if found is None:
-                report.fail({"check": "no collision despite even cycle",
-                             "quiver": q.to_json()})
+                raise WitnessedFault({
+                    "check": "no collision despite even cycle",
+                    "quiver": q.to_json()})
         report.cache["tau_hits"] += inv.tau_hits
         report.cache["tau_misses"] += inv.tau_misses
 
@@ -675,20 +671,20 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
 # cluster monomials told apart by their vectors
 
 
-def _check_injectivity(graph, degree_cap, kind, where, report):
-    """Count the monomials of degree <= degree_cap, failing on the first two
-    whose `kind` vectors ("d" or "fbar") agree; returns the count so far."""
+def _check_injectivity(graph, degree_cap, kind, where, counts, name):
+    """Check that no two monomials of degree <= degree_cap have equal `kind`
+    vectors ("d" or "fbar"), adding each to counts[name] as it is reached;
+    the first two that agree raise `WitnessedFault`.  Returns the count."""
     seen = {}
-    count = 0
+    counts.setdefault(name, 0)
     for key in enumerate_monomials(graph, degree_cap):
-        count += 1
+        counts[name] += 1
         vec = monomial_vectors(graph, key)[kind]
         if vec in seen:
-            report.fail({"where": where, kind: vec,
-                         "monomials": [seen[vec], key]})
-            break
+            raise WitnessedFault({"where": where, kind: vec,
+                                  "monomials": [seen[vec], key]})
         seen[vec] = key
-    return count
+    return len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -705,25 +701,26 @@ def verify_fvector_injectivity(report, n_max=3, degree_cap=3):
     call; the arcs are still enumerated for every triangulation.  Phases:
     `monomials`, timed once per rank, and `triangulations`, once per polygon.
     """
-    for n in _until_failed(report, range(2, n_max + 1)):
+    for n in range(2, n_max + 1):
         where = f"A{n}"
         with _phase(report, "monomials"):
             graph = explore(standard_matrix("A", n))
-            report.counts[f"{where}_monomials"] = _check_injectivity(
-                graph, degree_cap, "fbar", where, report)
+            _check_injectivity(graph, degree_cap, "fbar", where,
+                               report.counts, f"{where}_monomials")
         # initial fbar vectors are the d-vectors -e_k, so no non-initial
         # monomial (fbar nonnegative) can collide with them; the root's
         # variables x_1..x_n are interned first, in cluster order
         for k, info in enumerate(graph.variables[:n]):
             if info.d != tuple(-1 if r == k else 0 for r in range(n)):
-                report.fail({"where": where, "check": "initial d-vector",
-                             "variable": info.poly.to_str(), "d": info.d})
+                raise WitnessedFault({
+                    "where": where, "check": "initial d-vector",
+                    "variable": info.poly.to_str(), "d": info.d})
     # cross-check: arcs of triangulated polygons against cluster f-vectors
     report.counts["triangulations_cross_checked"] = 0
     f_vectors = {}  # matrix -> sorted f-vectors of its non-initial variables
-    for m in _until_failed(report, range(5, n_max + 4)):
+    for m in range(5, n_max + 4):
         with _phase(report, "triangulations"):
-            for disc in _until_failed(report, disc_tilings(m)):
+            for disc in disc_tilings(m):
                 if len(disc.chords) != m - 3:
                     continue
                 t = disc.to_complex()
@@ -735,24 +732,24 @@ def verify_fvector_injectivity(report, n_max=3, degree_cap=3):
                 arcs, _ = t.enumerate_permissible_arcs()
                 ivecs = sorted(a.intersection for a in arcs)
                 if f_vectors[b] != ivecs:
-                    report.fail({"triangulation": (m, disc.chords),
-                                 "f_vectors": f_vectors[b],
-                                 "intersection_vectors": ivecs})
-                else:
-                    report.counts["triangulations_cross_checked"] += 1
+                    raise WitnessedFault({"triangulation": (m, disc.chords),
+                                          "f_vectors": f_vectors[b],
+                                          "intersection_vectors": ivecs})
+                report.counts["triangulations_cross_checked"] += 1
 
 
 # ---------------------------------------------------------------------------
 # denominator-vector injectivity for types A, B, C
 
 
-def _check_d_columns_independent(graph, where, report):
-    """Each cluster's d-vectors, as `explore` stored them, have full rank."""
+def _check_d_columns_independent(graph, where):
+    """Each cluster's d-vectors, as `explore` stored them, have full rank;
+    the first cluster whose do not raises `WitnessedFault`."""
     for vid, cluster in enumerate(graph.vertices):
         d_vectors = [graph.variables[i].d for i in cluster]
         if linalg.rank(d_vectors, graph.n) != graph.n:
-            report.fail({"where": where, "check": "D-matrix rank",
-                         "vertex": vid, "d_vectors": d_vectors})
+            raise WitnessedFault({"where": where, "check": "D-matrix rank",
+                                  "vertex": vid, "d_vectors": d_vectors})
 
 
 @_harness("thm4-denominator-injectivity", "explore", "checks")
@@ -763,9 +760,10 @@ def verify_denominator(report, series="C", n_max=3, degree_cap=3,
 
     The explored graph and both checks depend only on the exchange matrix,
     and rerooted matrices repeat, so each distinct matrix is explored and
-    checked once; its monomial count is added at every reroot.  Phases:
-    `explore` and `checks` (both d-vector checks), timed once per distinct
-    matrix.
+    checked once: the check adds its monomials to the count as it reaches
+    them, and each later reroot at the matrix adds the stored count.
+    Phases: `explore` and `checks` (both d-vector checks), timed once per
+    distinct matrix.
     """
     counts = report.counts = {"monomials": 0, "reroots": 0}
 
@@ -774,31 +772,33 @@ def verify_denominator(report, series="C", n_max=3, degree_cap=3,
             graph = explore(matrix)
         with _phase(report, "checks"):
             count = _check_injectivity(graph, degree_cap, "d", where,
-                                       report)
-            _check_d_columns_independent(graph, where, report)
+                                       counts, "monomials")
+            _check_d_columns_independent(graph, where)
         return graph, count
 
-    for n in _until_failed(report, range(2, n_max + 1)):
+    for n in range(2, n_max + 1):
         base = standard_matrix(series, n)
         graph, count = check(base, f"{series}{n} root")
-        counts["monomials"] += count
         # matrix -> monomial count; counts, not graphs, to keep memory flat
         counted = {base: count}
         if initial_seeds == "all":
-            for vid in _until_failed(report, range(graph.cluster_count())):
+            for vid in range(graph.cluster_count()):
                 b_t = graph.reps[vid].matrix()
-                if b_t not in counted:
+                if b_t in counted:
+                    counts["monomials"] += counted[b_t]
+                else:
                     counted[b_t] = check(
                         b_t, f"{series}{n} cluster {vid}")[1]
                 counts["reroots"] += 1
-                counts["monomials"] += counted[b_t]
 
 
 @_harness("thm4-bc-duality", "explore", "checks")
 def verify_denominator_duality(report, n_max=3, degree_cap=3,
                                initial_seeds="root"):
-    """Paired B/C verdicts agree, mirroring the Langlands reduction.  The
-    phases are the sums of the two `verify_denominator` runs' phases."""
+    """Paired B/C verdicts agree, mirroring the Langlands reduction: both
+    pass, since a series whose run does not pass fails this one with that
+    run's witnesses.  The phases are the sums of the two
+    `verify_denominator` runs' phases."""
     verdicts = report.counts["verdicts"] = {}
     for series in ("B", "C"):
         sub = verify_denominator(series=series, n_max=n_max,
@@ -808,9 +808,8 @@ def verify_denominator_duality(report, n_max=3, degree_cap=3,
             report.phases[name] += seconds
         verdicts[series] = sub.verdict
         if sub.verdict != "pass":
-            report.fail({"series": series, "witnesses": sub.witnesses})
-    if verdicts["B"] != verdicts["C"]:
-        report.fail({"check": "paired verdicts differ", "verdicts": verdicts})
+            raise WitnessedFault({"series": series,
+                                  "witnesses": sub.witnesses})
 
 
 # ---------------------------------------------------------------------------
@@ -852,15 +851,16 @@ def verify_type_c_categorification(report, n_max=2, degree_cap=3):
     if n_max < 2:
         raise ValueError("type C needs rank at least 2")
     report.cache = {"tau_hits": 0, "tau_misses": 0}
-    for n in _until_failed(report, range(2, n_max + 1)):
+    for n in range(2, n_max + 1):
         base = standard_matrix("C", n)
         q = type_c_quiver(base)
         cond = check_qb_conditions(q)
         if not all(cond.values()):
-            report.fail({"rank": n, "check": "conditions (a)-(e)",
-                         "result": cond})
+            raise WitnessedFault({"rank": n, "check": "conditions (a)-(e)",
+                                  "result": cond})
         if detect_even_full_cycle(q) is not None:
-            report.fail({"rank": n, "check": "unexpected even full cycle"})
+            raise WitnessedFault({"rank": n,
+                                  "check": "unexpected even full cycle"})
         with _phase(report, "tau"):
             inv = StringInventory(q)
             rigid, truncated = enumerate_tau_rigid(inv)
@@ -869,16 +869,19 @@ def verify_type_c_categorification(report, n_max=2, degree_cap=3):
             continue
         for _, d in rigid:
             if d[0] % 2 != 0:
-                report.fail({"rank": n, "check": "odd first coordinate",
-                             "dim": d})
+                raise WitnessedFault({"rank": n,
+                                      "check": "odd first coordinate",
+                                      "dim": d})
         with _phase(report, "monomials"):
             graph = explore(base)
         # indecomposable level: adjusted dimensions vs non-initial d-vectors
         adjusted = sorted((d[0] // 2,) + tuple(d[1:]) for _, d in rigid)
         dvecs = sorted(info.d for info in graph.variables if not info.initial)
         if adjusted != dvecs:
-            report.fail({"rank": n, "check": "indecomposable bijection",
-                         "module_side": adjusted, "cluster_side": dvecs})
+            raise WitnessedFault({"rank": n,
+                                  "check": "indecomposable bijection",
+                                  "module_side": adjusted,
+                                  "cluster_side": dvecs})
         # pair level, degree by degree
         with _phase(report, "pairs"):
             pairs = _tau_rigid_pairs(rigid, inv, degree_cap)
@@ -901,10 +904,10 @@ def verify_type_c_categorification(report, n_max=2, degree_cap=3):
             left = sorted(module_vectors.get(deg, []))
             right = sorted(cluster_vectors.get(deg, []))
             if left != right:
-                report.fail({"rank": n, "degree": deg,
-                             "check": "pair bijection",
-                             "module_side_count": len(left),
-                             "cluster_side_count": len(right)})
+                raise WitnessedFault({"rank": n, "degree": deg,
+                                      "check": "pair bijection",
+                                      "module_side_count": len(left),
+                                      "cluster_side_count": len(right)})
         report.counts[f"C{n}_ind_tau_rigid"] = len(rigid)
         report.counts[f"C{n}_pairs"] = sum(
             len(v) for v in module_vectors.values())

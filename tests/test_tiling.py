@@ -10,10 +10,11 @@ from clusterlab.cli import _load_tiling, main
 from clusterlab.errors import UnclassifiableTileError
 from clusterlab.quiver import check_gentle, detect_even_full_cycle
 from clusterlab.tiling import (
-    ArcMultiset, DiscTiling, _chords_in_taxonomy, _noncrossing_chord_sets,
-    annulus_digon_tiling, b_matrix_from_triangulation, chords_interleave,
-    disc_cells, disc_tilings, geometric_disc_arcs, one_holed_disc_tiling,
-    one_holed_disc_tilings, seg_profile, string_route_profile_keys,
+    ArcMultiset, DiscTiling, PermissibleArc, TilingComplex,
+    _chords_in_taxonomy, _noncrossing_chord_sets, annulus_digon_tiling,
+    b_matrix_from_triangulation, chords_interleave, disc_cells, disc_tilings,
+    geometric_disc_arcs, one_holed_disc_tiling, one_holed_disc_tilings,
+    seg_profile,
 )
 from clusterlab.verify import (_compatible_multisets, _field_width, _pack,
                                _unpack)
@@ -21,6 +22,28 @@ from clusterlab.verify import (_compatible_multisets, _field_width, _pack,
 
 def complex_of(m, chords):
     return DiscTiling(m, tuple(chords)).to_complex()
+
+
+def string_route_profile_keys(t: TilingComplex, arc: PermissibleArc):
+    """Oracle: the arc's profile translated to (cell key, marked point)
+    pairs, 1-based, in the vocabulary of the geometric oracle."""
+    def face_key(fid):
+        edges = set()
+        for d in t.faces[fid].dedges:
+            if d[0] == "a":
+                e0, e1 = t.arc_ends[d[1]]
+                edges.add(("c", (min(e0, e1) + 1, max(e0, e1) + 1)))
+            else:
+                comp = t.boundary[d[1]]
+                edges.add(("s", comp[d[2]] + 1,
+                           comp[(d[2] + 1) % len(comp)] + 1))
+        return frozenset(edges)
+
+    def conv(corner):
+        return face_key(corner[0]), t.corner_point(corner) + 1
+
+    return {"p2": tuple(conv(c) for c in arc.p2_corners),
+            "p1": tuple(conv(c) for c in arc.p1_corners)}
 
 
 def test_disc_tilings_counts():

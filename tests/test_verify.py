@@ -627,9 +627,11 @@ def test_fvector_reports_a_wrong_initial_d_vector(monkeypatch):
         # still a permutation of -e_1, -e_2, but each on the wrong variable
         variables[0].d, variables[1].d = variables[1].d, variables[0].d
 
+    # the run stops at x1, its first wrong variable, so the swap is
+    # witnessed by x1 alone
     for corrupt, witnessed in (
             (scale_x1, [("x1", (-2, 0))]),
-            (swap_x1_x2, [("x1", (0, -1)), ("x2", (-1, 0))])):
+            (swap_x1_x2, [("x1", (0, -1))])):
         def corrupted(matrix, *args, **kwargs):
             graph = real(matrix, *args, **kwargs)
             corrupt(graph.variables)
@@ -641,6 +643,41 @@ def test_fvector_reports_a_wrong_initial_d_vector(monkeypatch):
         assert r.witnesses == [
             {"where": "A2", "check": "initial d-vector", "variable": x,
              "d": d} for x, d in witnessed]
+
+
+def test_a_failed_harness_carries_its_first_witness_only(monkeypatch):
+    from clusterlab import linalg, verify
+    # thm1 with the profile fields of every weight masked off: the empty
+    # multiset and the first arc of the first tiling share a profile, and
+    # the run stops there, short of the octagon
+    real = verify._arc_weights
+
+    def profiles_masked(t, arcs, mult_cap):
+        weights, (keys, width) = real(t, arcs, mult_cap)
+        mask = (1 << width * len(t.arcs)) - 1
+        return [w & mask for w in weights], (keys, width)
+
+    monkeypatch.setattr(verify, "_arc_weights", profiles_masked)
+    r = verify_thm1(8, 2)
+    assert r.verdict == "fail"
+    assert r.witnesses == [{"check": "seg-profile collision",
+                            "tiling": ((2, 4),),
+                            "multisets": [(), ((0, 1),)]}]
+    monkeypatch.undo()
+    # every D-matrix rank 0: the root cluster of A2 is the first witness,
+    # and the other A2 clusters and A3 are never reached
+    monkeypatch.setattr(linalg, "rank", lambda rows, n: 0)
+    first_d = {"check": "D-matrix rank", "vertex": 0,
+               "d_vectors": [(-1, 0), (0, -1)]}
+    r = verify_denominator("A", 3, 3, "root")
+    assert r.verdict == "fail"
+    assert r.witnesses == [{"where": "A2 root", **first_d}]
+    # duality stops at series B, with B's one witness
+    r = verify_denominator_duality(3, 3, "root")
+    assert r.verdict == "fail"
+    assert r.witnesses == [{"series": "B",
+                            "witnesses": [{"where": "B2 root", **first_d}]}]
+    assert r.counts["verdicts"] == {"B": "fail"}
 
 
 def test_injectivity_check_stops_at_first_collision(monkeypatch):
