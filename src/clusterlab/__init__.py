@@ -4,8 +4,7 @@ from .laurent import LaurentPoly, divide_exact
 from .exchange import (ExchangeMatrix, Seed, mutate_matrix, mutate_seed,
                        find_skew_symmetrizer, langlands_dual)
 from .tracking import (TrackedSeed, ClusterMonomial, mutate_tracked,
-                       d_matrix, vectors_of_monomial, check_tropical_duality,
-                       check_langlands_dualities)
+                       d_matrix, vectors_of_monomial, check_dual_seeds)
 from .explore import (ExchangeGraph, explore, enumerate_monomials,
                       standard_matrix)
 from .quiver import (Arrow, BoundQuiver, StringWord, check_gentle,

@@ -382,15 +382,12 @@ def verify_denominator_cmd(series, rank_max, degree_cap, initial_seeds,
               type=click.IntRange(min=2))
 @click.option("--degree-cap", default=3, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--initial-seeds", type=click.Choice(["all", "root"]),
-              default="root", show_default=True)
 @click.option("--report-dir", default=None, type=click.Path())
 @format_options
-def verify_duality_cmd(rank_max, degree_cap, initial_seeds, report_dir, fmt, out):
-    """Paired B/C denominator verdicts."""
+def verify_duality_cmd(rank_max, degree_cap, report_dir, fmt, out):
+    """Langlands duality of the B and C exchange graphs, seed by seed."""
     _report_command(
-        verify_mod.verify_denominator_duality(rank_max, degree_cap,
-                                              initial_seeds),
+        verify_mod.verify_denominator_duality(rank_max, degree_cap),
         report_dir, fmt, out)
 
 

@@ -20,8 +20,8 @@ matrix (`exchange.mutate_row`): [b_kj]+ c_rk + b_kj [-c_rk]+ is |b_kj| c_rk
 when b_kj has the sign of c_rk and 0 otherwise, so only the rows with
 c_rk != 0 change.  G and F change only in column k.  The g-recursion sums
 initial-matrix columns b0_i weighted by the positive parts of the c-column;
-that reading is pinned down by the exact identity G^tr S C = S, which the
-test suite checks at every reached vertex.
+that reading is pinned down by the exact identity G^tr S C = S, which
+`check_dual_seeds` checks at every paired B/C vertex.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WitnessedFault
-from .exchange import (ExchangeMatrix, Seed, langlands_dual, mutate_row,
+from .exchange import (ExchangeMatrix, Seed, dual_symmetrizer, mutate_row,
                        mutate_seed, split_signs)
 from .laurent import LaurentPoly, product
 
@@ -110,33 +110,30 @@ def d_matrix(t: TrackedSeed):
     return [[cols[j][i] for j in range(t.n)] for i in range(t.n)]
 
 
-def check_tropical_duality(t: TrackedSeed) -> bool:
-    """Exact identity G^tr S C = S."""
-    n = t.n
-    for i in range(n):
-        for j in range(n):
-            total = sum(t.g[r][i] * t.s[r] * t.c[r][j] for r in range(n))
-            if total != (t.s[i] if i == j else 0):
-                return False
-    return True
+def check_dual_seeds(t: TrackedSeed, tv: TrackedSeed, d=None):
+    """Raise `WitnessedFault`, naming the relation and giving both sides,
+    unless tv.s is `dual_symmetrizer(t.s)`, s_i M_ij = M^v_ij s_j for M = B,
+    C, F, G and D (`d`: both D-matrices, else `d_matrix`'s), and G^tr S C = S
+    on both sides (Nakanishi-Zelevinsky 2012); one mutation sequence reaches
+    t from a root matrix and tv from its Langlands dual."""
+    def fail(relation, *sides):
+        raise WitnessedFault({"check": "Langlands duality",
+                              "relation": relation, "sides": list(sides)})
 
-
-def check_langlands_dualities(walk, matrix: ExchangeMatrix) -> bool:
-    """F_t = S^-1 F^v_t S and C_t = S^-1 C^v_t S for the given walk.
-
-    Both sides are compared after clearing S, so the check stays integral.
-    """
-    t = run_walk(matrix, walk)
-    tv = run_walk(langlands_dual(matrix), walk)
-    s = t.s
-    n = t.n
-    for m, mv in ((t.f, tv.f), (t.c, tv.c)):
-        for i in range(n):
-            for j in range(n):
-                # M = S^-1 M^v S  <=>  s_i M_ij = M^v_ij s_j
-                if s[i] * m[i][j] != mv[i][j] * s[j]:
-                    return False
-    return True
+    n, s = t.n, t.s
+    if tv.s != dual_symmetrizer(s):
+        fail("symmetrizer", s, tv.s)
+    for name, m, mv in (("B", t.seed.matrix.b, tv.seed.matrix.b),
+                        ("C", t.c, tv.c), ("F", t.f, tv.f), ("G", t.g, tv.g),
+                        ("D", *(d or (d_matrix(t), d_matrix(tv))))):
+        if any(s[i] * m[i][j] != mv[i][j] * s[j]
+               for i in range(n) for j in range(n)):
+            fail(name, m, mv)
+    gsc = [[[sum(u.g[r][i] * u.s[r] * u.c[r][j] for r in range(n))
+             for j in range(n)] for i in range(n)] for u in (t, tv)]
+    if gsc != [[[u.s[i] * (i == j) for j in range(n)] for i in range(n)]
+               for u in (t, tv)]:
+        fail("tropical", *gsc)
 
 
 @dataclass(frozen=True)

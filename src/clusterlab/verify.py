@@ -40,6 +40,7 @@ from .tiling import (ArcMultiset, DiscTiling, _chords_in_taxonomy,
                      _noncrossing_chord_sets, b_matrix_from_triangulation,
                      chords_interleave, disc_tilings, geometric_disc_arcs,
                      seg_profile)
+from .tracking import check_dual_seeds
 
 
 @dataclass
@@ -358,21 +359,25 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                 weights, (_, width) = _arc_weights(t, arcs, mult_cap)
                 shift = width * n_arcs
                 mask = (1 << shift) - 1
-                for swept, (chosen, weight) in enumerate(
-                        _compatible_multisets(compatible, weights, mult_cap)):
-                    vec = weight & mask
-                    if vec in by_vec:
-                        collision = (by_vec[vec], chosen, vec)
-                    else:
-                        by_vec[vec] = chosen
-                    prof = weight >> shift
-                    if prof in by_profile:
-                        raise WitnessedFault({
-                            "check": "seg-profile collision",
-                            "tiling": disc.chords,
-                            "multisets": [by_profile[prof], chosen]})
-                    by_profile[prof] = chosen
-                counts["multisets"] += swept + 1  # the empty one included
+                swept = 0  # multisets swept so far, the empty one included
+                try:
+                    for swept, (chosen, weight) in enumerate(
+                            _compatible_multisets(compatible, weights,
+                                                  mult_cap), 1):
+                        vec = weight & mask
+                        if vec in by_vec:
+                            collision = (by_vec[vec], chosen, vec)
+                        else:
+                            by_vec[vec] = chosen
+                        prof = weight >> shift
+                        if prof in by_profile:
+                            raise WitnessedFault({
+                                "check": "seg-profile collision",
+                                "tiling": disc.chords,
+                                "multisets": [by_profile[prof], chosen]})
+                        by_profile[prof] = chosen
+                finally:
+                    counts["multisets"] += swept
             witness = None if collision is None else {
                 "vector": _unpack(collision[2], n_arcs, width),
                 "multisets": [_multiset_desc(arcs, collision[0]),
@@ -561,6 +566,11 @@ def enumerate_gentle_algebras(vertex_max, arrow_max):
     class, so every class first appears there; and two relation sets on one
     grid give isomorphic bound quivers exactly when an automorphism of the
     grid's quiver maps one to the other.
+
+    The grids bound every degree by 2 (G1) and the per-vertex relation
+    patterns enforce G2 and G3, so every generated member is gentle;
+    `check_gentle` cross-checks each one, and a member it rejects raises
+    `WitnessedFault`.
     """
     out = []
     for n in range(1, vertex_max + 1):
@@ -582,8 +592,13 @@ def enumerate_gentle_algebras(vertex_max, arrow_max):
                     continue
                 orbits.add(key)
                 q = BoundQuiver(n, arrows, rels)
-                if check_gentle(q).ok:
-                    out.append(q)
+                gentle = check_gentle(q)
+                if not gentle.ok:
+                    raise WitnessedFault({
+                        "check": "generated relation set not gentle",
+                        "quiver": q.to_json(), "violated": gentle.violated,
+                        "reason": gentle.witness})
+                out.append(q)
     return out
 
 
@@ -752,6 +767,17 @@ def _check_d_columns_independent(graph, where):
                                   "vertex": vid, "d_vectors": d_vectors})
 
 
+def _d_checks(report, matrix, degree_cap, where):
+    """(graph, monomials counted): `explore`, then both d-vector checks."""
+    with _phase(report, "explore"):
+        graph = explore(matrix)
+    with _phase(report, "checks"):
+        count = _check_injectivity(graph, degree_cap, "d", where,
+                                   report.counts, "monomials")
+        _check_d_columns_independent(graph, where)
+    return graph, count
+
+
 @_harness("thm4-denominator-injectivity", "explore", "checks")
 def verify_denominator(report, series="C", n_max=3, degree_cap=3,
                        initial_seeds="all"):
@@ -766,19 +792,9 @@ def verify_denominator(report, series="C", n_max=3, degree_cap=3,
     distinct matrix.
     """
     counts = report.counts = {"monomials": 0, "reroots": 0}
-
-    def check(matrix, where):
-        with _phase(report, "explore"):
-            graph = explore(matrix)
-        with _phase(report, "checks"):
-            count = _check_injectivity(graph, degree_cap, "d", where,
-                                       counts, "monomials")
-            _check_d_columns_independent(graph, where)
-        return graph, count
-
     for n in range(2, n_max + 1):
         base = standard_matrix(series, n)
-        graph, count = check(base, f"{series}{n} root")
+        graph, count = _d_checks(report, base, degree_cap, f"{series}{n} root")
         # matrix -> monomial count; counts, not graphs, to keep memory flat
         counted = {base: count}
         if initial_seeds == "all":
@@ -787,29 +803,34 @@ def verify_denominator(report, series="C", n_max=3, degree_cap=3,
                 if b_t in counted:
                     counts["monomials"] += counted[b_t]
                 else:
-                    counted[b_t] = check(
-                        b_t, f"{series}{n} cluster {vid}")[1]
+                    _, counted[b_t] = _d_checks(
+                        report, b_t, degree_cap, f"{series}{n} cluster {vid}")
                 counts["reroots"] += 1
 
 
 @_harness("thm4-bc-duality", "explore", "checks")
-def verify_denominator_duality(report, n_max=3, degree_cap=3,
-                               initial_seeds="root"):
-    """Paired B/C verdicts agree, mirroring the Langlands reduction: both
-    pass, since a series whose run does not pass fails this one with that
-    run's witnesses.  The phases are the sums of the two
-    `verify_denominator` runs' phases."""
-    verdicts = report.counts["verdicts"] = {}
-    for series in ("B", "C"):
-        sub = verify_denominator(series=series, n_max=n_max,
-                                 degree_cap=degree_cap,
-                                 initial_seeds=initial_seeds)
-        for name, seconds in sub.phases.items():
-            report.phases[name] += seconds
-        verdicts[series] = sub.verdict
-        if sub.verdict != "pass":
-            raise WitnessedFault({"series": series,
-                                  "witnesses": sub.witnesses})
+def verify_denominator_duality(report, n_max=3, degree_cap=3):
+    """C_n = langlands_dual(B_n) seed by seed: both graphs pass the d-vector
+    checks from their roots, equal BFS `reached` tables pair the seeds of one
+    mutation sequence by id, and every pair passes `check_dual_seeds`."""
+    counts = report.counts = {"verdicts": {}, "monomials": 0}
+    for n in range(2, n_max + 1):
+        graph, dual = (_d_checks(report, standard_matrix(x, n), degree_cap,
+                                 f"{x}{n} root")[0] for x in "BC")
+        with _phase(report, "checks"):
+            for v, (t, tv) in enumerate(zip(graph.reps, dual.reps)):
+                if graph.reached[v] != dual.reached[v]:
+                    raise WitnessedFault({
+                        "check": "B and C seeds pair differently", "rank": n,
+                        "vertex": v, "clusters": [
+                            [p.to_str() for p in u.seed.cluster]
+                            for u in (t, tv)]})
+                check_dual_seeds(t, tv, [
+                    list(zip(*(g.variables[g.variable_index[p]].d
+                               for p in u.seed.cluster)))
+                    for g, u in ((graph, t), (dual, tv))])
+        counts[f"rank{n}_pairs"] = len(graph.reps)
+    counts["verdicts"].update(B="pass", C="pass")
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ import time
 
 import pytest
 
-from clusterlab.exchange import ExchangeMatrix, mutate_matrix
+from clusterlab.errors import WitnessedFault
+from clusterlab.exchange import ExchangeMatrix, langlands_dual, mutate_matrix
 from clusterlab.explore import explore, standard_matrix
-from clusterlab.tracking import (TrackedSeed, check_langlands_dualities,
-                                 check_tropical_duality, mutate_tracked)
+from clusterlab.tracking import (TrackedSeed, check_dual_seeds,
+                                 mutate_tracked, run_walk)
 from clusterlab.verify import (verify_denominator, verify_denominator_duality,
                                verify_fvector_injectivity, verify_thm1,
                                verify_thm2, verify_type_c_categorification)
@@ -39,6 +40,15 @@ def _random_skew_symmetrizable(rng, n):
                 b[i][j] = c * s[j] // g
                 b[j][i] = -c * s[i] // g
     return ExchangeMatrix(tuple(tuple(r) for r in b))
+
+
+def _dual_seeds_ok(t, tv):
+    """Whether check_dual_seeds passes on the pair."""
+    try:
+        check_dual_seeds(t, tv)
+    except WitnessedFault:
+        return False
+    return True
 
 
 @pytest.fixture(scope="session")
@@ -93,32 +103,42 @@ def test_criterion_2_laurent_phenomenon():
 def test_criterion_3_tropical_duality(explored_graphs):
     start = time.perf_counter()
     ok = True
+    # each graph's seeds paired with its dual graph's seeds of the same id,
+    # which one mutation sequence reaches when the two tables agree
     for name, graph in explored_graphs.items():
-        for rep in graph.reps:
-            if not check_tropical_duality(rep):
+        dual = explore(langlands_dual(graph.reps[0].matrix()))
+        if dual.reached != graph.reached:
+            ok = False
+        for rep, dual_rep in zip(graph.reps, dual.reps):
+            if not _dual_seeds_ok(rep, dual_rep):
                 ok = False
     rng = random.Random(3)
     c3 = standard_matrix("C", 3)
     for _ in range(100):
         t = TrackedSeed.initial(c3)
+        tv = TrackedSeed.initial(langlands_dual(c3))
         for _ in range(15):
-            t = mutate_tracked(t, rng.randint(1, 3))
-            if not check_tropical_duality(t):
+            k = rng.randint(1, 3)
+            t, tv = mutate_tracked(t, k), mutate_tracked(tv, k)
+            if not _dual_seeds_ok(t, tv):
                 ok = False
-    _criterion(3, "tropical duality G^tr S C = S on five explored graphs "
-                  "and 100 random walks", ok, time.perf_counter() - start)
+    _criterion(3, "tropical duality G^tr S C = S and the Langlands "
+                  "dualities at every seed of five explored graphs, paired "
+                  "with their duals' seeds, and on 100 random walks", ok,
+               time.perf_counter() - start)
 
 
 def test_criterion_4_langlands_duality():
     start = time.perf_counter()
     c2 = standard_matrix("C", 2)
-    ok = check_langlands_dualities([], c2)
-    for length in range(1, 7):
+    b2 = langlands_dual(c2)
+    ok = True
+    for length in range(7):
         for walk in itertools.product((1, 2), repeat=length):
-            if not check_langlands_dualities(walk, c2):
+            if not _dual_seeds_ok(run_walk(c2, walk), run_walk(b2, walk)):
                 ok = False
-    _criterion(4, "Langlands dualities F = S^-1 F' S and C = S^-1 C' S on "
-                  "all B2/C2 walks of length <= 6", ok,
+    _criterion(4, "Langlands dualities M = S^-1 M' S for M = C, F, G, D "
+                  "on all B2/C2 walks of length <= 6", ok,
                time.perf_counter() - start)
 
 
@@ -203,14 +223,16 @@ def test_criterion_10_denominator_injectivity():
                                initial_seeds="all")
         if r.verdict != "pass" or r.counts != counts:
             ok = False
-    dual = verify_denominator_duality(n_max=3, degree_cap=3,
-                                      initial_seeds="root")
-    if dual.verdict != "pass" or \
-            dual.counts != {"verdicts": {"B": "pass", "C": "pass"}}:
+    dual = verify_denominator_duality(n_max=3, degree_cap=3)
+    # B and C monomials alike: 2 * (36 + 146)
+    if dual.verdict != "pass" or dual.counts != {
+            "verdicts": {"B": "pass", "C": "pass"}, "monomials": 364,
+            "rank2_pairs": 6, "rank3_pairs": 20}:
         ok = False
     _criterion(10, "d-vectors separate degree <= 3 monomials for A2, A3, "
                    "B2, C2, C3 from every cluster, with independent "
-                   "D-columns and matching B/C verdicts", ok,
+                   "D-columns, and B/C seeds paired by Langlands duality",
+               ok,
                time.perf_counter() - start)
 
 

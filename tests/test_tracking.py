@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -7,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterlab.errors import WitnessedFault
-from clusterlab.exchange import ExchangeMatrix
+from clusterlab.exchange import ExchangeMatrix, langlands_dual
 from clusterlab.explore import standard_matrix
 from clusterlab.tracking import (
-    ClusterMonomial, TrackedSeed, check_langlands_dualities,
-    check_tropical_duality, d_matrix, mutate_tracked, run_walk,
-    vectors_of_monomial,
+    ClusterMonomial, TrackedSeed, check_dual_seeds, d_matrix, mutate_tracked,
+    run_walk, vectors_of_monomial,
 )
 
 A2 = ExchangeMatrix(((0, 1), (-1, 0)))
@@ -20,12 +20,19 @@ C2 = ExchangeMatrix(((0, 1), (-2, 0)))
 C3 = ExchangeMatrix(((0, 1, 0), (-2, 0, 1), (0, -1, 0)))
 
 
+def check_dual_walk(matrix, walk):
+    """check_dual_seeds at the seeds the walk reaches from the matrix and
+    from its Langlands dual."""
+    check_dual_seeds(run_walk(matrix, walk),
+                     run_walk(langlands_dual(matrix), walk))
+
+
 def test_root_conditions():
     t = TrackedSeed.initial(A2)
     assert t.c == ((1, 0), (0, 1))
     assert t.g == ((1, 0), (0, 1))
     assert t.f == ((0, 0), (0, 0))
-    assert check_tropical_duality(t)
+    check_dual_walk(A2, [])
 
 
 def test_first_step_c_and_f_columns():
@@ -43,7 +50,7 @@ def test_first_step_c_and_f_columns():
 def test_a2_g_vector_after_mu1():
     t = mutate_tracked(TrackedSeed.initial(A2), 1)
     assert tuple(t.g[r][0] for r in range(2)) == (-1, 1)
-    assert check_tropical_duality(t)
+    check_dual_walk(A2, [1])
 
 
 def test_d_matrix_walks():
@@ -57,32 +64,78 @@ def test_d_matrix_walks():
 def test_duality_along_all_a2_walks():
     for length in range(7):
         for walk in itertools.product((1, 2), repeat=length):
-            t = run_walk(A2, walk)
-            assert check_tropical_duality(t)
+            check_dual_walk(A2, walk)
 
 
 def test_duality_random_c3_walks():
     rng = random.Random(3)
     for _ in range(100):
         t = TrackedSeed.initial(C3)
+        tv = TrackedSeed.initial(langlands_dual(C3))
         for _ in range(15):
-            t = mutate_tracked(t, rng.randint(1, 3))
-            assert check_tropical_duality(t)
+            k = rng.randint(1, 3)
+            t, tv = mutate_tracked(t, k), mutate_tracked(tv, k)
+            check_dual_seeds(t, tv)
 
 
 def test_langlands_dualities_c2_short_walks():
-    assert check_langlands_dualities([], C2)
+    check_dual_walk(C2, [])
     for length in range(1, 7):
         for walk in itertools.product((1, 2), repeat=length):
-            assert check_langlands_dualities(walk, C2)
+            check_dual_walk(C2, walk)
 
 
 def test_langlands_degenerates_for_skew_symmetric():
-    from clusterlab.exchange import langlands_dual
     for walk in itertools.product((1, 2), repeat=4):
         t = run_walk(A2, walk)
         tv = run_walk(langlands_dual(A2), walk)
         assert t.f == tv.f and t.c == tv.c
+        check_dual_seeds(t, tv)
+
+
+def _bump(m):
+    """The matrix with 1 added to its (1, 1) entry."""
+    return ((m[0][0] + 1,) + m[0][1:],) + m[1:]
+
+
+B2 = standard_matrix("B", 2)
+B2_WALK = (1, 2, 1)
+
+
+@pytest.mark.parametrize("break_pair, relation, sides", [
+    # C2's root symmetrizer replaced by B2's own
+    (lambda t, tv: (t, dataclasses.replace(tv, s=t.s)), "symmetrizer",
+     [(1, 2), (1, 2)]),
+    # the C2 seed given the B2 seed's exchange matrix
+    (lambda t, tv: (t, dataclasses.replace(tv, seed=dataclasses.replace(
+        tv.seed, matrix=t.seed.matrix))), "B",
+     [((0, -2), (1, 0)), ((0, -2), (1, 0))]),
+    (lambda t, tv: (dataclasses.replace(
+        t, c=tuple(tuple(-x for x in row) for row in t.c)), tv), "C",
+     [((1, 0), (1, -1)), ((-1, 0), (-2, 1))]),
+    (lambda t, tv: (dataclasses.replace(t, f=_bump(t.f)), tv), "F",
+     [((2, 2), (1, 1)), ((1, 1), (2, 1))]),
+    (lambda t, tv: (dataclasses.replace(t, g=_bump(t.g)), tv), "G",
+     [((0, -2), (0, 1)), ((-1, -1), (0, 1))]),
+    # the B2 cluster listed in reverse, so its D-matrix columns swap
+    (lambda t, tv: (dataclasses.replace(t, seed=dataclasses.replace(
+        t.seed, cluster=t.seed.cluster[::-1])), tv), "D",
+     [[[2, 1], [1, 1]], [[1, 1], [2, 1]]]),
+    # one diagonal G entry bumped on both sides keeps G = S^-1 G^v S, and
+    # G^tr S C then differs from S in its (1, 1) entry on both sides
+    (lambda t, tv: (dataclasses.replace(t, g=_bump(t.g)),
+                    dataclasses.replace(tv, g=_bump(tv.g))), "tropical",
+     [[[0, 0], [0, 2]], [[0, 0], [0, 1]]]),
+])
+def test_check_dual_seeds_names_each_broken_relation(break_pair, relation,
+                                                     sides):
+    t = run_walk(B2, B2_WALK)
+    tv = run_walk(langlands_dual(B2), B2_WALK)
+    check_dual_seeds(t, tv)
+    with pytest.raises(WitnessedFault) as fault:
+        check_dual_seeds(*break_pair(t, tv))
+    assert fault.value.witness == {"check": "Langlands duality",
+                                   "relation": relation, "sides": sides}
 
 
 def test_monomial_vectors_at_root():

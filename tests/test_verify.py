@@ -319,8 +319,7 @@ def test_harness_frame_keeps_signatures_and_params():
             (verify_fvector_injectivity, "(n_max=3, degree_cap=3)"),
             (verify_denominator,
              "(series='C', n_max=3, degree_cap=3, initial_seeds='all')"),
-            (verify_denominator_duality,
-             "(n_max=3, degree_cap=3, initial_seeds='root')"),
+            (verify_denominator_duality, "(n_max=3, degree_cap=3)"),
             (verify_type_c_categorification, "(n_max=2, degree_cap=3)")):
         assert str(inspect.signature(harness)) == signature
     r = verify_denominator("A", 2, degree_cap=2)
@@ -330,7 +329,8 @@ def test_harness_frame_keeps_signatures_and_params():
 
 
 def test_cluster_harnesses_keep_their_digests():
-    # digests read before the harnesses shared one report frame
+    # digests read before the harnesses shared one report frame; the
+    # duality digest is the one of the seed-by-seed duality check
     for series, digest in (
             ("A", "478a6d77643a1ed41568e5cef203a2a5328701a86de887f78aaf02f99cafbb82"),
             ("B", "b9cfec1b6d1e1461a4f270d0f66f7ab049af456acbd2e553cd46b4ebd510dc22"),
@@ -338,7 +338,7 @@ def test_cluster_harnesses_keep_their_digests():
         r = verify_denominator(series, 3, 3, "all")
         assert r.result_digest == digest, series
     assert verify_denominator_duality(3).result_digest == (
-        "19574c33151e3400d886e9e02af4aef1cee8d502f28878c2190694462ddc8464")
+        "7f2221b532e51f681652883c5add6d4583e6a2cb8776a2056415b42a6d86b0f3")
 
 
 def _drop_first_geometric_arc(monkeypatch):
@@ -410,6 +410,26 @@ def test_denominator_reports_an_explore_vector_fault(monkeypatch):
     assert witness["matrix"] == ((0, 1), (-1, 0))
     first, second = witness["vectors"]
     assert first[0] == second[0] and first[1] != second[1]
+
+
+def test_thm2_reports_a_non_gentle_generated_quiver(monkeypatch):
+    # every grid gets the empty relation set alone: on one loop it is
+    # gentle, and on two loops the loops compose freely with both (G2)
+    from clusterlab import verify
+    monkeypatch.setattr(verify, "_relation_choices",
+                        lambda n, arrows: iter([frozenset()]))
+    r = verify_thm2(1, 2, 2)
+    assert r.verdict == "fail"
+    assert r.witnesses == [{
+        "check": "generated relation set not gentle",
+        "quiver": json.dumps({
+            "vertices": 1,
+            "arrows": [{"id": "a0_0_0", "src": 1, "tgt": 1},
+                       {"id": "a0_0_1", "src": 1, "tgt": 1}],
+            "relations": []}),
+        "violated": "G2",
+        "reason": "arrow 'a0_0_0' composes freely with "
+                  "['a0_0_0', 'a0_0_1']"}]
 
 
 def test_type_c_reports_a_non_gentle_quiver(monkeypatch):
@@ -663,6 +683,8 @@ def test_a_failed_harness_carries_its_first_witness_only(monkeypatch):
     assert r.witnesses == [{"check": "seg-profile collision",
                             "tiling": ((2, 4),),
                             "multisets": [(), ((0, 1),)]}]
+    # the two multisets swept, the faulting one included
+    assert r.counts["multisets"] == 2
     monkeypatch.undo()
     # every D-matrix rank 0: the root cluster of A2 is the first witness,
     # and the other A2 clusters and A3 are never reached
@@ -672,12 +694,11 @@ def test_a_failed_harness_carries_its_first_witness_only(monkeypatch):
     r = verify_denominator("A", 3, 3, "root")
     assert r.verdict == "fail"
     assert r.witnesses == [{"where": "A2 root", **first_d}]
-    # duality stops at series B, with B's one witness
-    r = verify_denominator_duality(3, 3, "root")
+    # duality stops at the B2 root, before C2 and rank 3
+    r = verify_denominator_duality(3, 3)
     assert r.verdict == "fail"
-    assert r.witnesses == [{"series": "B",
-                            "witnesses": [{"where": "B2 root", **first_d}]}]
-    assert r.counts["verdicts"] == {"B": "fail"}
+    assert r.witnesses == [{"where": "B2 root", **first_d}]
+    assert r.counts == {"verdicts": {}, "monomials": 36}
 
 
 def test_injectivity_check_stops_at_first_collision(monkeypatch):
@@ -698,9 +719,47 @@ def test_denominator_harness_root_only():
 
 
 def test_denominator_duality():
-    r = verify_denominator_duality(2, 2, "root")
+    r = verify_denominator_duality(2, 2)
     assert r.verdict == "pass"
-    assert r.counts["verdicts"] == {"B": "pass", "C": "pass"}
+    # 18 monomials of degree <= 2 on each side
+    assert r.counts == {"verdicts": {"B": "pass", "C": "pass"},
+                        "monomials": 36, "rank2_pairs": 6}
+
+
+def test_denominator_duality_pairs_every_seed_at_rank_4():
+    # C(2n, n) seeds per side
+    r = verify_denominator_duality(4, 1)
+    assert r.verdict == "pass"
+    assert [r.counts[f"rank{n}_pairs"] for n in (2, 3, 4)] == [6, 20, 70]
+
+
+def test_denominator_duality_reports_a_pairing_fault(monkeypatch):
+    # the C side's root reaches its neighbours in the opposite order, so
+    # the seeds with one id no longer come from one mutation sequence
+    from clusterlab import verify
+    real = verify.explore
+    c2 = verify.standard_matrix("C", 2)
+
+    def permuted(matrix):
+        graph = real(matrix)
+        if matrix == c2:
+            graph.reached[0] = graph.reached[0][::-1]
+        return graph
+
+    monkeypatch.setattr(verify, "explore", permuted)
+    r = verify_denominator_duality(2, 1)
+    assert r.verdict == "fail"
+    assert r.witnesses == [{
+        "check": "B and C seeds pair differently", "rank": 2, "vertex": 0,
+        "clusters": [["x1", "x2"], ["x1", "x2"]]}]
+
+
+def test_duality_cli_has_no_initial_seeds_option():
+    # every seed is paired, so there is nothing to reroot from
+    res = CliRunner().invoke(main, ["verify", "duality", "--initial-seeds",
+                                    "all"])
+    assert res.exit_code == 2, res.output
+    assert "No such option '--initial-seeds'" in res.output
 
 
 def test_cluster_harnesses_report_phase_timings():
