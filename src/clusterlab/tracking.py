@@ -110,11 +110,11 @@ def d_matrix(t: TrackedSeed):
     return [[cols[j][i] for j in range(t.n)] for i in range(t.n)]
 
 
-def check_dual_seeds(t: TrackedSeed, tv: TrackedSeed, d=None):
+def check_dual_seeds(t: TrackedSeed, tv: TrackedSeed, d):
     """Raise `WitnessedFault`, naming the relation and giving both sides,
     unless tv.s is `dual_symmetrizer(t.s)`, s_i M_ij = M^v_ij s_j for M = B,
-    C, F, G and D (`d`: both D-matrices, else `d_matrix`'s), and G^tr S C = S
-    on both sides (Nakanishi-Zelevinsky 2012); one mutation sequence reaches
+    C, F, G and D (`d`: the D-matrices of t and tv), and G^tr S C = S on
+    both sides (Nakanishi-Zelevinsky 2012); one mutation sequence reaches
     t from a root matrix and tv from its Langlands dual."""
     def fail(relation, *sides):
         raise WitnessedFault({"check": "Langlands duality",
@@ -125,7 +125,7 @@ def check_dual_seeds(t: TrackedSeed, tv: TrackedSeed, d=None):
         fail("symmetrizer", s, tv.s)
     for name, m, mv in (("B", t.seed.matrix.b, tv.seed.matrix.b),
                         ("C", t.c, tv.c), ("F", t.f, tv.f), ("G", t.g, tv.g),
-                        ("D", *(d or (d_matrix(t), d_matrix(tv))))):
+                        ("D", *d)):
         if any(s[i] * m[i][j] != mv[i][j] * s[j]
                for i in range(n) for j in range(n)):
             fail(name, m, mv)

@@ -14,7 +14,7 @@ import pytest
 from clusterlab.errors import WitnessedFault
 from clusterlab.exchange import ExchangeMatrix, langlands_dual, mutate_matrix
 from clusterlab.explore import explore, standard_matrix
-from clusterlab.tracking import (TrackedSeed, check_dual_seeds,
+from clusterlab.tracking import (TrackedSeed, check_dual_seeds, d_matrix,
                                  mutate_tracked, run_walk)
 from clusterlab.verify import (verify_denominator, verify_denominator_duality,
                                verify_fvector_injectivity, verify_thm1,
@@ -43,9 +43,10 @@ def _random_skew_symmetrizable(rng, n):
 
 
 def _dual_seeds_ok(t, tv):
-    """Whether check_dual_seeds passes on the pair."""
+    """Whether check_dual_seeds passes on the pair, with their D-matrices
+    read by `d_matrix`."""
     try:
-        check_dual_seeds(t, tv)
+        check_dual_seeds(t, tv, (d_matrix(t), d_matrix(tv)))
     except WitnessedFault:
         return False
     return True

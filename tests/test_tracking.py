@@ -20,11 +20,16 @@ C2 = ExchangeMatrix(((0, 1), (-2, 0)))
 C3 = ExchangeMatrix(((0, 1, 0), (-2, 0, 1), (0, -1, 0)))
 
 
+def check_pair(t, tv):
+    """check_dual_seeds on the pair, with their D-matrices read by
+    `d_matrix`."""
+    check_dual_seeds(t, tv, (d_matrix(t), d_matrix(tv)))
+
+
 def check_dual_walk(matrix, walk):
-    """check_dual_seeds at the seeds the walk reaches from the matrix and
-    from its Langlands dual."""
-    check_dual_seeds(run_walk(matrix, walk),
-                     run_walk(langlands_dual(matrix), walk))
+    """check_pair at the seeds the walk reaches from the matrix and from
+    its Langlands dual."""
+    check_pair(run_walk(matrix, walk), run_walk(langlands_dual(matrix), walk))
 
 
 def test_root_conditions():
@@ -75,7 +80,7 @@ def test_duality_random_c3_walks():
         for _ in range(15):
             k = rng.randint(1, 3)
             t, tv = mutate_tracked(t, k), mutate_tracked(tv, k)
-            check_dual_seeds(t, tv)
+            check_pair(t, tv)
 
 
 def test_langlands_dualities_c2_short_walks():
@@ -90,7 +95,7 @@ def test_langlands_degenerates_for_skew_symmetric():
         t = run_walk(A2, walk)
         tv = run_walk(langlands_dual(A2), walk)
         assert t.f == tv.f and t.c == tv.c
-        check_dual_seeds(t, tv)
+        check_pair(t, tv)
 
 
 def _bump(m):
@@ -131,9 +136,9 @@ def test_check_dual_seeds_names_each_broken_relation(break_pair, relation,
                                                      sides):
     t = run_walk(B2, B2_WALK)
     tv = run_walk(langlands_dual(B2), B2_WALK)
-    check_dual_seeds(t, tv)
+    check_pair(t, tv)
     with pytest.raises(WitnessedFault) as fault:
-        check_dual_seeds(*break_pair(t, tv))
+        check_pair(*break_pair(t, tv))
     assert fault.value.witness == {"check": "Langlands duality",
                                    "relation": relation, "sides": sides}
 
