@@ -209,39 +209,66 @@ def _signature_labellings(n, ends):
         yield p
 
 
+def _least_arrow_list(n, ends):
+    """(arrows, labellings): the least sorted (source, target) arrow list
+    over the `_signature_labellings`, the arrow part of the class key, and
+    the labellings attaining it, which are the vertex maps of the quiver's
+    isomorphisms onto its class quiver."""
+    labellings = {}  # sorted arrow list -> the labellings giving it
+    for p in _signature_labellings(n, ends):
+        labellings.setdefault(
+            tuple(sorted((p[s], p[t]) for s, t in ends)), []).append(p)
+    best = min(labellings)
+    return best, labellings[best]
+
+
+def _isomorphisms(arrows, labellings):
+    """The quiver's isomorphisms (p, name) onto its class quiver: each of
+    its `_least_arrow_list` labellings p with each order of each parallel
+    group, arrow a named (p[source], p[target], position in its group)."""
+    groups = {}
+    for a in arrows:
+        groups.setdefault((a.src, a.tgt), []).append(a.id)
+    return [(p, {a: (p[s], p[t], k)
+                 for (s, t), order in zip(groups, orders)
+                 for k, a in enumerate(order)})
+            for p in labellings
+            for orders in itertools.product(
+                *map(itertools.permutations, groups.values()))]
+
+
+def _canonical_bound_quiver(isomorphisms, relations):
+    """(relations, i): the least sorted relation pairs under the names of
+    the isomorphisms onto the class quiver, and the index of one attaining
+    them; equal for two relation sets on one quiver exactly when an
+    automorphism maps one to the other."""
+    return min((tuple(sorted((name[a], name[b]) for a, b in relations)), i)
+               for i, (_, name) in enumerate(isomorphisms))
+
+
 def _algebra_class(q):
-    """(key, p): the isomorphism class of the bound quiver and a vertex
-    labelling p attaining it.
-
-    The key is (vertex count, sorted (source, target) arrow list, sorted
-    relation pairs of such arrows), least over `_signature_labellings`.
-    Arrows are named by their ends, so parallel arrows raise ValueError
-    rather than let two classes share a key.
+    """(key, p, name): the class key (vertex count, `_least_arrow_list`,
+    `_canonical_bound_quiver`), equal for two bound quivers exactly when
+    they are isomorphic, and an isomorphism (p, name) onto the class quiver.
     """
-    ends_of = {a.id: (a.src, a.tgt) for a in q.arrows.values()}
-    ends = list(ends_of.values())
-    if len(set(ends)) != len(ends):
-        raise ValueError("the class key cannot tell parallel arrows apart")
-    rels = [(ends_of[a], ends_of[b]) for a, b in q.relations]
-    best = None
-    for p in _signature_labellings(q.n, ends):
-        key = (q.n, tuple(sorted((p[s], p[t]) for s, t in ends)),
-               tuple(sorted(((p[s], p[t]), (p[u], p[v]))
-                            for (s, t), (u, v) in rels)))
-        if best is None or key < best[0]:
-            best = (key, p)
-    return best
+    arrows = list(q.arrows.values())
+    ends, labellings = _least_arrow_list(q.n, [(a.src, a.tgt) for a in arrows])
+    isomorphisms = _isomorphisms(arrows, labellings)
+    rels, i = _canonical_bound_quiver(isomorphisms, q.relations)
+    return (q.n, ends, rels), *isomorphisms[i]
 
 
-def _class_arrow(ends):
-    """Id of the arrow with these (source, target) ends in a class quiver."""
-    return f"a{ends[0]}_{ends[1]}"
+def _class_arrow(name):
+    """Class quiver arrow id of a (source, target, position in its parallel
+    group) name, as `enumerate_gentle_algebras` names its arrows."""
+    return "a{}_{}_{}".format(*name)
 
 
 def _class_quiver(key):
     """The canonical bound quiver of an `_algebra_class` key."""
     n, ends, rels = key
-    return BoundQuiver(n, [Arrow(_class_arrow(e), *e) for e in ends],
+    return BoundQuiver(n, [Arrow(_class_arrow((*e, i - ends.index(e))), *e)
+                           for i, e in enumerate(ends)],
                        [(_class_arrow(a), _class_arrow(b)) for a, b in rels])
 
 
@@ -266,19 +293,19 @@ def _tiling_arcs(t, classes):
     record of its algebra's class in `classes` (built on the class's first
     tiling).
 
-    The class words are mapped onto the tiling algebra's arrows,
-    re-canonicalised there and sorted as `enumerate_tau_rigid` sorts, so the
-    arcs come in the order the tiling's own inventory would give.
+    The class words are mapped back through `_algebra_class`'s (p, name),
+    re-canonicalised on the tiling algebra and sorted as
+    `enumerate_tau_rigid` sorts, so the arcs come in the order the tiling's
+    own inventory would give.
     `compatible` reads the clash bit.
     """
     q, _ = t.algebra()
-    key, p = _algebra_class(q)
+    key, p, name = _algebra_class(q)
     if key not in classes:
         classes[key] = _class_record(key)
     words, truncated, clashes = classes[key]
     vertex = {label: v for v, label in enumerate(p)}
-    arrow = {_class_arrow((p[a.src], p[a.tgt])): a.id
-             for a in q.arrows.values()}
+    arrow = {_class_arrow(name[a]): a for a in q.arrows}
     mapped = []  # (word of q, index of its class word)
     for k, w in enumerate(words):
         letters = tuple((arrow[c], inv) for c, inv in w.letters)
@@ -307,18 +334,21 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
 
     The tau-rigid strings and their pairwise compatibility depend only on
     the isomorphism class of the tiling algebra, so they are computed once
-    per class (`_algebra_class`, `_class_record`); each tiling maps the
-    class words back onto its own arrows and builds its arcs from them, in
-    the order `enumerate_tau_rigid` gives (`_tiling_arcs`), and
-    `_dual_path_check` checks them against chord geometry.  The intersection
-    vector and the segment profile of each multiset are accumulated arc by
-    arc as the sweep extends it, both packed in one int per multiset (see
-    `_arc_weights`); neither is recomputed from the whole multiset.
+    per class of thm2's key (`_algebra_class`, `_class_record`); each tiling
+    maps the class words back onto its own arrows and builds its arcs from
+    them, in the order `enumerate_tau_rigid` gives (`_tiling_arcs`), and
+    `_dual_path_check` checks them against chord geometry.  A forbidden tile
+    (`forbidden_tile_scan`) must come with an even full-relation cycle of
+    the algebra (`detect_even_full_cycle`), and an admissible tiling
+    without one.  The intersection vector and the segment profile of each
+    multiset are accumulated arc by arc as the sweep extends it, both packed
+    in one int per multiset (see `_arc_weights`); neither is recomputed.
 
     Phases: `tilings` (chord sets, the taxonomy test, maps and their
     classification; timed once per polygon and once per tiling), `arcs`
-    (per-class strings, arcs and the chord oracle) and `multisets` (the
-    sweep with its compatibility tests), both timed once per tiling.
+    (per-class strings, arcs, the chord oracle and the forbidden-tile
+    cross-check) and `multisets` (the sweep with its compatibility tests),
+    both timed once per tiling.
     """
     counts = report.counts = dict.fromkeys(
         ("tilings", "outside_taxonomy", "admissible", "forbidden",
@@ -346,6 +376,12 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                     "class_reuses": counts["tilings"] - len(classes)}
                 if not truncated:
                     _dual_path_check(disc, arcs, compatible)
+                admissible = t.forbidden_tile_scan()
+                cycle = detect_even_full_cycle(t.algebra()[0])
+                if admissible != (cycle is None):
+                    raise WitnessedFault({
+                        "check": "forbidden tile and even cycle differ",
+                        "tiling": disc.chords, "even_cycle": cycle})
             if truncated:
                 report.verdict = "truncated"
                 report.witnesses.append(
@@ -382,7 +418,7 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                 "vector": _unpack(collision[2], n_arcs, width),
                 "multisets": [_multiset_desc(arcs, collision[0]),
                               _multiset_desc(arcs, collision[1])]}
-            if t.forbidden_tile_scan():
+            if admissible:
                 counts["admissible"] += 1
                 if witness is not None:
                     raise WitnessedFault({
@@ -517,55 +553,17 @@ def _relation_choices(n, arrows):
         yield frozenset().union(*combo)
 
 
-def _grid_key(n, grid):
-    """The least sorted arrow list, one (source, target) pair per arrow, over
-    the `_signature_labellings` of the arrow-count grid; two grids get the
-    same key exactly when they are isomorphic."""
-    arrows = [ij for ij, c in grid.items() for _ in range(c)]
-    return min(tuple(sorted((p[i], p[j]) for i, j in arrows))
-               for p in _signature_labellings(n, arrows))
-
-
-def _automorphisms(n, arrows):
-    """The quiver's automorphisms as arrow-id maps: each vertex permutation
-    that fixes the arrow-count grid, combined with each ordering of each
-    group of parallel arrows."""
-    groups = {}
-    for a in arrows:
-        groups.setdefault((a.src, a.tgt), []).append(a.id)
-    maps = []
-    for p in itertools.permutations(range(n)):
-        images = [groups.get((p[i], p[j]), ()) for i, j in groups]
-        if any(len(ids) != len(image)
-               for ids, image in zip(groups.values(), images)):
-            continue
-        for orders in itertools.product(*map(itertools.permutations, images)):
-            maps.append({a: b for ids, order in zip(groups.values(), orders)
-                         for a, b in zip(ids, order)})
-    return maps
-
-
-def _canonical_bound_quiver(automorphisms, relations):
-    """The least image of the relation set under the quiver's automorphisms:
-    equal for two relation sets on one quiver exactly when an automorphism
-    maps one to the other."""
-    return min(tuple(sorted((g[a], g[b]) for a, b in relations))
-               for g in automorphisms)
-
-
 def enumerate_gentle_algebras(vertex_max, arrow_max):
     """Connected gentle bound quivers up to isomorphism: the first gentle
     member of each class, in enumeration order (vertex count, then arrow
     grid, then relation set).
 
-    Only the first grid of each isomorphism class of grids is visited, and
-    on it only the first relation set of each automorphism orbit (orderly
-    generation).  This still finds the first member of every class:
-    isomorphic bound quivers have isomorphic grids, and each bound quiver on
-    a later grid of a class has an isomorphic copy on the first grid of that
-    class, so every class first appears there; and two relation sets on one
-    grid give isomorphic bound quivers exactly when an automorphism of the
-    grid's quiver maps one to the other.
+    Only a grid with a new arrow part of the `_algebra_class` key is
+    visited, and on it only a relation set with a new relation part
+    (orderly generation).  This still finds the first member of every
+    class: isomorphic bound quivers have isomorphic grids, and each bound
+    quiver on a later grid of a class has an isomorphic copy on the first
+    grid of that class, so every class first appears there.
 
     The grids bound every degree by 2 (G1) and the per-vertex relation
     patterns enforce G2 and G3, so every generated member is gentle;
@@ -578,16 +576,17 @@ def enumerate_gentle_algebras(vertex_max, arrow_max):
         for grid in _arrow_grids(n, arrow_max):
             if not _connected(n, grid):
                 continue
-            grid_key = _grid_key(n, grid)
-            if grid_key in grid_classes:
+            ends, labellings = _least_arrow_list(
+                n, [ij for ij, c in sorted(grid.items()) for _ in range(c)])
+            if ends in grid_classes:
                 continue
-            grid_classes.add(grid_key)
-            arrows = [Arrow(f"a{i}_{j}_{k}", i, j)
+            grid_classes.add(ends)
+            arrows = [Arrow(_class_arrow((i, j, k)), i, j)
                       for (i, j), c in sorted(grid.items()) for k in range(c)]
-            automorphisms = _automorphisms(n, arrows)
+            isomorphisms = _isomorphisms(arrows, labellings)
             orbits = set()
             for rels in _relation_choices(n, arrows):
-                key = _canonical_bound_quiver(automorphisms, rels)
+                key, _ = _canonical_bound_quiver(isomorphisms, rels)
                 if key in orbits:
                     continue
                 orbits.add(key)

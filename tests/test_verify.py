@@ -5,7 +5,10 @@ import inspect
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -13,14 +16,16 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from clusterlab.cli import main
-from clusterlab.errors import UnclassifiableTileError, WitnessedFault
-from clusterlab.quiver import Arrow, BoundQuiver, check_gentle
-from clusterlab.tiling import ArcMultiset, DiscTiling, disc_tilings, seg_profile
+from clusterlab.errors import (InfiniteDimensionalAlgebraError,
+                               UnclassifiableTileError, WitnessedFault)
+from clusterlab.quiver import Arrow, BoundQuiver, cartan_matrix, check_gentle
+from clusterlab.tiling import (ArcMultiset, DiscTiling, TilingComplex,
+                               disc_tilings, seg_profile)
 from clusterlab.verify import (
     VerifyReport, _algebra_class, _arc_weights, _arrow_grids,
-    _automorphisms, _canonical_bound_quiver, _class_arrow, _class_quiver,
+    _canonical_bound_quiver, _class_arrow, _class_quiver,
     _compatible_multisets, _connected, _dual_path_check, _field_width,
-    _grid_key, _pack,
+    _isomorphisms, _least_arrow_list, _pack,
     _relation_choices, _tiling_arcs, _unpack,
     enumerate_gentle_algebras, verify_denominator,
     verify_denominator_duality, verify_fvector_injectivity, verify_thm1,
@@ -256,7 +261,10 @@ def _disc_tiling_algebras():
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_algebra_class_ignores_labels(data):
-    q = data.draw(st.sampled_from(_disc_tiling_algebras()))
+    # tiling algebras, and the gentle classes at (3, 4), which have
+    # parallel arrows
+    q = data.draw(st.sampled_from(_disc_tiling_algebras())
+                  | st.sampled_from(_small_gentle()))
     perm = data.draw(st.permutations(range(q.n)))
     names = data.draw(st.permutations([f"b{k}" for k in range(len(q.arrows))]))
     rename = dict(zip(sorted(q.arrows), names))
@@ -264,24 +272,47 @@ def test_algebra_class_ignores_labels(data):
         q.n, [Arrow(rename[a.id], perm[a.src], perm[a.tgt])
               for a in q.arrows.values()],
         [(rename[a], rename[b]) for a, b in q.relations])
-    key, p = _algebra_class(q)
-    moved_key, moved_p = _algebra_class(moved)
+    key, p, name = _algebra_class(q)
+    moved_key, moved_p, moved_name = _algebra_class(moved)
     assert moved_key == key
-    # each labelling sends the arrows and relations onto the class quiver's
+    # each isomorphism sends the arrows and relations onto the class
+    # quiver's, every arrow along the vertex map
     cq = _class_quiver(key)
-    for quiver, lab in ((q, p), (moved, moved_p)):
+    for quiver, lab, names in ((q, p, name), (moved, moved_p, moved_name)):
         assert sorted(lab) == list(range(q.n))
-        image = {a.id: _class_arrow((lab[a.src], lab[a.tgt]))
-                 for a in quiver.arrows.values()}
+        image = {a: _class_arrow(names[a]) for a in quiver.arrows}
         assert sorted(image.values()) == sorted(cq.arrows)
+        for a in quiver.arrows.values():
+            b = cq.arrow(image[a.id])
+            assert (b.src, b.tgt) == (lab[a.src], lab[a.tgt])
         assert {(image[a], image[b]) for a, b in quiver.relations} == \
             cq.relations
 
 
-def test_algebra_class_rejects_parallel_arrows():
-    kronecker = BoundQuiver(2, [Arrow("a", 0, 1), Arrow("b", 0, 1)], [])
-    with pytest.raises(ValueError):
-        _algebra_class(kronecker)
+def test_algebra_class_tells_parallel_arrows_apart():
+    # the Kronecker pair a, b: 0 -> 1, then c: 1 -> 2 with one relation;
+    # swapping the pair gives an isomorphic bound quiver and the same key
+    def kronecker(first, second):
+        return BoundQuiver(3, [Arrow(first, 0, 1), Arrow(second, 0, 1),
+                               Arrow("c", 1, 2)], [(first, "c")])
+
+    key, p, name = _algebra_class(kronecker("a", "b"))
+    # vertices by signature (out, in, loops): 2, then 1, then 0
+    assert key == (3, ((1, 0), (2, 1), (2, 1)), (((2, 1, 0), (1, 0, 0)),))
+    assert p == [2, 1, 0]
+    assert name == {"a": (2, 1, 0), "b": (2, 1, 1), "c": (1, 0, 0)}
+    assert _algebra_class(kronecker("b", "a"))[0] == key
+    # the class quiver is its own canonical form
+    cq = _class_quiver(key)
+    assert sorted(cq.arrows) == ["a1_0_0", "a2_1_0", "a2_1_1"]
+    assert _algebra_class(cq)[0] == key
+    # without the relation the two orders of the pair are both attaining
+    plain = BoundQuiver(2, [Arrow("a", 0, 1), Arrow("b", 0, 1)], [])
+    key, _, _ = _algebra_class(plain)
+    assert key == (2, ((1, 0), (1, 0)), ())  # the sink first
+    assert _algebra_class(_class_quiver(key))[0] == key
+    _, labellings = _least_arrow_list(2, [(0, 1), (0, 1)])
+    assert len(_isomorphisms(plain.arrows.values(), labellings)) == 2
 
 
 def test_generator_callers_keep_their_results():
@@ -360,6 +391,25 @@ def test_thm1_reports_a_dual_path_fault(monkeypatch):
     # the counts reached before the fault: the empty square is outside the
     # taxonomy, and the fault came on the first tiling
     assert r.counts["tilings"] == 1 and r.counts["outside_taxonomy"] == 1
+
+
+def test_thm1_reports_a_forbidden_tile_and_cycle_fault(monkeypatch):
+    # the first tiling, the square cut by (2, 4), is admissible and its
+    # algebra has no arrows; each side of the check is broken in turn
+    from clusterlab import verify
+    for owner, name, broken, cycle in (
+            (verify, "detect_even_full_cycle", lambda q: ["x", "y"],
+             ["x", "y"]),
+            (TilingComplex, "forbidden_tile_scan", lambda t: False, None)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, broken)
+            r = verify_thm1(5, 2)
+        assert r.verdict == "fail"
+        assert r.witnesses == [{
+            "check": "forbidden tile and even cycle differ",
+            "tiling": ((2, 4),), "even_cycle": cycle}]
+        assert r.counts["tilings"] == 1 and r.counts["admissible"] == 0
+    assert verify_thm1(5, 2).verdict == "pass"
 
 
 def test_dual_path_check_catches_a_wrong_compatibility():
@@ -577,37 +627,87 @@ def _moves_along_a_vertex_permutation(q, g):
 @settings(max_examples=200, deadline=None)
 def test_canonical_key_ignores_labels(data):
     q = data.draw(st.sampled_from(_small_gentle()))
-    grid = dict(Counter((a.src, a.tgt) for a in q.arrows.values()))
-    # the grid key ignores vertex labels
+    arrows = list(q.arrows.values())
+    grid = dict(Counter((a.src, a.tgt) for a in arrows))
+    ends, labellings = _least_arrow_list(q.n, [(a.src, a.tgt) for a in arrows])
+    # the arrow part of the key ignores vertex labels
     perm = data.draw(st.permutations(range(q.n)))
-    moved = {(perm[i], perm[j]): c for (i, j), c in grid.items()}
-    assert _grid_key(q.n, moved) == _grid_key(q.n, grid)
-    # one automorphism per grid-fixing vertex permutation and ordering of
-    # each group of parallel arrows
-    automorphisms = _automorphisms(q.n, list(q.arrows.values()))
+    assert _least_arrow_list(
+        q.n, [(perm[a.src], perm[a.tgt]) for a in arrows])[0] == ends
+    # one isomorphism onto the class quiver per grid-fixing vertex
+    # permutation and ordering of each group of parallel arrows
+    isomorphisms = _isomorphisms(arrows, labellings)
     fixing = sum(
         {(p[i], p[j]): c for (i, j), c in grid.items()} == grid
         for p in itertools.permutations(range(q.n)))
     orderings = math.prod(map(math.factorial, grid.values()))
-    assert len(automorphisms) == fixing * orderings
-    # the orbit key is constant on orbits, parallel-arrow swaps included
-    g = data.draw(st.sampled_from(automorphisms))
-    assert sorted(g) == sorted(g.values()) == sorted(q.arrows)
-    assert _moves_along_a_vertex_permutation(q, g)
-    image = frozenset((g[a], g[b]) for a, b in q.relations)
-    assert _canonical_bound_quiver(automorphisms, image) == \
-        _canonical_bound_quiver(automorphisms, q.relations)
+    assert len(isomorphisms) == fixing * orderings
+    cq = _class_quiver((q.n, ends, ()))
+    for p, name in isomorphisms:
+        assert sorted(map(_class_arrow, name.values())) == sorted(cq.arrows)
+        assert all(name[a.id][:2] == (p[a.src], p[a.tgt]) for a in arrows)
+    # the orbit key is constant under each automorphism, parallel-arrow
+    # swaps included: the first isomorphism, undone by each other one
+    key = _canonical_bound_quiver(isomorphisms, q.relations)[0]
+    undo = {label: a for a, label in isomorphisms[0][1].items()}
+    for _, name in isomorphisms:
+        g = {a: undo[label] for a, label in name.items()}
+        assert _moves_along_a_vertex_permutation(q, g)
+        image = frozenset((g[a], g[b]) for a, b in q.relations)
+        assert _canonical_bound_quiver(isomorphisms, image)[0] == key
+
+
+def _relabelled(q):
+    """q with its vertices in reverse order and its arrows renamed."""
+    rename = {a: f"b{k}" for k, a in enumerate(sorted(q.arrows)[::-1])}
+    return BoundQuiver(
+        q.n, [Arrow(rename[a.id], q.n - 1 - a.src, q.n - 1 - a.tgt)
+              for a in q.arrows.values()],
+        [(rename[a], rename[b]) for a, b in q.relations])
+
+
+def test_class_keys_match_brute_force_on_the_gentle_classes():
+    # the 312 classes at (4, 4) and a relabelled copy of each: the class
+    # key and `_brute_canonical` split the 624 quivers alike, into the 312
+    # classes
+    pairs = set()
+    for q in enumerate_gentle_algebras(4, 4):
+        for x in (q, _relabelled(q)):
+            ends = {a.id: (a.src, a.tgt) for a in x.arrows.values()}
+            pairs.add((_algebra_class(x)[0],
+                       (x.n, _brute_canonical(x.n, None, x.relations, ends))))
+    assert len(pairs) == len({k for k, _ in pairs}) == \
+        len({b for _, b in pairs}) == 312
+
+
+@functools.cache
+def _gentle_at_acceptance_bounds():
+    return enumerate_gentle_algebras(4, 6)
 
 
 def test_gentle_enumeration_pinned_at_acceptance_bounds():
     # sha256 of the to_json list of enumerate_gentle_algebras(4, 6) as
     # found by canonicalising every relation set on every connected grid
-    algebras = enumerate_gentle_algebras(4, 6)
+    algebras = _gentle_at_acceptance_bounds()
     assert len(algebras) == 2209
     digest = hashlib.sha256(
         json.dumps([q.to_json() for q in algebras]).encode()).hexdigest()
     assert digest == \
         "e2ef497addea8d2cb7f9e58bb37cc18bf153b68d82a1a4a19d0665354471da79"
+
+
+def test_gentle_classes_split_by_finite_dimension():
+    # the classes at (4, 6) are gentle in the G1-G3 sense only: 876 are
+    # finite-dimensional, and each of the other 1,333 has a relation-free
+    # oriented cycle, so building its Cartan matrix raises
+    finite = infinite = 0
+    for q in _gentle_at_acceptance_bounds():
+        try:
+            cartan_matrix(q)
+            finite += 1
+        except InfiniteDimensionalAlgebraError:
+            infinite += 1
+    assert (finite, infinite) == (876, 1333)
 
 
 def test_fvector_harness():
@@ -875,6 +975,36 @@ def test_cli_rejects_bad_walks_exponents_and_degree_caps(tmp_path, args):
                              + args[1:])
     assert res.exit_code == 2, res.output
     assert f"Invalid value for '{args[-2]}'" in res.output
+
+
+def test_harness_digests_do_not_depend_on_string_hashing():
+    # the CLI runs thm1 at marked-max 7, the type B denominator check from
+    # every initial seed and thm2 at (4, 4, 3), whose orbit key is the
+    # class key, under two hash seeds; each pair of runs prints one result
+    # digest, the pinned one
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, (str(src),
+                                         os.environ.get("PYTHONPATH"))))
+    commands = {
+        "thm1": ["thm1", "--marked-max", "7", "--mult-cap", "2"],
+        "denominator": ["denominator", "--series", "B", "--rank-max", "3",
+                        "--initial-seeds", "all"],
+        "thm2": ["thm2", "--vertex-max", "4", "--arrow-max", "4",
+                 "--mult-cap", "3"]}
+    reports = {}  # (name, hash seed) -> the JSON report
+    for seed in (0, 12345):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        for name, args in commands.items():
+            reports[name, seed] = json.loads(subprocess.run(
+                [sys.executable, "-m", "clusterlab.cli", "verify", *args,
+                 "--format", "json"], env=env, capture_output=True,
+                text=True, check=True).stdout)
+    for name, prefix in (("thm1", "e53e1187"), ("denominator", "b9cfec1b"),
+                         ("thm2", "8089693f")):
+        digests = {reports[name, seed]["result_digest"]
+                   for seed in (0, 12345)}
+        assert len(digests) == 1, (name, digests)
+        assert digests.pop().startswith(prefix), name
 
 
 @pytest.mark.parametrize("command, flag, data, message", [
