@@ -268,7 +268,7 @@ def classify(tiling_path, fmt, out):
     types = t.classify_tiles()
     result = {
         "tiles": {str(fid): kind for fid, kind in sorted(types.items())},
-        "forbidden_scan_passes": t.forbidden_tile_scan(),
+        "forbidden_scan_passes": t.admissible(),
     }
     _emit(result, fmt, out)
 

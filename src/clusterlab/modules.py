@@ -4,10 +4,11 @@ Representations are left modules over the bound path algebra: a vector space
 per vertex and a matrix per arrow mapping the source space to the target
 space, with every relation composing to zero.  Every representation, however
 it is made, goes through the `QuiverRep` constructor, which checks the
-shapes and the relations.  All linear algebra is exact
-and stays in ints: string modules, projectives, syzygies, cokernels and
-translates are built from 0/1 seeds, and `linalg` makes a Fraction only on
-a pivot division that is not exact.
+shapes and the relations; builders pass only the matrices they fill, and
+the constructor zeroes the rest.  All linear algebra is exact and stays in
+ints: string modules, projectives, syzygies, cokernels and translates are
+built from 0/1 seeds, and `linalg` makes a Fraction only on a pivot
+division that is not exact.
 
 The translate is computed from first principles: minimal projective
 presentation (projective cover of the module, then of the syzygy), transpose
@@ -38,8 +39,11 @@ from .quiver import BoundQuiver, StringWord, projective_paths, validate_word, wo
 class QuiverRep:
     """A representation: per-vertex dimensions and per-arrow matrices.
 
-    Every build checks the shapes and the relations.  The matrices are kept,
-    not copied, and must not change afterwards; a missing one is zero.
+    Every build checks the shapes and every relation.  A relation is checked
+    row by row: each row of the second arrow's matrix, over its nonzero
+    entries, is summed against the first arrow's rows, exactly and without
+    forming the product.  The matrices are kept, not copied, and must not
+    change afterwards; a missing one is zero.
     """
 
     def __init__(self, quiver: BoundQuiver, dims, mats):
@@ -57,10 +61,13 @@ class QuiverRep:
                 raise ValueError(f"matrix for arrow {a.id!r} has wrong shape")
             self.mats[a.id] = m
         for (first, then) in quiver.relations:
-            prod = linalg.mat_mul(self.mats[then], self.mats[first])
-            if any(any(x != 0 for x in row) for row in prod):
-                raise ValueError(
-                    f"relation ({first},{then}) does not vanish")
+            inner = self.mats[first]
+            for row in self.mats[then]:
+                terms = [(x, inner[k]) for k, x in enumerate(row) if x]
+                if terms and any(sum(x * r[j] for x, r in terms)
+                                 for j in range(len(terms[0][1]))):
+                    raise ValueError(
+                        f"relation ({first},{then}) does not vanish")
 
     def dim_vector(self):
         return self.dims
@@ -84,9 +91,11 @@ def string_module(q: BoundQuiver, w: StringWord) -> QuiverRep:
     for v in word_vertices(q, w):
         local.append(dims[v])
         dims[v] += 1
-    mats = {aid: linalg.zeros(dims[q.arrow(aid).tgt], dims[q.arrow(aid).src])
-            for aid in q.arrows}
+    mats = {}  # only the arrows the word uses; QuiverRep zeroes the rest
     for pos, (aid, inv) in enumerate(w.letters):
+        if aid not in mats:
+            a = q.arrow(aid)
+            mats[aid] = linalg.zeros(dims[a.tgt], dims[a.src])
         src_idx, tgt_idx = (pos + 1, pos) if inv else (pos, pos + 1)
         mats[aid][local[tgt_idx]][local[src_idx]] = 1
     return QuiverRep(q, dims, mats)
@@ -214,6 +223,8 @@ def minimal_presentation(q: BoundQuiver, m: QuiverRep):
     # kernel as a representation: arrows act through P0
     kmats = {}
     for aid, a in q.arrows.items():
+        if not kdims[a.src]:
+            continue  # nothing to act on; QuiverRep zeroes the matrix
         mat = linalg.zeros(kdims[a.tgt], kdims[a.src])
         target = p0.vertex_basis[a.tgt]
         action = p0.arrow_action(aid, a.src)
@@ -277,14 +288,19 @@ def presented_hom_dim(presentation, n: QuiverRep) -> int:
         return 0
     rows = []
     for l, t1 in enumerate(tops1):
+        if not n.dims[t1]:
+            continue  # the block would have no rows
         block = linalg.zeros(n.dims[t1], total)
         for i, t0 in enumerate(tops0):
             if not n.dims[t0]:
                 continue
             for path, coef in entries.get((i, l), ()):
-                act = linalg.identity(n.dims[t0])
-                for aid in path:
-                    act = linalg.mat_mul(n.mats[aid], act)
+                if not path:
+                    act = linalg.identity(n.dims[t0])
+                else:
+                    act = n.mats[path[0]]
+                    for aid in path[1:]:
+                        act = linalg.mat_mul(n.mats[aid], act)
                 for r, row in enumerate(act):
                     for k, x in enumerate(row):
                         if x:

@@ -169,8 +169,9 @@ class TilingComplex:
         self._types = types
         return types
 
-    def forbidden_tile_scan(self):
-        """True when no type II tile and no even-gon of type V is present."""
+    def admissible(self):
+        """True when the tiling has no forbidden tile: no type II tile and
+        no even-gon of type V."""
         types = self.classify_tiles()
         for fid, kind in types.items():
             if kind == "II":

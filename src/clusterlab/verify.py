@@ -338,11 +338,12 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
     maps the class words back onto its own arrows and builds its arcs from
     them, in the order `enumerate_tau_rigid` gives (`_tiling_arcs`), and
     `_dual_path_check` checks them against chord geometry.  A forbidden tile
-    (`forbidden_tile_scan`) must come with an even full-relation cycle of
-    the algebra (`detect_even_full_cycle`), and an admissible tiling
-    without one.  The intersection vector and the segment profile of each
-    multiset are accumulated arc by arc as the sweep extends it, both packed
-    in one int per multiset (see `_arc_weights`); neither is recomputed.
+    must come with an even full-relation cycle of the algebra
+    (`detect_even_full_cycle`), and an admissible tiling
+    (`TilingComplex.admissible`) without one.  The intersection vector and
+    the segment profile of each multiset are accumulated arc by arc as the
+    sweep extends it, both packed in one int per multiset (see
+    `_arc_weights`); neither is recomputed.
 
     Phases: `tilings` (chord sets, the taxonomy test, maps and their
     classification; timed once per polygon and once per tiling), `arcs`
@@ -376,7 +377,7 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                     "class_reuses": counts["tilings"] - len(classes)}
                 if not truncated:
                     _dual_path_check(disc, arcs, compatible)
-                admissible = t.forbidden_tile_scan()
+                admissible = t.admissible()
                 cycle = detect_even_full_cycle(t.algebra()[0])
                 if admissible != (cycle is None):
                     raise WitnessedFault({

@@ -2,6 +2,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterlab.modules import (
     QuiverRep, StringInventory, ar_translate, enumerate_tau_rigid, hom_dim,
@@ -11,7 +12,7 @@ from clusterlab import linalg, modules
 from clusterlab.quiver import (
     Arrow, BoundQuiver, StringWord, enumerate_strings, letter_graph_acyclic,
 )
-from clusterlab.verify import enumerate_gentle_algebras
+from clusterlab.verify import enumerate_gentle_algebras, verify_thm2
 
 
 def loop_algebra():
@@ -101,6 +102,67 @@ def test_relation_violation_rejected():
     q = two_cycle_full()
     with pytest.raises(ValueError):
         QuiverRep(q, (1, 1), {"a": [[1]], "b": [[1]]})
+
+
+def check_relation_against_oracle(dims, a, b):
+    """On 0 -a-> 1 -b-> 2 with b.a = 0, `QuiverRep` raises exactly when the
+    oracle, which forms the product b.a and looks for a nonzero entry, finds
+    one; returns the oracle's verdict."""
+    q = BoundQuiver(3, [Arrow("a", 0, 1), Arrow("b", 1, 2)], [("a", "b")])
+    fails = any(any(x != 0 for x in row) for row in linalg.mat_mul(b, a))
+    if fails:
+        with pytest.raises(ValueError, match="does not vanish"):
+            QuiverRep(q, dims, {"a": a, "b": b})
+    else:
+        QuiverRep(q, dims, {"a": a, "b": b})
+    return fails
+
+
+@st.composite
+def one_relation_reps(draw):
+    dims = draw(st.tuples(*[st.integers(0, 3)] * 3))
+    entry = st.integers(-2, 2)
+    a = draw(st.lists(st.lists(entry, min_size=dims[0], max_size=dims[0]),
+                      min_size=dims[1], max_size=dims[1]))
+    b = draw(st.lists(st.lists(entry, min_size=dims[1], max_size=dims[1]),
+                      min_size=dims[2], max_size=dims[2]))
+    return dims, a, b
+
+
+@given(one_relation_reps())
+@settings(max_examples=300, deadline=None)
+def test_relation_check_matches_the_dense_product(rep):
+    check_relation_against_oracle(*rep)
+
+
+@pytest.mark.parametrize("dims, a, b, fails", [
+    ((1, 2, 1), [[1], [-1]], [[1, 1]], False),  # the products cancel
+    ((1, 2, 1), [[1], [1]], [[1, 1]], True),
+    ((2, 0, 3), [], [[], [], []], False),  # 0-dimensional middle vertex
+])
+def test_relation_check_fixed_cases(dims, a, b, fails):
+    assert check_relation_against_oracle(dims, a, b) == fails
+
+
+def test_thm2_round_builds_and_products(monkeypatch):
+    # one verify_thm2(4, 4, 3) run checks every one of its 6,075 builds;
+    # neither the relation check nor a Hom block forms a product, so the
+    # only products left are the actions of paths of length 2 or more
+    counts = {"builds": 0, "products": 0}
+    build, product = QuiverRep.__init__, linalg.mat_mul
+
+    def counted_build(self, *args):
+        counts["builds"] += 1
+        build(self, *args)
+
+    def counted_product(a, b):
+        counts["products"] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(QuiverRep, "__init__", counted_build)
+    monkeypatch.setattr(linalg, "mat_mul", counted_product)
+    assert verify_thm2(4, 4, 3).verdict == "pass"
+    assert counts == {"builds": 6075, "products": 1971}
 
 
 def test_projective_modules():
@@ -297,6 +359,23 @@ def test_kernel_arrow_stability_check_catches_a_wrong_action(monkeypatch):
                         lambda self, aid, src: [None, 0])
     with pytest.raises(AssertionError, match="kernel is not arrow-stable"):
         minimal_presentation(q, simple(q, 0))
+
+
+def test_kernel_arrow_stability_check_runs_where_the_target_kernel_is_zero(
+        monkeypatch):
+    # 0 -a-> 1 <-c- 2, 1 -d-> 3 with d.c = 0, and M the string a d plus the
+    # simple at 2: the kernel of P0 -> M is c at vertex 1 and zero at 3, where
+    # P0 still has the basis path d.a; an action of d that sends c onto d.a is
+    # caught even though the target kernel is zero
+    q = BoundQuiver(4, [Arrow("a", 0, 1), Arrow("c", 2, 1), Arrow("d", 1, 3)],
+                    [("c", "d")])
+    m = QuiverRep(q, (1, 1, 1, 1), {"a": [[1]], "d": [[1]]})
+    tops0, tops1, _ = minimal_presentation(q, m)
+    assert (tops0, tops1) == ([0, 2], [1])
+    monkeypatch.setattr(modules._ProjectiveSum, "arrow_action",
+                        lambda self, aid, src: [0] * len(self.vertex_basis[src]))
+    with pytest.raises(AssertionError, match="kernel is not arrow-stable"):
+        minimal_presentation(q, m)
 
 
 def test_hom_with_fraction_entries():

@@ -170,18 +170,18 @@ def test_central_triangle_is_odd_type_v():
     t = complex_of(6, [(1, 3), (3, 5), (1, 5)])
     types = t.classify_tiles()
     assert sorted(types.values()) == ["III", "III", "III", "V"]
-    assert t.forbidden_tile_scan()  # odd-gon of type V is allowed
+    assert t.admissible()  # odd-gon of type V is allowed
 
 
 def test_forbidden_scan_even_square():
     t = complex_of(8, [(1, 3), (3, 5), (5, 7), (1, 7)])
-    assert not t.forbidden_tile_scan()
+    assert not t.admissible()
 
 
 def test_type_ii_flagged():
     t = annulus_digon_tiling()
     assert sorted(t.classify_tiles().values()) == ["II", "III", "III"]
-    assert not t.forbidden_tile_scan()
+    assert not t.admissible()
 
 
 def test_annulus_loop_is_loop_algebra():
@@ -224,7 +224,7 @@ def test_annulus_injectivity_and_profiles():
     # multisets on the admissible one-holed-disc instances
     for m in (2, 3, 4):
         for t in one_holed_disc_tilings(m):
-            if not t.forbidden_tile_scan():
+            if not t.admissible():
                 continue
             arcs, _ = t.enumerate_permissible_arcs()
             width = _field_width([a.intersection for a in arcs], 2)

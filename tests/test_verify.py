@@ -181,7 +181,7 @@ def _classified_disc_complexes(m_max):
 
 def _admissible_disc_complexes(m_max):
     return (t for t in _classified_disc_complexes(m_max)
-            if t.forbidden_tile_scan())
+            if t.admissible())
 
 
 def test_thm1_weights_split_into_vector_and_profile():
@@ -400,7 +400,7 @@ def test_thm1_reports_a_forbidden_tile_and_cycle_fault(monkeypatch):
     for owner, name, broken, cycle in (
             (verify, "detect_even_full_cycle", lambda q: ["x", "y"],
              ["x", "y"]),
-            (TilingComplex, "forbidden_tile_scan", lambda t: False, None)):
+            (TilingComplex, "admissible", lambda t: False, None)):
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, broken)
             r = verify_thm1(5, 2)
@@ -977,14 +977,20 @@ def test_cli_rejects_bad_walks_exponents_and_degree_caps(tmp_path, args):
     assert f"Invalid value for '{args[-2]}'" in res.output
 
 
+def _cli_env(**extra):
+    """The environment of a `python -m clusterlab.cli` subprocess: this
+    checkout's `src` first on PYTHONPATH, plus `extra`."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, (str(src),
+                                         os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_harness_digests_do_not_depend_on_string_hashing():
     # the CLI runs thm1 at marked-max 7, the type B denominator check from
     # every initial seed and thm2 at (4, 4, 3), whose orbit key is the
     # class key, under two hash seeds; each pair of runs prints one result
     # digest, the pinned one
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, (str(src),
-                                         os.environ.get("PYTHONPATH"))))
     commands = {
         "thm1": ["thm1", "--marked-max", "7", "--mult-cap", "2"],
         "denominator": ["denominator", "--series", "B", "--rank-max", "3",
@@ -993,7 +999,7 @@ def test_harness_digests_do_not_depend_on_string_hashing():
                  "--mult-cap", "3"]}
     reports = {}  # (name, hash seed) -> the JSON report
     for seed in (0, 12345):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        env = _cli_env(PYTHONHASHSEED=str(seed))
         for name, args in commands.items():
             reports[name, seed] = json.loads(subprocess.run(
                 [sys.executable, "-m", "clusterlab.cli", "verify", *args,
@@ -1005,6 +1011,53 @@ def test_harness_digests_do_not_depend_on_string_hashing():
                    for seed in (0, 12345)}
         assert len(digests) == 1, (name, digests)
         assert digests.pop().startswith(prefix), name
+
+
+def _gentle_analyze(tmp_path, quiver):
+    """`gentle analyze --format json` on `quiver` in a subprocess."""
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver))
+    return subprocess.run(
+        [sys.executable, "-m", "clusterlab.cli", "gentle", "analyze",
+         "--quiver", str(path), "--format", "json"], env=_cli_env(),
+        capture_output=True, text=True, check=True)
+
+
+def test_gentle_quiver_analysis_from_the_cli(tmp_path):
+    # the CLI on the 2-cycle with full relations: an even full-relation
+    # cycle, Cartan determinant 0, the two projectives sharing the dimension
+    # vector (1, 1), and one translate computed for each of the four strings
+    result = json.loads(_gentle_analyze(tmp_path, {
+        "vertices": 2,
+        "arrows": [{"id": "a", "src": 1, "tgt": 2},
+                   {"id": "b", "src": 2, "tgt": 1}],
+        "relations": [["a", "b"], ["b", "a"]]}).stdout)
+    assert result["gentle"] is True, result
+    assert result["even_full_cycle"] == ["a", "b"], result
+    assert result["cartan_determinant"] == 0, result
+    dims = sorted(m["dim"] for m in result["tau_rigid"])
+    assert dims == [[0, 1], [1, 0], [1, 1], [1, 1]], result
+    assert result["cache"] == {"tau_hits": 0, "tau_misses": 4}, result
+
+
+def test_gentle_analysis_of_a_quiver_with_infinitely_many_strings(tmp_path):
+    # the CLI on the Kronecker quiver (two arrows 1 -> 2, no relations): its
+    # strings never end, so the default length cap of twice the arrow count
+    # plus two truncates the listing at the eight preprojective and
+    # preinjective dimension vectors up to (4, 3); the truncation is
+    # reported by the flag alone, with nothing on stderr
+    run = _gentle_analyze(tmp_path, {
+        "vertices": 2,
+        "arrows": [{"id": "a", "src": 1, "tgt": 2},
+                   {"id": "b", "src": 1, "tgt": 2}],
+        "relations": []})
+    assert run.stderr == "", "stderr not empty"
+    result = json.loads(run.stdout)
+    assert result["tau_rigid_truncated"] is True, result
+    dims = sorted(m["dim"] for m in result["tau_rigid"])
+    assert dims == [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2],
+                    [3, 4], [4, 3]], result
+    assert result["cache"] == {"tau_hits": 0, "tau_misses": 14}, result
 
 
 @pytest.mark.parametrize("command, flag, data, message", [
