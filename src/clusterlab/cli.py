@@ -195,8 +195,8 @@ def explore_cmd(matrix_path, max_seeds, degree_cap, variables, fmt, out):
     graph = explore(matrix, max_seeds=max_seeds)
     result = {
         "complete": graph.complete,
-        "clusters": graph.cluster_count(),
-        "cluster_variables": graph.variable_count(),
+        "clusters": len(graph.vertices),
+        "cluster_variables": len(graph.variables),
     }
     if not graph.complete:
         result["note"] = f"max-seeds bound {max_seeds} exceeded"

@@ -48,19 +48,12 @@ class ExchangeGraph:
     variable_index: dict = field(default_factory=dict)  # poly -> id
     variables: list = field(default_factory=list)  # id -> VariableInfo
     reps: list = field(default_factory=list)       # one TrackedSeed per vertex
-    seeds_expanded: int = 0
 
     @property
     def edges(self):
         """The frozenset({v, w}) pairs, w != v, with (v, k) -> w."""
         return {frozenset({v, w}) for v, targets in enumerate(self.reached)
                 for w in targets if w != v}
-
-    def cluster_count(self):
-        return len(self.vertices)
-
-    def variable_count(self):
-        return len(self.variables)
 
 
 def explore(matrix: ExchangeMatrix, max_seeds: int = 100000) -> ExchangeGraph:
@@ -107,10 +100,9 @@ def explore(matrix: ExchangeMatrix, max_seeds: int = 100000) -> ExchangeGraph:
     queue = deque([root_id])
     while queue:
         vid = queue.popleft()
-        if graph.seeds_expanded >= max_seeds:
+        if len(graph.reached) >= max_seeds:
             graph.complete = False
             return graph
-        graph.seeds_expanded += 1
         t = graph.reps[vid]
         targets = []
         for k in range(1, n + 1):

@@ -65,10 +65,6 @@ class LaurentPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, n_vars):
-        return cls(n_vars)
-
-    @classmethod
     def one(cls, n_vars):
         return cls(n_vars, {(0,) * n_vars: 1})
 
@@ -78,10 +74,6 @@ class LaurentPoly:
         exps = [0] * n_vars
         exps[i] = 1
         return cls(n_vars, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, n_vars, exps, coef=1):
-        return cls(n_vars, {tuple(exps): coef})
 
     # -- basic protocol ---------------------------------------------------
 

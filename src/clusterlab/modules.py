@@ -69,15 +69,6 @@ class QuiverRep:
                     raise ValueError(
                         f"relation ({first},{then}) does not vanish")
 
-    def dim_vector(self):
-        return self.dims
-
-    def total_dim(self):
-        return sum(self.dims)
-
-    def is_zero(self):
-        return self.total_dim() == 0
-
 
 def zero_rep(q: BoundQuiver) -> QuiverRep:
     return QuiverRep(q, (0,) * q.n, {})
@@ -94,7 +85,7 @@ def string_module(q: BoundQuiver, w: StringWord) -> QuiverRep:
     mats = {}  # only the arrows the word uses; QuiverRep zeroes the rest
     for pos, (aid, inv) in enumerate(w.letters):
         if aid not in mats:
-            a = q.arrow(aid)
+            a = q.arrows[aid]
             mats[aid] = linalg.zeros(dims[a.tgt], dims[a.src])
         src_idx, tgt_idx = (pos + 1, pos) if inv else (pos, pos + 1)
         mats[aid][local[tgt_idx]][local[src_idx]] = 1
@@ -318,7 +309,7 @@ def ar_translate(q: BoundQuiver, m: QuiverRep, presentation=None) -> QuiverRep:
     earlier.  Projective summands of M die in the minimal presentation, so
     they contribute zero, matching the usual convention.
     """
-    if m.is_zero():
+    if not any(m.dims):
         return zero_rep(q)
     if presentation is None:
         presentation = minimal_presentation(q, m)
@@ -440,7 +431,7 @@ def enumerate_tau_rigid(inv: StringInventory, cap=None):
     out = []
     for w in strings:
         if inv.rigid(w):
-            out.append((w, inv.module(w).dim_vector()))
+            out.append((w, inv.module(w).dims))
     out.sort(key=lambda t: string_order(t[0]))
     return out, truncated
 

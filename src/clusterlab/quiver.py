@@ -74,9 +74,6 @@ class BoundQuiver:
     def arrows_to(self, v):
         return self._arrows_to[v]
 
-    def arrow(self, aid) -> Arrow:
-        return self.arrows[aid]
-
     def opposite(self) -> "BoundQuiver":
         """The opposite bound quiver, built on the first call."""
         if self._opposite is None:
@@ -246,12 +243,6 @@ class StringWord:
     letters: tuple  # tuple[(arrow_id, inverse: bool), ...]
     base: int       # start vertex of the walk (the vertex, for trivial words)
 
-    def is_trivial(self):
-        return not self.letters
-
-    def __len__(self):
-        return len(self.letters)
-
 
 def _letter_ends(q: BoundQuiver, letter):
     """(tail, head): the vertices a letter leaves from and moves to."""
@@ -308,14 +299,14 @@ def validate_word(q: BoundQuiver, w: StringWord):
 
 
 def inverse_word(q: BoundQuiver, w: StringWord) -> StringWord:
-    if w.is_trivial():
+    if not w.letters:
         return w
     letters = tuple((aid, not inv) for aid, inv in reversed(w.letters))
     return StringWord(letters, _letter_ends(q, w.letters[-1])[1])
 
 
 def canonical_word(q: BoundQuiver, w: StringWord) -> StringWord:
-    if w.is_trivial():
+    if not w.letters:
         return w
     inv = inverse_word(q, w)
     return min(w, inv, key=lambda u: u.letters)

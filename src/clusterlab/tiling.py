@@ -58,12 +58,6 @@ class TileFace:
     def size(self):
         return len(self.dedges)
 
-    def arc_edges(self):
-        return [d for d in self.dedges if d[0] == "a"]
-
-    def boundary_edges(self):
-        return [d for d in self.dedges if d[0] == "s"]
-
 
 class TilingComplex:
     """A tiling with derived faces, classification, algebra and arc machinery."""
@@ -149,8 +143,8 @@ class TilingComplex:
             return self._types
         types = {}
         for fid, f in enumerate(self.faces):
-            n_arc = len(f.arc_edges())
-            n_seg = len(f.boundary_edges())
+            n_arc = sum(d[0] == "a" for d in f.dedges)
+            n_seg = sum(d[0] == "s" for d in f.dedges)
             size = f.size
             if size == 1 and n_arc == 1 and f.holes == 1:
                 types[fid] = "I"
@@ -316,7 +310,7 @@ class ArcMultiset:
         return tuple(v)
 
 
-def seg_profile(t: TilingComplex, multiset: ArcMultiset):
+def seg_profile(multiset: ArcMultiset):
     """Counts of crossing segments per angle and of endpoint configurations.
 
     Keys are ("p2", face, corner) and ("p1", face, corner); absent keys are

@@ -41,7 +41,6 @@ class TrackedSeed:
     g: tuple  # G-matrix
     f: tuple  # F-matrix (columns nonnegative)
     b0: tuple  # initial exchange matrix rows
-    s: tuple  # skew-symmetrizer of the root matrix
 
     @classmethod
     def initial(cls, matrix: ExchangeMatrix) -> "TrackedSeed":
@@ -49,15 +48,11 @@ class TrackedSeed:
         ident = tuple(tuple(1 if i == j else 0 for j in range(n))
                       for i in range(n))
         zero = tuple((0,) * n for _ in range(n))
-        return cls(Seed.initial(matrix), ident, ident, zero,
-                   matrix.b, matrix.skew_symmetrizer())
+        return cls(Seed.initial(matrix), ident, ident, zero, matrix.b)
 
     @property
     def n(self):
         return self.seed.matrix.n
-
-    def matrix(self) -> ExchangeMatrix:
-        return self.seed.matrix
 
 
 def mutate_tracked(t: TrackedSeed, k: int) -> TrackedSeed:
@@ -94,7 +89,7 @@ def mutate_tracked(t: TrackedSeed, k: int) -> TrackedSeed:
         g.append(g_row[:kk] + (g_rk,) + g_row[kk + 1:])
         f.append(f_row[:kk] + (f_rk,) + f_row[kk + 1:])
     return TrackedSeed(mutate_seed(t.seed, k), tuple(c), tuple(g), tuple(f),
-                       t.b0, t.s)
+                       t.b0)
 
 
 def run_walk(matrix: ExchangeMatrix, walk) -> TrackedSeed:
@@ -112,27 +107,30 @@ def d_matrix(t: TrackedSeed):
 
 def check_dual_seeds(t: TrackedSeed, tv: TrackedSeed, d):
     """Raise `WitnessedFault`, naming the relation and giving both sides,
-    unless tv.s is `dual_symmetrizer(t.s)`, s_i M_ij = M^v_ij s_j for M = B,
-    C, F, G and D (`d`: the D-matrices of t and tv), and G^tr S C = S on
-    both sides (Nakanishi-Zelevinsky 2012); one mutation sequence reaches
-    t from a root matrix and tv from its Langlands dual."""
+    unless the symmetrizers s of t's matrix and s^v of tv's have
+    s^v = `dual_symmetrizer(s)`, s_i M_ij = M^v_ij s_j for M = B, C, F, G
+    and D (`d`: the D-matrices of t and tv), and G^tr S C = S on both sides
+    (Nakanishi-Zelevinsky 2012); one mutation sequence reaches t from a root
+    matrix and tv from its Langlands dual."""
     def fail(relation, *sides):
         raise WitnessedFault({"check": "Langlands duality",
                               "relation": relation, "sides": list(sides)})
 
-    n, s = t.n, t.s
-    if tv.s != dual_symmetrizer(s):
-        fail("symmetrizer", s, tv.s)
+    n = t.n
+    s, sv = (u.seed.matrix.skew_symmetrizer() for u in (t, tv))
+    if sv != dual_symmetrizer(s):
+        fail("symmetrizer", s, sv)
     for name, m, mv in (("B", t.seed.matrix.b, tv.seed.matrix.b),
                         ("C", t.c, tv.c), ("F", t.f, tv.f), ("G", t.g, tv.g),
                         ("D", *d)):
         if any(s[i] * m[i][j] != mv[i][j] * s[j]
                for i in range(n) for j in range(n)):
             fail(name, m, mv)
-    gsc = [[[sum(u.g[r][i] * u.s[r] * u.c[r][j] for r in range(n))
-             for j in range(n)] for i in range(n)] for u in (t, tv)]
-    if gsc != [[[u.s[i] * (i == j) for j in range(n)] for i in range(n)]
-               for u in (t, tv)]:
+    gsc = [[[sum(u.g[r][i] * z[r] * u.c[r][j] for r in range(n))
+             for j in range(n)] for i in range(n)]
+           for u, z in ((t, s), (tv, sv))]
+    if gsc != [[[z[i] * (i == j) for j in range(n)] for i in range(n)]
+               for z in (s, sv)]:
         fail("tropical", *gsc)
 
 

@@ -1,8 +1,8 @@
 """Theorem-verification harnesses and structured reports.
 
 Each harness enumerates a finite instance family exhaustively, checks the
-claimed property with exact arithmetic, and returns a VerifyReport.  Failures
-always carry a concrete witness; truncations name the exceeded bound.
+claimed property with exact arithmetic, and returns a VerifyReport whose
+verdict is pass or fail.  Failures always carry a concrete witness.
 Enumeration order is deterministic, so identical parameters reproduce
 identical verdicts, counts and witnesses, and hence the same result digest;
 only the timings differ between runs.
@@ -12,8 +12,10 @@ report from the call's arguments, zeroes its phases and times the call.  A
 cross-check that disagrees, in a harness or in the library beneath it, raises
 `WitnessedFault`, and the frame is the one place that fails a report: a
 harness stops at its first failed check, and a `fail` report carries
-exactly that check's witness.  Truncation records and thm1's converse
-record are not failures; the body appends them to the witnesses itself.
+exactly that check's witness.  thm1's converse record is not a failure;
+the body appends it to the witnesses itself.  There is no third verdict: a
+string listing that its length cap cuts short is a fault
+(`_finite_tau_rigid`).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .tracking import check_dual_seeds
 class VerifyReport:
     experiment: str
     params: dict
-    verdict: str = "pass"  # pass | fail | truncated
+    verdict: str = "pass"  # pass | fail
     witnesses: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
     duration_s: float = 0.0
@@ -112,8 +114,8 @@ def _phase(report, name):
 def _harness(experiment, *phases):
     """Turn `body(report, *params)` into the harness taking `params`: it
     builds the `experiment` report with the bound arguments as params,
-    zeroes `phases`, times the body and fails the report with the witness of
-    a `WitnessedFault` raised beneath it."""
+    zeroes `phases` and times the body.  The report passes unless a
+    `WitnessedFault` raised beneath it fails the report with its witness."""
     def decorate(body):
         signature = inspect.signature(body)
         signature = signature.replace(
@@ -174,7 +176,7 @@ def _arc_weights(t, arcs, mult_cap):
     intersection vector and weight >> shift its profile, with
     shift = width * len(t.arcs) and mask = (1 << shift) - 1.
     """
-    profiles = [seg_profile(t, ArcMultiset(((arc, 1),))) for arc in arcs]
+    profiles = [seg_profile(ArcMultiset(((arc, 1),))) for arc in arcs]
     keys = sorted(set().union(*profiles))
     width = _field_width([arc.intersection for arc in arcs]
                          + [p.values() for p in profiles], mult_cap)
@@ -272,26 +274,38 @@ def _class_quiver(key):
                        [(_class_arrow(a), _class_arrow(b)) for a, b in rels])
 
 
-def _class_record(key):
-    """(rigid words, truncated flag, clash masks) of the class quiver.
+def _finite_tau_rigid(inv):
+    """`enumerate_tau_rigid(inv)`'s listing at its default cap, which
+    truncates it only when the algebra has infinitely many strings.  No
+    algebra that thm1, thm2 or type-c lists has: a disc has no closed curves,
+    so its tiling algebra has no bands; thm2 lists strings only where
+    `letter_graph_acyclic` holds; and the C_n quivers have acyclic letter
+    graphs.  So a truncated listing raises `WitnessedFault`."""
+    rigid, truncated = enumerate_tau_rigid(inv)
+    if truncated:
+        raise WitnessedFault({"check": "infinitely many strings",
+                              "quiver": inv.q.to_json()})
+    return rigid
 
-    The words are `enumerate_tau_rigid`'s; bit j of clashes[i] is set when
+
+def _class_record(key):
+    """(rigid words, clash masks) of the class quiver.
+
+    The words are `_finite_tau_rigid`'s; bit j of clashes[i] is set when
     words j < i are not compatible.  The inventory is dropped: the sweep asks
     every such pair anyway, and one int per word is all it needs later.
     """
     inv = StringInventory(_class_quiver(key))
-    rigid, truncated = enumerate_tau_rigid(inv)
-    words = [w for w, _ in rigid]
+    words = [w for w, _ in _finite_tau_rigid(inv)]
     clashes = [sum(1 << j for j in range(i)
                    if not inv.compatible(w, words[j]))
                for i, w in enumerate(words)]
-    return words, truncated, clashes
+    return words, clashes
 
 
 def _tiling_arcs(t, classes):
-    """(arcs, truncated flag, compatible(i, j)) of the tiling, read from the
-    record of its algebra's class in `classes` (built on the class's first
-    tiling).
+    """(arcs, compatible(i, j)) of the tiling, read from the record of its
+    algebra's class in `classes` (built on the class's first tiling).
 
     The class words are mapped back through `_algebra_class`'s (p, name),
     re-canonicalised on the tiling algebra and sorted as
@@ -303,7 +317,7 @@ def _tiling_arcs(t, classes):
     key, p, name = _algebra_class(q)
     if key not in classes:
         classes[key] = _class_record(key)
-    words, truncated, clashes = classes[key]
+    words, clashes = classes[key]
     vertex = {label: v for v, label in enumerate(p)}
     arrow = {_class_arrow(name[a]): a for a in q.arrows}
     mapped = []  # (word of q, index of its class word)
@@ -318,7 +332,7 @@ def _tiling_arcs(t, classes):
         a, b = mapped[i][1], mapped[j][1]
         return not clashes[max(a, b)] >> min(a, b) & 1
 
-    return arcs, truncated, compatible
+    return arcs, compatible
 
 
 @_harness("thm1-intersection-injectivity", "tilings", "arcs", "multisets")
@@ -371,23 +385,17 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                 t.classify_tiles()
             counts["tilings"] += 1
             with _phase(report, "arcs"):
-                arcs, truncated, compatible = _tiling_arcs(t, classes)
+                arcs, compatible = _tiling_arcs(t, classes)
                 report.cache = {
                     "algebra_classes": len(classes),
                     "class_reuses": counts["tilings"] - len(classes)}
-                if not truncated:
-                    _dual_path_check(disc, arcs, compatible)
+                _dual_path_check(disc, arcs, compatible)
                 admissible = t.admissible()
                 cycle = detect_even_full_cycle(t.algebra()[0])
                 if admissible != (cycle is None):
                     raise WitnessedFault({
                         "check": "forbidden tile and even cycle differ",
                         "tiling": disc.chords, "even_cycle": cycle})
-            if truncated:
-                report.verdict = "truncated"
-                report.witnesses.append(
-                    {"bound": "string cap", "tiling": disc.chords})
-                continue
             n_arcs = len(t.arcs)
             by_vec = {}
             by_profile = {}
@@ -655,7 +663,7 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
                                   "even_cycle": cycle})
         with _phase(report, "tau"):
             inv = StringInventory(q)
-            rigid, _ = enumerate_tau_rigid(inv)
+            rigid = _finite_tau_rigid(inv)
         if cycle is None:
             counts["without_even_cycle"] += 1
             with _phase(report, "collisions"):
@@ -798,8 +806,8 @@ def verify_denominator(report, series="C", n_max=3, degree_cap=3,
         # matrix -> monomial count; counts, not graphs, to keep memory flat
         counted = {base: count}
         if initial_seeds == "all":
-            for vid in range(graph.cluster_count()):
-                b_t = graph.reps[vid].matrix()
+            for vid, t in enumerate(graph.reps):
+                b_t = t.seed.matrix
                 if b_t in counted:
                     counts["monomials"] += counted[b_t]
                 else:
@@ -884,10 +892,7 @@ def verify_type_c_categorification(report, n_max=2, degree_cap=3):
                                   "check": "unexpected even full cycle"})
         with _phase(report, "tau"):
             inv = StringInventory(q)
-            rigid, truncated = enumerate_tau_rigid(inv)
-        if truncated:
-            report.verdict = "truncated"
-            continue
+            rigid = _finite_tau_rigid(inv)
         for _, d in rigid:
             if d[0] % 2 != 0:
                 raise WitnessedFault({"rank": n,

@@ -24,8 +24,8 @@ C2 = standard_matrix("C", 2)
 def test_a2_closure_counts():
     g = explore(A2)
     assert g.complete
-    assert g.cluster_count() == 5
-    assert g.variable_count() == 5
+    assert len(g.vertices) == 5
+    assert len(g.variables) == 5
 
 
 def test_a2_d_vectors():
@@ -36,12 +36,12 @@ def test_a2_d_vectors():
 
 def test_a3_closure_counts():
     g = explore(A3)
-    assert g.complete and g.cluster_count() == 14 and g.variable_count() == 9
+    assert g.complete and len(g.vertices) == 14 and len(g.variables) == 9
 
 
 def test_c2_closure_counts():
     g = explore(C2)
-    assert g.complete and g.cluster_count() == 6 and g.variable_count() == 6
+    assert g.complete and len(g.vertices) == 6 and len(g.variables) == 6
 
 
 def test_every_vertex_has_n_neighbors():
@@ -51,8 +51,8 @@ def test_every_vertex_has_n_neighbors():
         for n in range(2, 5):
             g = explore(standard_matrix(series, n))
             degree = Counter(v for e in g.edges for v in e)
-            assert all(degree[v] == n for v in range(g.cluster_count()))
-            assert 2 * len(g.edges) == n * g.cluster_count()
+            assert all(degree[v] == n for v in range(len(g.vertices)))
+            assert 2 * len(g.edges) == n * len(g.vertices)
             name = f"{series}{n}"
             if name in expected_edges:
                 assert len(g.edges) == expected_edges[name], name
@@ -101,7 +101,7 @@ def test_explore_pinned():
     for series in "ABC":
         for n in range(2, 5):
             g = explore(standard_matrix(series, n))
-            record.append([g.complete, g.seeds_expanded, g.vertices,
+            record.append([g.complete, len(g.reached), g.vertices,
                            sorted(sorted(e) for e in g.edges),
                            [[v.poly.to_str(), v.d, v.g, v.f]
                             for v in g.variables],
@@ -188,5 +188,5 @@ def test_closure_counts_against_golden_file():
         series, rank = name[0], int(name[1:])
         g = explore(standard_matrix(series, rank))
         assert g.complete
-        assert g.cluster_count() == expected["clusters"], name
-        assert g.variable_count() == expected["variables"], name
+        assert len(g.vertices) == expected["clusters"], name
+        assert len(g.variables) == expected["variables"], name

@@ -217,7 +217,7 @@ def type_c_seed_quivers():
     """The type C quiver of every seed of the C2, C3 and C4 exchange graphs."""
     for n in (2, 3, 4):
         for t in explore(standard_matrix("C", n)).reps:
-            yield type_c_quiver(t.matrix())
+            yield type_c_quiver(t.seed.matrix)
 
 
 def test_qb_conditions_every_type_c_seed():

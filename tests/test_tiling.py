@@ -209,7 +209,7 @@ def test_annulus_lemma_one_loop():
             arcs, truncated = t.enumerate_permissible_arcs()
             assert not truncated
             for arc in arcs:
-                prof = seg_profile(t, ArcMultiset(((arc, 1),)))
+                prof = seg_profile(ArcMultiset(((arc, 1),)))
                 p1_in_monogon = sum(v for k, v in prof.items()
                                     if k[0] == "p1" and k[1] == fid)
                 assert p1_in_monogon == 0
@@ -236,7 +236,7 @@ def test_annulus_injectivity_and_profiles():
                 ms = ArcMultiset(tuple((arcs[i], mu) for i, mu in chosen))
                 vec = ms.intersection_vector(len(t.arcs))
                 assert _unpack(weight, len(t.arcs), width) == vec
-                prof = tuple(sorted(seg_profile(t, ms).items()))
+                prof = tuple(sorted(seg_profile(ms).items()))
                 assert by_vec.setdefault(vec, chosen) == chosen
                 assert by_prof.setdefault(prof, chosen) == chosen
 
@@ -343,13 +343,13 @@ def test_pentagon_seg_profile_golden():
     t = complex_of(5, [(1, 3), (1, 4)])
     arcs, _ = t.enumerate_permissible_arcs()
     arc24 = next(a for a in arcs if a.intersection == (1, 0))
-    prof = seg_profile(t, ArcMultiset(((arc24, 1),)))
+    prof = seg_profile(ArcMultiset(((arc24, 1),)))
     assert sum(v for k, v in prof.items() if k[0] == "p2") == 0
     assert sorted(t.corner_point(k[1:]) + 1
                   for k, v in prof.items() if k[0] == "p1") == [2, 4]
     # arc(2,5) crosses the angle at marked point 1 inside tile (1,3,4)
     arc25 = next(a for a in arcs if a.intersection == (1, 1))
-    prof = seg_profile(t, ArcMultiset(((arc25, 1),)))
+    prof = seg_profile(ArcMultiset(((arc25, 1),)))
     p2 = [k for k in prof if k[0] == "p2"]
     assert len(p2) == 1 and t.corner_point(p2[0][1:]) + 1 == 1
 
@@ -361,24 +361,24 @@ def test_local_global_equal():
     m1 = ArcMultiset(((a, 1), (b, 1)))
     m2 = ArcMultiset(((b, 1), (a, 1)))
     # same multiset, different order
-    assert seg_profile(t, m1) == seg_profile(t, m2)
-    assert seg_profile(t, ArcMultiset(((a, 1),))) != \
-        seg_profile(t, ArcMultiset(((b, 1),)))
-    assert seg_profile(t, ArcMultiset(())) == seg_profile(t, ArcMultiset(()))
+    assert seg_profile(m1) == seg_profile(m2)
+    assert seg_profile(ArcMultiset(((a, 1),))) != \
+        seg_profile(ArcMultiset(((b, 1),)))
+    assert seg_profile(ArcMultiset(())) == seg_profile(ArcMultiset(()))
 
 
 def test_profile_additive():
     t = complex_of(5, [(1, 3), (1, 4)])
     arcs, _ = t.enumerate_permissible_arcs()
     a, b = arcs[0], arcs[1]
-    p_ab = seg_profile(t, ArcMultiset(((a, 1), (b, 1))))
-    p_a = seg_profile(t, ArcMultiset(((a, 1),)))
-    p_b = seg_profile(t, ArcMultiset(((b, 1),)))
+    p_ab = seg_profile(ArcMultiset(((a, 1), (b, 1))))
+    p_a = seg_profile(ArcMultiset(((a, 1),)))
+    p_b = seg_profile(ArcMultiset(((b, 1),)))
     merged = dict(p_a)
     for k, v in p_b.items():
         merged[k] = merged.get(k, 0) + v
     assert p_ab == merged
-    assert seg_profile(t, ArcMultiset(())) == {}
+    assert seg_profile(ArcMultiset(())) == {}
 
 
 def test_dual_path_agreement_small_discs():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterlab.errors import WitnessedFault
-from clusterlab.exchange import ExchangeMatrix, langlands_dual
+from clusterlab.exchange import ExchangeMatrix, langlands_dual, mutate_matrix
 from clusterlab.explore import standard_matrix
 from clusterlab.tracking import (
     ClusterMonomial, TrackedSeed, check_dual_seeds, d_matrix, mutate_tracked,
@@ -108,13 +108,16 @@ B2_WALK = (1, 2, 1)
 
 
 @pytest.mark.parametrize("break_pair, relation, sides", [
-    # C2's root symmetrizer replaced by B2's own
-    (lambda t, tv: (t, dataclasses.replace(tv, s=t.s)), "symmetrizer",
-     [(1, 2), (1, 2)]),
-    # the C2 seed given the B2 seed's exchange matrix
+    # the C2 seed given the B2 seed's exchange matrix, and so B2's
+    # symmetrizer
     (lambda t, tv: (t, dataclasses.replace(tv, seed=dataclasses.replace(
-        tv.seed, matrix=t.seed.matrix))), "B",
-     [((0, -2), (1, 0)), ((0, -2), (1, 0))]),
+        tv.seed, matrix=t.seed.matrix))), "symmetrizer",
+     [(1, 2), (1, 2)]),
+    # the C2 seed's exchange matrix mutated once more: C2's symmetrizer,
+    # but not the dual of the B2 seed's matrix
+    (lambda t, tv: (t, dataclasses.replace(tv, seed=dataclasses.replace(
+        tv.seed, matrix=mutate_matrix(tv.seed.matrix, 1)))), "B",
+     [((0, -2), (1, 0)), ((0, 1), (-2, 0))]),
     (lambda t, tv: (dataclasses.replace(
         t, c=tuple(tuple(-x for x in row) for row in t.c)), tv), "C",
      [((1, 0), (1, -1)), ((-1, 0), (-2, 1))]),
@@ -315,7 +318,7 @@ def test_mutate_tracked_reports_a_negative_f_column():
     # an F-matrix that mutation in direction 1 would turn negative: on A2,
     # f'_11 = max([c_11]+, [-c_11]+ + f_12) - f_11 = max(1, f_12) - f_11
     t = TrackedSeed.initial(A2)
-    bad = TrackedSeed(t.seed, t.c, t.g, ((5, 0), (0, 0)), t.b0, t.s)
+    bad = TrackedSeed(t.seed, t.c, t.g, ((5, 0), (0, 0)), t.b0)
     with pytest.raises(WitnessedFault) as fault:
         mutate_tracked(bad, 1)
     assert fault.value.witness["check"] == "F-column turned negative"

@@ -197,7 +197,7 @@ def test_thm1_weights_split_into_vector_and_profile():
             multisets += 1
             ms = ArcMultiset(tuple((arcs[i], mult) for i, mult in chosen))
             vec = ms.intersection_vector(n_arcs)
-            prof = seg_profile(t, ms)
+            prof = seg_profile(ms)
             # every entry fits its field, so the packing is injective
             assert set(prof) <= set(keys)
             assert all(c < 1 << width for c in vec + tuple(prof.values()))
@@ -240,9 +240,9 @@ def test_class_route_matches_per_tiling_inventories():
     tilings = 0
     for t in _classified_disc_complexes(8):
         tilings += 1
-        arcs, truncated, compatible = _tiling_arcs(t, classes)
-        want, want_truncated = t.enumerate_permissible_arcs()
-        assert truncated == want_truncated
+        arcs, compatible = _tiling_arcs(t, classes)
+        want, truncated = t.enumerate_permissible_arcs()
+        assert not truncated
         assert [(a.endpoints, a.word, a.intersection) for a in arcs] == \
             [(a.endpoints, a.word, a.intersection) for a in want]
         inv = t.inventory()
@@ -283,7 +283,7 @@ def test_algebra_class_ignores_labels(data):
         image = {a: _class_arrow(names[a]) for a in quiver.arrows}
         assert sorted(image.values()) == sorted(cq.arrows)
         for a in quiver.arrows.values():
-            b = cq.arrow(image[a.id])
+            b = cq.arrows[image[a.id]]
             assert (b.src, b.tgt) == (lab[a.src], lab[a.tgt])
         assert {(image[a], image[b]) for a, b in quiver.relations} == \
             cq.relations
@@ -410,6 +410,33 @@ def test_thm1_reports_a_forbidden_tile_and_cycle_fault(monkeypatch):
             "tiling": ((2, 4),), "even_cycle": cycle}]
         assert r.counts["tilings"] == 1 and r.counts["admissible"] == 0
     assert verify_thm1(5, 2).verdict == "pass"
+
+
+def test_harnesses_fail_on_a_truncated_string_listing(monkeypatch):
+    # no algebra that thm1, thm2 or type-c lists has infinitely many
+    # strings, so a listing reported as cut short by its cap is a fault that
+    # names the algebra: thm1's first class quiver (the square cut by (2, 4)
+    # has no arrows), thm2's first representation-finite algebra and C2's
+    # type C quiver
+    from clusterlab import verify
+    listing = verify.enumerate_tau_rigid
+    monkeypatch.setattr(verify, "enumerate_tau_rigid",
+                        lambda inv, cap=None: (listing(inv, cap)[0], True))
+    for report, quiver in (
+            (verify_thm1(5, 2), {"vertices": 1, "arrows": [],
+                                 "relations": []}),
+            (verify_thm2(2, 2, 2), {
+                "vertices": 1,
+                "arrows": [{"id": "a0_0_0", "src": 1, "tgt": 1}],
+                "relations": [["a0_0_0", "a0_0_0"]]}),
+            (verify_type_c_categorification(2, 2), {
+                "vertices": 2,
+                "arrows": [{"id": "a1_2", "src": 1, "tgt": 2},
+                           {"id": "rho", "src": 1, "tgt": 1}],
+                "relations": [["rho", "rho"]]})):
+        assert report.verdict == "fail", report.experiment
+        assert report.witnesses == [{"check": "infinitely many strings",
+                                     "quiver": json.dumps(quiver)}]
 
 
 def test_dual_path_check_catches_a_wrong_compatibility():
@@ -616,7 +643,7 @@ def _moves_along_a_vertex_permutation(q, g):
     permutation of the vertices."""
     p = {}
     for a in q.arrows.values():
-        b = q.arrow(g[a.id])
+        b = q.arrows[g[a.id]]
         for v, w in ((a.src, b.src), (a.tgt, b.tgt)):
             if p.setdefault(v, w) != w:
                 return False
@@ -986,6 +1013,18 @@ def _cli_env(**extra):
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+def _cli(cwd, *args, check=True):
+    """`python -m clusterlab.cli *args` in a subprocess run in `cwd`."""
+    return subprocess.run([sys.executable, "-m", "clusterlab.cli", *args],
+                          cwd=cwd, env=_cli_env(), capture_output=True,
+                          text=True, check=check)
+
+
+def _cli_json(cwd, *args):
+    """The JSON that `_cli(cwd, *args, "--format", "json")` prints."""
+    return json.loads(_cli(cwd, *args, "--format", "json").stdout)
+
+
 def test_harness_digests_do_not_depend_on_string_hashing():
     # the CLI runs thm1 at marked-max 7, the type B denominator check from
     # every initial seed and thm2 at (4, 4, 3), whose orbit key is the
@@ -1015,12 +1054,9 @@ def test_harness_digests_do_not_depend_on_string_hashing():
 
 def _gentle_analyze(tmp_path, quiver):
     """`gentle analyze --format json` on `quiver` in a subprocess."""
-    path = tmp_path / "quiver.json"
-    path.write_text(json.dumps(quiver))
-    return subprocess.run(
-        [sys.executable, "-m", "clusterlab.cli", "gentle", "analyze",
-         "--quiver", str(path), "--format", "json"], env=_cli_env(),
-        capture_output=True, text=True, check=True)
+    (tmp_path / "quiver.json").write_text(json.dumps(quiver))
+    return _cli(tmp_path, "gentle", "analyze", "--quiver", "quiver.json",
+                "--format", "json")
 
 
 def test_gentle_quiver_analysis_from_the_cli(tmp_path):
@@ -1058,6 +1094,103 @@ def test_gentle_analysis_of_a_quiver_with_infinitely_many_strings(tmp_path):
     assert dims == [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2],
                     [3, 4], [4, 3]], result
     assert result["cache"] == {"tau_hits": 0, "tau_misses": 14}, result
+
+
+def test_thm1_taxonomy_filter_and_phases(tmp_path):
+    # the CLI at marked-max 7: every dissection of the 4- to 7-gons (the
+    # little Schroeder sum 3 + 11 + 45 + 197) is either swept or counted
+    # outside the taxonomy, and the three phases are reported
+    report = _cli_json(tmp_path, "verify", "thm1", "--marked-max", "7",
+                       "--mult-cap", "2")
+    counts = report["counts"]
+    assert counts["tilings"] + counts["outside_taxonomy"] == 256, counts
+    assert counts["tilings"] == 70, counts
+    assert {"tilings", "arcs", "multisets"} <= set(report["phases"]), report
+
+
+def test_tracked_mutation_and_monomial_vectors_from_the_cli(tmp_path):
+    # the CLI on the C2 exchange matrix: the C and F matrices after mutating
+    # at 1 then 2, and the vectors of the initial variable x1 at the cluster
+    # reached by mutating at 2, whose fbar is its d-vector -e_1 while its
+    # f-vector is zero
+    (tmp_path / "c2.json").write_text('{"n": 2, "B": [[0, 1], [-2, 0]]}')
+    mutated = _cli_json(tmp_path, "mutate", "--matrix", "c2.json",
+                        "--seq", "1,2")
+    monomial = _cli_json(tmp_path, "vectors", "--matrix", "c2.json",
+                         "--seq", "2", "--exponents", "1,0")["monomial"]
+    assert mutated["C"] == [[1, -1], [2, -1]], mutated
+    assert mutated["F"] == [[1, 1], [0, 1]], mutated
+    assert monomial["d"] == [-1, 0], monomial
+    assert monomial["f"] == [0, 0], monomial
+    assert monomial["fbar"] == [-1, 0], monomial
+
+
+def test_exchange_graph_closure_and_monomials_from_the_cli(tmp_path):
+    # the CLI on the A3 exchange matrix: 14 clusters, 9 cluster variables and
+    # 104 cluster monomials of degree <= 3, and no finite-type label in the
+    # output
+    (tmp_path / "a3.json").write_text(
+        '{"n": 3, "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]}')
+    result = _cli_json(tmp_path, "explore", "--matrix", "a3.json",
+                       "--degree-cap", "3")
+    assert result["complete"] is True, result
+    assert result["clusters"] == 14, result
+    assert result["cluster_variables"] == 9, result
+    assert result["monomials"] == 104, result
+    assert "type" not in result, result
+
+
+def test_tile_classification_by_face_id_and_a_vacuous_harness_size(tmp_path):
+    # the CLI on the hexagon fan and on the general-surface annulus digon:
+    # the face-id -> type maps depend on the order in which the faces are
+    # traced, so they pin it; and thm1 at mult-cap 0, which would check only
+    # empty multisets, exits with a usage error
+    (tmp_path / "hexagon_fan.json").write_text(
+        '{"surface": "disc", "marked": 6, "chords": [[1,3],[1,4],[1,5]]}')
+    (tmp_path / "digon.json").write_text(
+        '{"surface": "general", "marked": 4, "boundary": [[0, 1, 2, 3]], '
+        '"arcs": [{"id": "cL", "ends": [0, 2]}, {"id": "cR", "ends": [0, 2]}]'
+        ', "fans": {"0": [["cL", 0], ["cR", 0]], "2": [["cR", 1], ["cL", 1]]}'
+        ', "holes": [["cL", 0, 1]]}')
+    fan = _cli_json(tmp_path, "tiling", "classify", "--tiling",
+                    "hexagon_fan.json")
+    digon = _cli_json(tmp_path, "tiling", "classify", "--tiling",
+                      "digon.json")
+    status = _cli(tmp_path, "verify", "thm1", "--mult-cap", "0",
+                  check=False).returncode
+    assert status == 2
+    assert fan["tiles"] == {"0": "IV", "1": "III", "2": "IV", "3": "III"}, fan
+    assert fan["forbidden_scan_passes"] is True, fan
+    assert digon["tiles"] == {"0": "II", "1": "III", "2": "III"}, digon
+    assert digon["forbidden_scan_passes"] is False, digon
+
+
+def test_denominator_vectors_of_type_b_from_every_initial_seed(tmp_path):
+    # the CLI at rank <= 3 and degree <= 3: the closed forms give
+    # 6 + 20 = 26 reroots and (1 + 6) * 36 + (1 + 20) * 146 = 3,318 cluster
+    # monomials checked
+    report = _cli_json(tmp_path, "verify", "denominator", "--series", "B",
+                       "--initial-seeds", "all", "--rank-max", "3",
+                       "--degree-cap", "3")
+    assert report["verdict"] == "pass", report
+    assert report["counts"]["reroots"] == 26, report
+    assert report["counts"]["monomials"] == 3318, report
+
+
+def test_bc_langlands_duality_seed_by_seed(tmp_path):
+    # the CLI at rank <= 3: every seed of B_n is paired with the C_n seed of
+    # the same mutation sequence, C(4, 2) = 6 and C(6, 3) = 20 pairs, and
+    # both sides' monomials of degree <= 3 are checked, 2 * (36 + 146) = 364;
+    # the harness has no --initial-seeds
+    report = _cli_json(tmp_path, "verify", "duality", "--rank-max", "3")
+    status = _cli(tmp_path, "verify", "duality", "--initial-seeds", "root",
+                  check=False).returncode
+    assert status == 2
+    counts = report["counts"]
+    assert report["verdict"] == "pass", report
+    assert counts["verdicts"] == {"B": "pass", "C": "pass"}, report
+    assert (counts["rank2_pairs"], counts["rank3_pairs"]) == (6, 20), report
+    assert counts["monomials"] == 364, report
 
 
 @pytest.mark.parametrize("command, flag, data, message", [
