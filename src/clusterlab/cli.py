@@ -4,10 +4,14 @@ Subcommands mirror the library layers: `mutate`, `vectors` and `explore`
 drive seed patterns; `gentle analyze` inspects a bound quiver; `tiling ...`
 works with disc or general tilings; `verify ...` runs the theorem harnesses
 and can persist reports.  Every command honors --format json|text and --out.
+
+Each `verify` command is built from its harness's signature: a parameter
+is the option of its name (`rank_max` is `--rank-max`), with its default.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 
@@ -49,7 +53,12 @@ def _load_quiver(path):
 
 
 def _load_tiling(path):
-    return _load(path, "--tiling", lambda text: _tiling(json.loads(text)))
+    """The tiling at `path`, classified: a tile outside I-V is bad input."""
+    def build(text):
+        t = _tiling(json.loads(text))
+        t.classify_tiles()
+        return t
+    return _load(path, "--tiling", build)
 
 
 def _tiling(data):
@@ -309,100 +318,48 @@ def verify():
     """Theorem-verification harnesses."""
 
 
-def _report_command(report, report_dir, fmt, out):
-    if report_dir:
-        verify_mod.write_report(report, report_dir)
-    _emit(report.to_dict(), fmt, out)
-    if report.verdict == "fail":
-        sys.exit(1)
+# What the harness signatures leave out: the least value of an int (1 if
+# unlisted), below which a family is empty, and the values of a string.
+_MIN = {"marked_max": 4, "rank_max": 2}
+_CHOICES = {"series": ["A", "B", "C"], "initial_seeds": ["all", "root"]}
 
 
-@verify.command("thm1")
-@click.option("--marked-max", default=8, show_default=True,
-              type=click.IntRange(min=4))
-@click.option("--mult-cap", default=3, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--report-dir", default=None, type=click.Path())
-@format_options
-def verify_thm1_cmd(marked_max, mult_cap, report_dir, fmt, out):
-    """Intersection vectors determine arc multisets (and converse witnesses)."""
-    _report_command(verify_mod.verify_thm1(marked_max, mult_cap),
-                    report_dir, fmt, out)
+def _verify_command(name, harness, help):
+    """The `verify name` command: one option per parameter of `harness`,
+    then --report-dir and the format options; a failed report exits 1."""
+    @click.option("--report-dir", default=None, type=click.Path())
+    @format_options
+    def run(report_dir, fmt, out, **params):
+        report = harness(**params)
+        if report_dir:
+            verify_mod.write_report(report, report_dir)
+        _emit(report.to_dict(), fmt, out)
+        if report.verdict == "fail":
+            sys.exit(1)
+
+    for p in reversed(inspect.signature(harness).parameters.values()):
+        kind = click.Choice(_CHOICES[p.name]) if p.name in _CHOICES \
+            else click.IntRange(min=_MIN.get(p.name, 1))
+        run = click.option("--" + p.name.replace("_", "-"), default=p.default,
+                           show_default=True, type=kind)(run)
+    return click.command(name, help=help)(run)
 
 
-@verify.command("thm2")
-@click.option("--vertex-max", default=4, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--arrow-max", default=6, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--mult-cap", default=3, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--report-dir", default=None, type=click.Path())
-@format_options
-def verify_thm2_cmd(vertex_max, arrow_max, mult_cap, report_dir, fmt, out):
-    """Dimension-vector dichotomy over small gentle algebras."""
-    _report_command(verify_mod.verify_thm2(vertex_max, arrow_max, mult_cap),
-                    report_dir, fmt, out)
-
-
-@verify.command("fvector")
-@click.option("--rank-max", default=3, show_default=True,
-              type=click.IntRange(min=2))
-@click.option("--degree-cap", default=3, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--report-dir", default=None, type=click.Path())
-@format_options
-def verify_fvector_cmd(rank_max, degree_cap, report_dir, fmt, out):
-    """Modified f-vector injectivity for type A, with arc cross-checks."""
-    _report_command(verify_mod.verify_fvector_injectivity(rank_max, degree_cap),
-                    report_dir, fmt, out)
-
-
-@verify.command("denominator")
-@click.option("--series", type=click.Choice(["A", "B", "C"]), default="C")
-@click.option("--rank-max", default=3, show_default=True,
-              type=click.IntRange(min=2))
-@click.option("--degree-cap", default=3, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--initial-seeds", type=click.Choice(["all", "root"]),
-              default="all", show_default=True)
-@click.option("--report-dir", default=None, type=click.Path())
-@format_options
-def verify_denominator_cmd(series, rank_max, degree_cap, initial_seeds,
-                           report_dir, fmt, out):
-    """Denominator-vector injectivity on bounded-degree monomials."""
-    _report_command(
-        verify_mod.verify_denominator(series, rank_max, degree_cap,
-                                      initial_seeds),
-        report_dir, fmt, out)
-
-
-@verify.command("duality")
-@click.option("--rank-max", default=3, show_default=True,
-              type=click.IntRange(min=2))
-@click.option("--degree-cap", default=3, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--report-dir", default=None, type=click.Path())
-@format_options
-def verify_duality_cmd(rank_max, degree_cap, report_dir, fmt, out):
-    """Langlands duality of the B and C exchange graphs, seed by seed."""
-    _report_command(
-        verify_mod.verify_denominator_duality(rank_max, degree_cap),
-        report_dir, fmt, out)
-
-
-@verify.command("type-c")
-@click.option("--rank-max", default=2, show_default=True,
-              type=click.IntRange(min=2))
-@click.option("--degree-cap", default=3, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--report-dir", default=None, type=click.Path())
-@format_options
-def verify_type_c_cmd(rank_max, degree_cap, report_dir, fmt, out):
-    """Type C categorification through the loop quiver algebra."""
-    _report_command(
-        verify_mod.verify_type_c_categorification(rank_max, degree_cap),
-        report_dir, fmt, out)
+for _args in (
+        ("thm1", verify_mod.verify_thm1,
+         "Intersection vectors determine arc multisets (and converse "
+         "witnesses)."),
+        ("thm2", verify_mod.verify_thm2,
+         "Dimension-vector dichotomy over small gentle algebras."),
+        ("fvector", verify_mod.verify_fvector_injectivity,
+         "Modified f-vector injectivity for type A, with arc cross-checks."),
+        ("denominator", verify_mod.verify_denominator,
+         "Denominator-vector injectivity on bounded-degree monomials."),
+        ("duality", verify_mod.verify_denominator_duality,
+         "Langlands duality of the B and C exchange graphs, seed by seed."),
+        ("type-c", verify_mod.verify_type_c_categorification,
+         "Type C categorification through the loop quiver algebra.")):
+    verify.add_command(_verify_command(*_args))
 
 
 if __name__ == "__main__":

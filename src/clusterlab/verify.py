@@ -277,10 +277,10 @@ def _class_quiver(key):
 def _finite_tau_rigid(inv):
     """`enumerate_tau_rigid(inv)`'s listing at its default cap, which
     truncates it only when the algebra has infinitely many strings.  No
-    algebra that thm1, thm2 or type-c lists has: a disc has no closed curves,
-    so its tiling algebra has no bands; thm2 lists strings only where
-    `letter_graph_acyclic` holds; and the C_n quivers have acyclic letter
-    graphs.  So a truncated listing raises `WitnessedFault`."""
+    algebra that thm1, thm2, fvector or type-c lists has: a disc has no
+    closed curves, so its tiling algebra has no bands; thm2 lists strings
+    only where `letter_graph_acyclic` holds; and the C_n quivers have
+    acyclic letter graphs.  So a truncated listing raises `WitnessedFault`."""
     rigid, truncated = enumerate_tau_rigid(inv)
     if truncated:
         raise WitnessedFault({"check": "infinitely many strings",
@@ -715,7 +715,7 @@ def _check_injectivity(graph, degree_cap, kind, where, counts, name):
 
 
 @_harness("thm3-fbar-injectivity", "monomials", "triangulations")
-def verify_fvector_injectivity(report, n_max=3, degree_cap=3):
+def verify_fvector_injectivity(report, rank_max=3, degree_cap=3):
     """Modified f-vectors separate cluster monomials in type A; intersection
     vectors of polygon arcs match the f-vectors of their cluster variables.
 
@@ -724,7 +724,7 @@ def verify_fvector_injectivity(report, n_max=3, degree_cap=3):
     call; the arcs are still enumerated for every triangulation.  Phases:
     `monomials`, timed once per rank, and `triangulations`, once per polygon.
     """
-    for n in range(2, n_max + 1):
+    for n in range(2, rank_max + 1):
         where = f"A{n}"
         with _phase(report, "monomials"):
             graph = explore(standard_matrix("A", n))
@@ -741,7 +741,7 @@ def verify_fvector_injectivity(report, n_max=3, degree_cap=3):
     # cross-check: arcs of triangulated polygons against cluster f-vectors
     report.counts["triangulations_cross_checked"] = 0
     f_vectors = {}  # matrix -> sorted f-vectors of its non-initial variables
-    for m in range(5, n_max + 4):
+    for m in range(5, rank_max + 4):
         with _phase(report, "triangulations"):
             for disc in disc_tilings(m):
                 if len(disc.chords) != m - 3:
@@ -752,7 +752,8 @@ def verify_fvector_injectivity(report, n_max=3, degree_cap=3):
                     f_vectors[b] = sorted(
                         info.f for info in explore(b).variables
                         if not info.initial)
-                arcs, _ = t.enumerate_permissible_arcs()
+                arcs = [t.arc_from_word(w)
+                        for w, _ in _finite_tau_rigid(t.inventory())]
                 ivecs = sorted(a.intersection for a in arcs)
                 if f_vectors[b] != ivecs:
                     raise WitnessedFault({"triangulation": (m, disc.chords),
@@ -787,7 +788,7 @@ def _d_checks(report, matrix, degree_cap, where):
 
 
 @_harness("thm4-denominator-injectivity", "explore", "checks")
-def verify_denominator(report, series="C", n_max=3, degree_cap=3,
+def verify_denominator(report, series="C", rank_max=3, degree_cap=3,
                        initial_seeds="all"):
     """Denominator vectors separate bounded-degree cluster monomials, from
     every cluster of every explored finite-type pattern in the series.
@@ -800,7 +801,7 @@ def verify_denominator(report, series="C", n_max=3, degree_cap=3,
     distinct matrix.
     """
     counts = report.counts = {"monomials": 0, "reroots": 0}
-    for n in range(2, n_max + 1):
+    for n in range(2, rank_max + 1):
         base = standard_matrix(series, n)
         graph, count = _d_checks(report, base, degree_cap, f"{series}{n} root")
         # matrix -> monomial count; counts, not graphs, to keep memory flat
@@ -817,12 +818,12 @@ def verify_denominator(report, series="C", n_max=3, degree_cap=3,
 
 
 @_harness("thm4-bc-duality", "explore", "checks")
-def verify_denominator_duality(report, n_max=3, degree_cap=3):
+def verify_denominator_duality(report, rank_max=3, degree_cap=3):
     """C_n = langlands_dual(B_n) seed by seed: both graphs pass the d-vector
     checks from their roots, equal BFS `reached` tables pair the seeds of one
     mutation sequence by id, and every pair passes `check_dual_seeds`."""
     counts = report.counts = {"verdicts": {}, "monomials": 0}
-    for n in range(2, n_max + 1):
+    for n in range(2, rank_max + 1):
         graph, dual = (_d_checks(report, standard_matrix(x, n), degree_cap,
                                  f"{x}{n} root")[0] for x in "BC")
         with _phase(report, "checks"):
@@ -869,7 +870,7 @@ def _tau_rigid_pairs(rigid, inv, cap):
 
 
 @_harness("typec-categorification", "tau", "pairs", "monomials")
-def verify_type_c_categorification(report, n_max=2, degree_cap=3):
+def verify_type_c_categorification(report, rank_max=2, degree_cap=3):
     """tau-rigid pairs of the type C quiver algebra match cluster monomials
     through the halved first dimension coordinate.
 
@@ -877,10 +878,10 @@ def verify_type_c_categorification(report, n_max=2, degree_cap=3):
     strings), `pairs` (tau-rigid pairs and their vectors) and `monomials`
     (the exchange graph and its monomials' d-vectors).
     """
-    if n_max < 2:
+    if rank_max < 2:
         raise ValueError("type C needs rank at least 2")
     report.cache = {"tau_hits": 0, "tau_misses": 0}
-    for n in range(2, n_max + 1):
+    for n in range(2, rank_max + 1):
         base = standard_matrix("C", n)
         q = type_c_quiver(base)
         cond = check_qb_conditions(q)

@@ -202,7 +202,7 @@ def test_criterion_8_dimension_dichotomy():
 
 
 def test_criterion_9_fbar_injectivity():
-    r = verify_fvector_injectivity(n_max=3, degree_cap=3)
+    r = verify_fvector_injectivity(rank_max=3, degree_cap=3)
     ok = r.verdict == "pass" and r.counts["triangulations_cross_checked"] == 19
     _criterion(9, "fbar-vectors separate degree <= 3 monomials in A2/A3; "
                   "arc intersection vectors equal cluster f-vectors on all "
@@ -219,12 +219,12 @@ DENOMINATOR_COUNTS = {
 def test_criterion_10_denominator_injectivity():
     start = time.perf_counter()
     ok = True
-    for (series, n_max), counts in DENOMINATOR_COUNTS.items():
-        r = verify_denominator(series=series, n_max=n_max, degree_cap=3,
+    for (series, rank_max), counts in DENOMINATOR_COUNTS.items():
+        r = verify_denominator(series=series, rank_max=rank_max, degree_cap=3,
                                initial_seeds="all")
         if r.verdict != "pass" or r.counts != counts:
             ok = False
-    dual = verify_denominator_duality(n_max=3, degree_cap=3)
+    dual = verify_denominator_duality(rank_max=3, degree_cap=3)
     # B and C monomials alike: 2 * (36 + 146)
     if dual.verdict != "pass" or dual.counts != {
             "verdicts": {"B": "pass", "C": "pass"}, "monomials": 364,
@@ -238,7 +238,7 @@ def test_criterion_10_denominator_injectivity():
 
 
 def test_criterion_11_type_c_categorification():
-    r = verify_type_c_categorification(n_max=3, degree_cap=3)
+    r = verify_type_c_categorification(rank_max=3, degree_cap=3)
     ok = r.verdict == "pass" and r.counts == {
         "C2_ind_tau_rigid": 4, "C2_pairs": 36,
         "C3_ind_tau_rigid": 9, "C3_pairs": 146}

@@ -347,16 +347,34 @@ def test_harness_frame_keeps_signatures_and_params():
     for harness, signature in (
             (verify_thm1, "(marked_max=8, mult_cap=3)"),
             (verify_thm2, "(vertex_max=4, arrow_max=6, mult_cap=3)"),
-            (verify_fvector_injectivity, "(n_max=3, degree_cap=3)"),
+            (verify_fvector_injectivity, "(rank_max=3, degree_cap=3)"),
             (verify_denominator,
-             "(series='C', n_max=3, degree_cap=3, initial_seeds='all')"),
-            (verify_denominator_duality, "(n_max=3, degree_cap=3)"),
-            (verify_type_c_categorification, "(n_max=2, degree_cap=3)")):
+             "(series='C', rank_max=3, degree_cap=3, initial_seeds='all')"),
+            (verify_denominator_duality, "(rank_max=3, degree_cap=3)"),
+            (verify_type_c_categorification, "(rank_max=2, degree_cap=3)")):
         assert str(inspect.signature(harness)) == signature
     r = verify_denominator("A", 2, degree_cap=2)
     assert list(r.params.items()) == [
-        ("series", "A"), ("n_max", 2), ("degree_cap", 2),
+        ("series", "A"), ("rank_max", 2), ("degree_cap", 2),
         ("initial_seeds", "all")]
+
+
+def test_verify_commands_are_built_from_the_harness_signatures():
+    # each `verify` command's options other than --report-dir and the
+    # format options are its harness's parameters, in order, with their
+    # defaults
+    commands = main.commands["verify"].commands
+    for name, harness in (
+            ("thm1", verify_thm1), ("thm2", verify_thm2),
+            ("fvector", verify_fvector_injectivity),
+            ("denominator", verify_denominator),
+            ("duality", verify_denominator_duality),
+            ("type-c", verify_type_c_categorification)):
+        options = [(p.name, p.default) for p in commands[name].params
+                   if p.name not in ("report_dir", "fmt", "out")]
+        assert options == [
+            (p.name, p.default)
+            for p in inspect.signature(harness).parameters.values()], name
 
 
 def test_cluster_harnesses_keep_their_digests():
@@ -413,11 +431,12 @@ def test_thm1_reports_a_forbidden_tile_and_cycle_fault(monkeypatch):
 
 
 def test_harnesses_fail_on_a_truncated_string_listing(monkeypatch):
-    # no algebra that thm1, thm2 or type-c lists has infinitely many
-    # strings, so a listing reported as cut short by its cap is a fault that
-    # names the algebra: thm1's first class quiver (the square cut by (2, 4)
-    # has no arrows), thm2's first representation-finite algebra and C2's
-    # type C quiver
+    # no algebra that thm1, thm2, fvector or type-c lists has infinitely
+    # many strings, so a listing reported as cut short by its cap is a fault
+    # that names the algebra: thm1's first class quiver (the square cut by
+    # (2, 4) has no arrows), thm2's first representation-finite algebra,
+    # the algebra of fvector's first pentagon triangulation and C2's type C
+    # quiver
     from clusterlab import verify
     listing = verify.enumerate_tau_rigid
     monkeypatch.setattr(verify, "enumerate_tau_rigid",
@@ -429,6 +448,10 @@ def test_harnesses_fail_on_a_truncated_string_listing(monkeypatch):
                 "vertices": 1,
                 "arrows": [{"id": "a0_0_0", "src": 1, "tgt": 1}],
                 "relations": [["a0_0_0", "a0_0_0"]]}),
+            (verify_fvector_injectivity(2, 1), {
+                "vertices": 2,
+                "arrows": [{"id": "r4_0", "src": 1, "tgt": 2}],
+                "relations": []}),
             (verify_type_c_categorification(2, 2), {
                 "vertices": 2,
                 "arrows": [{"id": "a1_2", "src": 1, "tgt": 2},
@@ -951,7 +974,8 @@ def test_cli_type_c_rejects_rank_one():
 
 @pytest.mark.parametrize("args", [
     # sizes whose family is empty or holds only the empty multiset, so a
-    # pass would check nothing
+    # pass would check nothing, and values outside a string parameter's
+    # choices
     ["thm1", "--marked-max", "3"], ["thm1", "--mult-cap", "0"],
     ["thm2", "--vertex-max", "0"], ["thm2", "--arrow-max", "0"],
     ["thm2", "--mult-cap", "0"],
@@ -959,6 +983,8 @@ def test_cli_type_c_rejects_rank_one():
     ["denominator", "--rank-max", "1"], ["denominator", "--degree-cap", "0"],
     ["duality", "--rank-max", "1"], ["duality", "--degree-cap", "0"],
     ["type-c", "--degree-cap", "0"],
+    ["denominator", "--series", "D"],
+    ["denominator", "--initial-seeds", "none"],
 ])
 def test_cli_verify_rejects_vacuous_sizes(args):
     res = CliRunner().invoke(main, ["verify"] + args)
@@ -1193,6 +1219,85 @@ def test_bc_langlands_duality_seed_by_seed(tmp_path):
     assert counts["monomials"] == 364, report
 
 
+def test_tiling_arcs_from_both_polygon_builders(tmp_path):
+    # the CLI on one disc tiling and one one-holed-disc tiling
+    (tmp_path / "disc.json").write_text(
+        '{"surface": "disc", "marked": 6, "chords": [[1,3],[3,5],[1,5]]}')
+    (tmp_path / "holed.json").write_text(
+        '{"surface": "one-holed-disc", "marked": 3, "occ_chords": [[0,2]]}')
+    disc = _cli_json(tmp_path, "tiling", "arcs", "--tiling",
+                     "disc.json")["arcs"]
+    holed = _cli_json(tmp_path, "tiling", "arcs", "--tiling",
+                      "holed.json")["arcs"]
+    assert len(disc) == 6, disc
+    vectors = sorted(a["intersection_vector"] for a in holed)
+    assert vectors == [[0, 1], [2, 0], [2, 1], [2, 2]], holed
+
+
+def test_tiling_arcs_under_a_truncating_string_length_cap(tmp_path):
+    # the CLI on the hexagon fan at cap 1: the flag reports the truncation,
+    # 5 of the 6 arcs are found, and nothing goes to stderr
+    (tmp_path / "fan.json").write_text(
+        '{"surface": "disc", "marked": 6, "chords": [[1,3],[1,4],[1,5]]}')
+    run = _cli(tmp_path, "tiling", "arcs", "--tiling", "fan.json", "--cap",
+               "1", "--format", "json")
+    assert run.stderr == "", "stderr not empty"
+    result = json.loads(run.stdout)
+    assert result["truncated"] is True, result
+    assert len(result["arcs"]) == 5, result
+
+
+def test_non_positive_string_length_caps(tmp_path):
+    # the CLI on the hexagon fan and on the Kronecker quiver: a cap of 0
+    # would act as cap 1, so both commands exit with a usage error
+    (tmp_path / "cap_fan.json").write_text(
+        '{"surface": "disc", "marked": 6, "chords": [[1,3],[1,4],[1,5]]}')
+    (tmp_path / "cap_kronecker.json").write_text(
+        '{"vertices": 2, "arrows": [{"id": "a", "src": 1, "tgt": 2}, '
+        '{"id": "b", "src": 1, "tgt": 2}], "relations": []}')
+    for args in (("tiling", "arcs", "--tiling", "cap_fan.json"),
+                 ("gentle", "analyze", "--quiver", "cap_kronecker.json")):
+        status = _cli(tmp_path, *args, "--cap", "0", check=False).returncode
+        assert status == 2, args
+
+
+def test_tiling_algebras_read_off_their_tiles(tmp_path):
+    # the CLI on a disc with a loop around a loop around a hole (tiles V,
+    # III, III, II and I), whose algebra is gentle only when a relation is
+    # two angles of one tile, and on the one-holed disc with two points,
+    # whose one loop arrow squares to zero
+    (tmp_path / "two_holes.json").write_text(
+        '{"surface": "general", "marked": 4, "boundary": [[0, 1, 2, 3]], '
+        '"arcs": [{"id": "A", "ends": [0, 2]}, {"id": "B", "ends": [2, 0]}, '
+        '{"id": "X", "ends": [0, 0]}, {"id": "Y", "ends": [0, 0]}], '
+        '"fans": {"0": [["A", 0], ["X", 0], ["Y", 0], ["Y", 1], ["X", 1], '
+        '["B", 1]], "1": [], "2": [["B", 0], ["A", 1]], "3": []}, '
+        '"holes": [["Y", 0, 1], ["Y", 1, 1]]}')
+    (tmp_path / "holed2.json").write_text(
+        '{"surface": "one-holed-disc", "marked": 2}')
+    two = _cli_json(tmp_path, "tiling", "algebra", "--tiling",
+                    "two_holes.json")
+    holed = _cli_json(tmp_path, "tiling", "algebra", "--tiling",
+                      "holed2.json")
+    assert two["relations"] == [["r0_0", "r0_4"], ["r0_1", "r0_3"],
+                                ["r0_2", "r0_2"], ["r0_3", "r0_1"],
+                                ["r0_4", "r2_0"], ["r2_0", "r0_0"]], two
+    assert holed["relations"] == [["r0_0", "r0_0"]], holed
+    assert holed["arrow_points"] == {"r0_0": 1}, holed
+
+
+def test_a_malformed_input_file_is_a_usage_error(tmp_path):
+    # the CLI on a matrix whose two entries share a sign, so no diagonal
+    # skew-symmetrizes it: exit status 2, no traceback
+    (tmp_path / "not_symmetrizable.json").write_text(
+        '{"n": 2, "B": [[0, 1], [1, 0]]}')
+    run = _cli(tmp_path, "explore", "--matrix", "not_symmetrizable.json",
+               check=False)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert "Invalid value for '--matrix'" in run.stderr
+
+
 @pytest.mark.parametrize("command, flag, data, message", [
     (["tiling", "algebra"], "--tiling", {"surface": "general", "marked": 2},
      "KeyError: 'fans'"),
@@ -1210,6 +1315,10 @@ def test_bc_langlands_duality_seed_by_seed(tmp_path):
      "NotSkewSymmetrizableError"),
     (["explore"], "--matrix", '{"n": 2, "B": [[0, 1]', "JSONDecodeError"),
     (["explore"], "--matrix", {"n": 2, "B": 5}, "TypeError"),
+    # the hexagon without chords is one face of six boundary edges
+    (["tiling", "classify"], "--tiling",
+     {"surface": "disc", "marked": 6, "chords": []},
+     "UnclassifiableTileError"),
 ])
 def test_cli_rejects_malformed_input_files(tmp_path, command, flag, data,
                                            message):
