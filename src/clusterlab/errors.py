@@ -14,7 +14,7 @@ class UnclassifiableTileError(ValueError):
 
 
 class InfiniteDimensionalAlgebraError(ValueError):
-    """Raised when relation-avoiding path enumeration fails to terminate."""
+    """Raised on a relation-free cycle: the algebra is infinite-dimensional."""
 
 
 class InvalidStringError(ValueError):

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import WitnessedFault
-from .quiver import BoundQuiver, StringWord, projective_paths, validate_word, word_vertices
+from .quiver import (BoundQuiver, StringWord, enumerate_strings, projective_paths,
+                     validate_word, word_vertices)
 
 
 class QuiverRep:
@@ -357,7 +358,7 @@ def ar_translate(q: BoundQuiver, m: QuiverRep, presentation=None) -> QuiverRep:
 
 class StringInventory:
     """Cached per-algebra data: string modules, their minimal presentations,
-    translates, rigidity and compatibility.
+    translates and compatibility; rigidity is read off them on each call.
 
     `tau_hits` and `tau_misses` count the translate lookups answered from
     the cache and the ones that computed a translate.
@@ -368,7 +369,6 @@ class StringInventory:
         self._module = {}
         self._presentation = {}
         self._tau = {}
-        self._rigid = {}
         self._compat = {}
         self.tau_hits = self.tau_misses = 0
 
@@ -396,11 +396,7 @@ class StringInventory:
         return self._tau[key]
 
     def rigid(self, w: StringWord) -> bool:
-        key = (w.letters, w.base)
-        if key not in self._rigid:
-            self._rigid[key] = presented_hom_dim(
-                self.presentation(w), self.tau(w)) == 0
-        return self._rigid[key]
+        return presented_hom_dim(self.presentation(w), self.tau(w)) == 0
 
     def compatible(self, w1: StringWord, w2: StringWord) -> bool:
         """Whether the direct sum of the two rigid strings stays rigid."""
@@ -422,8 +418,6 @@ def enumerate_tau_rigid(inv: StringInventory, cap=None):
     exceeds every string of a finite string set, where no string repeats a
     letter.
     """
-    from .quiver import enumerate_strings
-
     q = inv.q
     if cap is None:
         cap = 2 * len(q.arrows) + 2

@@ -8,14 +8,22 @@ ideal; in function-style notation that is the path written b a.  A path is a
 tuple of arrow ids in traversal order; it is nonzero exactly when no two
 consecutive arrows form a relation.
 
+An arrow's neighbours are read one way: the arrows after it (`_after`) or
+before it (`_before`) whose composite with it is a relation, or is not.  The
+gentleness check counts them.  On gentle input they give each arrow at most
+one relation successor and one free successor, each a one-to-one partial
+map: full-relation cycles are the cycles of the first, and a projective's
+basis paths are the starts of the chains of the second, whose cycles are
+the relation-free ones that make the algebra infinite-dimensional.
+
 A string word is a walk: letters are (arrow_id, inverse_flag); a direct
 letter moves along the arrow, an inverse letter against it.  Valid words are
 reduced (no letter followed by its own inverse) and avoid relations in both
-reading directions.  One letter graph records which letter may follow which
-(Butler-Ringel); validation, the finiteness test and string enumeration all
-read it, so strings are exactly its walks.  Words are considered up to
-inversion; `canonical_word` picks the lexicographically smaller of a word
-and its formal inverse.
+reading directions.  One letter graph, built from the same neighbours,
+records which letter may follow which (Butler-Ringel); validation, the
+finiteness test and string enumeration all read it, so strings are exactly
+its walks.  Words are considered up to inversion; `canonical_word` picks the
+lexicographically smaller of a word and its formal inverse.
 """
 
 from __future__ import annotations
@@ -112,6 +120,20 @@ class GentleCheck:
         return self.ok
 
 
+def _after(q: BoundQuiver, a: Arrow, related):
+    """The arrows b leaving a's head, in `arrows_from` order, for which
+    "a then b" is a relation (related) or is not."""
+    return [b for b in q.arrows_from(a.tgt)
+            if ((a.id, b.id) in q.relations) == related]
+
+
+def _before(q: BoundQuiver, a: Arrow, related):
+    """The arrows b entering a's tail, in `arrows_to` order, for which
+    "b then a" is a relation (related) or is not."""
+    return [b for b in q.arrows_to(a.src)
+            if ((b.id, a.id) in q.relations) == related]
+
+
 def check_gentle(q: BoundQuiver) -> GentleCheck:
     """Verify conditions G1-G4; the first failure comes back with a witness."""
     for v in range(q.n):
@@ -122,99 +144,76 @@ def check_gentle(q: BoundQuiver) -> GentleCheck:
             return GentleCheck(False, "G1",
                                f"vertex {v + 1} is the target of more than two arrows")
     for a in q.arrows.values():
-        rel_after = [b.id for b in q.arrows_from(a.tgt)
-                     if (a.id, b.id) in q.relations]
-        non_after = [b.id for b in q.arrows_from(a.tgt)
-                     if (a.id, b.id) not in q.relations]
-        if len(rel_after) > 1:
-            return GentleCheck(False, "G2",
-                               f"arrow {a.id!r} has relations with {rel_after}")
-        if len(non_after) > 1:
-            return GentleCheck(False, "G2",
-                               f"arrow {a.id!r} composes freely with {non_after}")
-        rel_before = [b.id for b in q.arrows_to(a.src)
-                      if (b.id, a.id) in q.relations]
-        non_before = [b.id for b in q.arrows_to(a.src)
-                      if (b.id, a.id) not in q.relations]
-        if len(rel_before) > 1:
-            return GentleCheck(False, "G3",
-                               f"arrow {a.id!r} has relations with {rel_before}")
-        if len(non_before) > 1:
-            return GentleCheck(False, "G3",
-                               f"arrow {a.id!r} composes freely with {non_before}")
+        for condition, near in (("G2", _after), ("G3", _before)):
+            for related, verb in ((True, "has relations with"),
+                                  (False, "composes freely with")):
+                arrows = near(q, a, related)
+                if len(arrows) > 1:
+                    ids = [b.id for b in arrows]
+                    return GentleCheck(False, condition,
+                                       f"arrow {a.id!r} {verb} {ids}")
     # G4 (relations generated by length-2 paths) holds by construction;
     # composability was enforced when the quiver was built.
     return GentleCheck(True)
 
 
+def _successors(q: BoundQuiver, related):
+    """Each arrow's one relation successor (related) or free successor, by
+    arrow id.  Raises ValueError unless this is a one-to-one partial map, as
+    on gentle input, so that a walk from an arrow stops or comes back to it."""
+    pairs = [(a.id, b.id) for a in q.arrows.values()
+             for b in _after(q, a, related)]
+    succ = dict(pairs)
+    if not len(pairs) == len(succ) == len(set(succ.values())):
+        raise ValueError(f"not gentle: successors {pairs} are not one-to-one")
+    return succ
+
+
+def _walk(succ, a):
+    """(chain, closed): a, succ(a), ... up to the chain's end, or up to its
+    return to a, which closes it into a cycle."""
+    chain = [a]
+    while (b := succ.get(chain[-1])) not in (None, a):
+        chain.append(b)
+    return chain, b == a
+
+
 def detect_even_full_cycle(q: BoundQuiver):
     """An even-length oriented cycle all of whose compositions are relations.
 
-    In a gentle quiver each arrow has at most one relation successor, so the
-    full-relation cycles are the cycles of that partial map.  Returns the
-    cycle as a list of arrow ids, or None.  Loops are odd cycles of length 1.
+    The full-relation cycles are the cycles of the relation-successor map.
+    Returns the first even one, from its least arrow, as a list of arrow
+    ids, or None.  Loops are odd cycles of length 1.
     """
-    succ = {}
-    for (a, b) in q.relations:
-        if a in succ:
-            raise ValueError("not gentle: arrow with two relation successors")
-        succ[a] = b
-    state = {}  # arrow -> "active" | "done"
+    succ = _successors(q, True)
     for start in sorted(q.arrows):
-        if state.get(start) == "done":
-            continue
-        chain = []
-        pos = {}
-        cur = start
-        while cur is not None and state.get(cur) != "done":
-            if cur in pos:
-                cycle = chain[pos[cur]:]
-                if len(cycle) % 2 == 0:
-                    return cycle
-                break
-            pos[cur] = len(chain)
-            chain.append(cur)
-            cur = succ.get(cur)
-        for a in chain:
-            state[a] = "done"
+        cycle, closed = _walk(succ, start)
+        if closed and len(cycle) % 2 == 0:
+            return cycle
     return None
 
 
-def _paths_from(q: BoundQuiver, start, bound):
-    """All relation-avoiding paths (as arrow-id tuples) starting at `start`."""
-    out = [((), start)]
-    frontier = [((), start)]
-    while frontier:
-        nxt = []
-        for path, v in frontier:
-            for a in q.arrows_from(v):
-                if path and (path[-1], a.id) in q.relations:
-                    continue
-                p2 = path + (a.id,)
-                if len(p2) > bound:
-                    raise InfiniteDimensionalAlgebraError(
-                        f"relation-avoiding path of length > {bound} from "
-                        f"vertex {start + 1}")
-                nxt.append((p2, a.tgt))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
-def path_bound(q: BoundQuiver):
-    return q.n * max(1, len(q.arrows)) + 1
-
-
 def projective_paths(q: BoundQuiver, i):
-    """Basis paths of the projective at vertex i, with their endpoints.
+    """Basis paths of the projective at vertex i, with their endpoints: the
+    trivial path and the starts of the free-successor chain of each arrow
+    leaving i, shortest first, in `arrows_from` order within one length.
 
-    The tuple is computed on the first call and kept on the quiver.  An
-    infinite-dimensional projective is not kept, so every call raises
-    InfiniteDimensionalAlgebraError.
+    The tuple is computed on the first call and kept on the quiver.  A chain
+    that comes back to its arrow is a relation-free cycle: then every call
+    raises InfiniteDimensionalAlgebraError naming the cycle.
     """
     paths = q._projective_paths.get(i)
     if paths is None:
-        paths = tuple(_paths_from(q, i, path_bound(q)))
+        free = _successors(q, False)
+        starts = []
+        for a in q.arrows_from(i):
+            chain, closed = _walk(free, a.id)
+            if closed:
+                raise InfiniteDimensionalAlgebraError(
+                    f"relation-free cycle {chain} through vertex {i + 1}")
+            starts += [(tuple(chain[:k]), q.arrows[chain[k - 1]].tgt)
+                       for k in range(1, len(chain) + 1)]
+        paths = ((), i), *sorted(starts, key=lambda p: len(p[0]))
         q._projective_paths[i] = paths
     return paths
 
@@ -222,8 +221,7 @@ def projective_paths(q: BoundQuiver, i):
 def cartan_matrix(q: BoundQuiver):
     """(Cartan matrix, determinant); column i is the dimension vector of P_i.
 
-    Raises InfiniteDimensionalAlgebraError when path enumeration exceeds the
-    bound (a relation-free oriented cycle).
+    Raises InfiniteDimensionalAlgebraError on a relation-free oriented cycle.
     """
     n = q.n
     c = [[0] * n for _ in range(n)]
@@ -251,21 +249,18 @@ def _letter_ends(q: BoundQuiver, letter):
     return (a.tgt, a.src) if inv else (a.src, a.tgt)
 
 
-def _pair_ok(q: BoundQuiver, l1, l2):
-    """Whether l2 may follow l1: no backtrack and no relation either way."""
-    (a1, i1), (a2, i2) = l1, l2
-    if i1 != i2:
-        return a1 != a2
-    return ((a2, a1) if i1 else (a1, a2)) not in q.relations
-
-
 def _followers(q: BoundQuiver, letter):
-    """The letters that may follow `letter` in a string: those leaving its
-    head that `_pair_ok` allows, direct letters first."""
-    head = _letter_ends(q, letter)[1]
-    moves = [(a.id, False) for a in q.arrows_from(head)] + \
-            [(a.id, True) for a in q.arrows_to(head)]
-    return tuple(l2 for l2 in moves if _pair_ok(q, letter, l2))
+    """The letters that may follow `letter` in a string, direct letters
+    first: no backtrack onto its arrow and no relation in either reading
+    direction."""
+    aid, inv = letter
+    a = q.arrows[aid]
+    direct = ([b for b in q.arrows_from(a.src) if b.id != aid] if inv
+              else _after(q, a, False))
+    inverse = (_before(q, a, False) if inv
+               else [b for b in q.arrows_to(a.tgt) if b.id != aid])
+    return tuple([(b.id, False) for b in direct]
+                 + [(b.id, True) for b in inverse])
 
 
 def _letter_graph(q: BoundQuiver):

@@ -800,6 +800,9 @@ def verify_denominator(report, series="C", rank_max=3, degree_cap=3,
     Phases: `explore` and `checks` (both d-vector checks), timed once per
     distinct matrix.
     """
+    if initial_seeds not in ("all", "root"):
+        raise ValueError(f"initial_seeds must be 'all' or 'root', "
+                         f"not {initial_seeds!r}")
     counts = report.counts = {"monomials": 0, "reroots": 0}
     for n in range(2, rank_max + 1):
         base = standard_matrix(series, n)

@@ -80,9 +80,14 @@ def test_cartan_loop():
 
 
 def test_cartan_infinite_dimensional():
+    # the error names the relation-free cycle, from the projective's vertex
     q = BoundQuiver(2, [Arrow("a", 0, 1), Arrow("b", 1, 0)], [])
-    with pytest.raises(InfiniteDimensionalAlgebraError):
+    with pytest.raises(InfiniteDimensionalAlgebraError) as exc:
         cartan_matrix(q)
+    assert str(exc.value) == "relation-free cycle ['a', 'b'] through vertex 1"
+    with pytest.raises(InfiniteDimensionalAlgebraError) as exc:
+        projective_paths(q, 1)
+    assert str(exc.value) == "relation-free cycle ['b', 'a'] through vertex 2"
 
 
 def test_opposite_and_projective_paths_are_computed_once():
@@ -106,6 +111,91 @@ def test_opposite_and_projective_paths_are_computed_once():
         with pytest.raises(InfiniteDimensionalAlgebraError):
             projective_paths(free, 0)
     assert free.opposite() is free.opposite()
+
+
+# Reference oracles: the bounded breadth-first path search and the general
+# cycle search (which lets a walk enter a cycle from a tail) that
+# projective_paths and detect_even_full_cycle replaced by successor walks.
+
+def bfs_projective_paths(q, start):
+    bound = q.n * max(1, len(q.arrows)) + 1
+    out = frontier = [((), start)]
+    while frontier:
+        frontier = [(path + (a.id,), a.tgt) for path, v in frontier
+                    for a in q.arrows_from(v)
+                    if not path or (path[-1], a.id) not in q.relations]
+        if frontier and len(frontier[0][0]) > bound:
+            raise InfiniteDimensionalAlgebraError(f"path longer than {bound}")
+        out = out + frontier
+    return tuple(out)
+
+
+def searched_even_full_cycle(q):
+    succ = dict(q.relations)
+    done = set()
+    for start in sorted(q.arrows):
+        chain, pos, cur = [], {}, start
+        while cur is not None and cur not in done:
+            if cur in pos:
+                if (len(chain) - pos[cur]) % 2 == 0:
+                    return chain[pos[cur]:]
+                break
+            pos[cur] = len(chain)
+            chain.append(cur)
+            cur = succ.get(cur)
+        done.update(chain)
+    return None
+
+
+def test_successor_walks_match_the_old_searches():
+    from clusterlab.tiling import (DiscTiling, _chords_in_taxonomy,
+                                   _noncrossing_chord_sets)
+    from clusterlab.verify import enumerate_gentle_algebras
+    algebras = enumerate_gentle_algebras(4, 6)
+    discs = [DiscTiling(m, chords).to_complex().algebra()[0]
+             for m in range(4, 9) for chords in _noncrossing_chord_sets(m)
+             if _chords_in_taxonomy(m, chords)]
+    assert (len(algebras), len(discs)) == (2209, 252)
+    pairs, raised, cycles = [0, 0], [0, 0], [0, 0]
+    for family, quivers in enumerate(
+            (algebras + [q.opposite() for q in algebras], discs)):
+        for q in quivers:
+            cycle = detect_even_full_cycle(q)
+            assert cycle == searched_even_full_cycle(q), q.to_json()
+            cycles[family] += cycle is not None
+            for v in range(q.n):
+                pairs[family] += 1
+                try:
+                    want = bfs_projective_paths(q, v)
+                except InfiniteDimensionalAlgebraError:
+                    raised[family] += 1
+                    with pytest.raises(InfiniteDimensionalAlgebraError):
+                        projective_paths(q, v)
+                else:
+                    assert projective_paths(q, v) == want, (q.to_json(), v)
+    assert (pairs, raised) == ([17118, 1103], [5280, 0])
+    assert cycles == [936, 2]
+
+
+def test_non_gentle_successor_maps_raise():
+    # a rho-shaped relation map x -> y -> z -> y: the old search found the
+    # cycle (y, z) through its tail; the successor map refuses y's two
+    # relation predecessors
+    rho = BoundQuiver(3, [Arrow("x", 0, 1), Arrow("y", 1, 2), Arrow("z", 2, 1)],
+                      [("x", "y"), ("y", "z"), ("z", "y")])
+    assert searched_even_full_cycle(rho) == ["y", "z"]
+    with pytest.raises(ValueError) as exc:
+        detect_even_full_cycle(rho)
+    assert str(exc.value) == ("not gentle: successors [('x', 'y'), "
+                              "('y', 'z'), ('z', 'y')] are not one-to-one")
+    # an arrow with two free successors: a's chain would fork
+    fork = BoundQuiver(4, [Arrow("a", 0, 1), Arrow("b", 1, 2), Arrow("c", 1, 3)],
+                       [])
+    assert len(bfs_projective_paths(fork, 0)) == 4
+    with pytest.raises(ValueError) as exc:
+        projective_paths(fork, 0)
+    assert str(exc.value) == ("not gentle: successors [('a', 'b'), "
+                              "('a', 'c')] are not one-to-one")
 
 
 def test_cartan_a2_path():

@@ -868,6 +868,14 @@ def test_denominator_harness_root_only():
     assert r.verdict == "pass" and r.counts["reroots"] == 0
 
 
+def test_denominator_rejects_unknown_initial_seeds():
+    # a misspelt choice used to pass as if it were "root", with 0 reroots
+    assert verify_denominator("A", 2, 2, "all").counts["reroots"] == 5
+    for seeds in ("All", "none", ""):
+        with pytest.raises(ValueError, match="initial_seeds must be"):
+            verify_denominator("A", 2, 2, seeds)
+
+
 def test_denominator_duality():
     r = verify_denominator_duality(2, 2)
     assert r.verdict == "pass"
@@ -1416,7 +1424,8 @@ def test_cli_gentle_analyze(tmp_path):
     assert res.exit_code == 0 and res.exception is None, res.output
     data = json.loads(res.output)
     assert data["gentle"] is True
-    assert data["cartan_matrix"].startswith("unavailable")
+    assert data["cartan_matrix"] == \
+        "unavailable: relation-free cycle ['rho'] through vertex 1"
     assert "tau_rigid" not in data
     assert "cache" not in data
 
