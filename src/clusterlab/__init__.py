@@ -8,7 +8,7 @@ from .tracking import (TrackedSeed, ClusterMonomial, mutate_tracked,
 from .explore import (ExchangeGraph, explore, enumerate_monomials,
                       standard_matrix)
 from .quiver import (Arrow, BoundQuiver, StringWord, check_gentle,
-                     detect_even_full_cycle, cartan_matrix, type_c_quiver,
+                     detect_even_full_cycle, cartan_matrix,
                      check_qb_conditions)
 from .modules import (QuiverRep, StringInventory, string_module, hom_dim,
                       ar_translate, enumerate_tau_rigid)

@@ -358,7 +358,7 @@ for _args in (
         ("duality", verify_mod.verify_denominator_duality,
          "Langlands duality of the B and C exchange graphs, seed by seed."),
         ("type-c", verify_mod.verify_type_c_categorification,
-         "Type C categorification through the loop quiver algebra.")):
+         "Type C categorification through a one-holed disc's algebra.")):
     verify.add_command(_verify_command(*_args))
 
 

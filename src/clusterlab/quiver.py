@@ -32,8 +32,7 @@ import json
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import (InfiniteDimensionalAlgebraError, InvalidStringError,
-                     NotSkewSymmetrizableError, WitnessedFault)
+from .errors import InfiniteDimensionalAlgebraError, InvalidStringError
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ class BoundQuiver:
             self._arrows_from[a.src].append(a)
             self._arrows_to[a.tgt].append(a)
         self._opposite = None
-        self._projective_paths = {}  # vertex -> tuple of (path, end)
+        self._projective_paths = {}  # vertex -> (path, end)s or error text
 
     def arrows_from(self, v):
         return self._arrows_from[v]
@@ -115,9 +114,6 @@ class GentleCheck:
     ok: bool
     violated: str = ""      # "G1".."G4" when not ok
     witness: str = ""
-
-    def __bool__(self):
-        return self.ok
 
 
 def _after(q: BoundQuiver, a: Arrow, related):
@@ -198,24 +194,24 @@ def projective_paths(q: BoundQuiver, i):
     trivial path and the starts of the free-successor chain of each arrow
     leaving i, shortest first, in `arrows_from` order within one length.
 
-    The tuple is computed on the first call and kept on the quiver.  A chain
-    that comes back to its arrow is a relation-free cycle: then every call
-    raises InfiniteDimensionalAlgebraError naming the cycle.
+    The first call fills every vertex from one free-successor map, kept on
+    the quiver.  A chain that comes back to its arrow is a relation-free
+    cycle: each call for its vertex raises InfiniteDimensionalAlgebraError.
     """
-    paths = q._projective_paths.get(i)
-    if paths is None:
+    paths = q._projective_paths
+    if not paths:
         free = _successors(q, False)
-        starts = []
-        for a in q.arrows_from(i):
-            chain, closed = _walk(free, a.id)
-            if closed:
-                raise InfiniteDimensionalAlgebraError(
-                    f"relation-free cycle {chain} through vertex {i + 1}")
-            starts += [(tuple(chain[:k]), q.arrows[chain[k - 1]].tgt)
-                       for k in range(1, len(chain) + 1)]
-        paths = ((), i), *sorted(starts, key=lambda p: len(p[0]))
-        q._projective_paths[i] = paths
-    return paths
+        for v in range(q.n):
+            chains = [_walk(free, a.id) for a in q.arrows_from(v)]
+            cycle = next((c for c, closed in chains if closed), None)
+            starts = sorted(((tuple(c[:k]), q.arrows[c[k - 1]].tgt)
+                             for c, _ in chains for k in range(1, len(c) + 1)),
+                            key=lambda p: len(p[0]))
+            paths[v] = (f"relation-free cycle {cycle} through vertex {v + 1}"
+                        if cycle else (((), v), *starts))
+    if isinstance(paths[i], str):
+        raise InfiniteDimensionalAlgebraError(paths[i])
+    return paths[i]
 
 
 def cartan_matrix(q: BoundQuiver):
@@ -361,51 +357,7 @@ def enumerate_strings(q: BoundQuiver, cap):
     return out, any(follow[w.letters[-1]] for w in frontier)
 
 
-# -- the quiver attached to a type C exchange matrix --------------------------
-
-
-def type_c_quiver(matrix) -> BoundQuiver:
-    """Gentle bound quiver for a type C exchange matrix.
-
-    Expects the skew-symmetrizer diag{2,1,...,1}: vertex 1 carries the unique
-    loop; positive entries b_ij give b_ij arrows i -> j for j != 1 and
-    b_i1 / 2 arrows into vertex 1.  Relations: the loop squared and every
-    length-2 path lying on an oriented 3-cycle.
-    """
-    s = matrix.skew_symmetrizer()
-    n = matrix.n
-    if s[0] != 2 or any(v != 1 for v in s[1:]):
-        raise NotSkewSymmetrizableError(
-            f"expected skew-symmetrizer diag(2,1,...,1), got {s}")
-    arrows = [Arrow("rho", 0, 0)]
-    for i in range(n):
-        for j in range(n):
-            bij = matrix.b[i][j]
-            if bij <= 0:
-                continue
-            count = bij if j != 0 else bij // 2
-            for c in range(count):
-                suffix = "" if count == 1 else f"_{c + 1}"
-                arrows.append(Arrow(f"a{i + 1}_{j + 1}{suffix}", i, j))
-    relations = [("rho", "rho")]
-    by_pair = {}
-    for a in arrows:
-        by_pair.setdefault((a.src, a.tgt), []).append(a)
-    for a in arrows:
-        for b in arrows:
-            if a.id == "rho" or b.id == "rho":
-                continue
-            if a.tgt != b.src or a.src == a.tgt or b.src == b.tgt:
-                continue
-            if (b.tgt, a.src) in by_pair:  # some arrow closes a 3-cycle
-                relations.append((a.id, b.id))
-    q = BoundQuiver(n, arrows, relations)
-    cert = check_gentle(q)
-    if not cert:
-        raise WitnessedFault({"check": "type C quiver not gentle",
-                              "matrix": matrix.b, "violated": cert.violated,
-                              "witness": cert.witness})
-    return q
+# -- conditions (a)-(e) of a type C quiver -----------------------------------
 
 
 def check_qb_conditions(q: BoundQuiver):

@@ -201,7 +201,7 @@ class TilingComplex:
                     if a.tgt == b.src and corners[a.id][0] == corners[b.id][0]]
             q = BoundQuiver(len(self.arcs), arrows, rels)
             cert = check_gentle(q)
-            if not cert:
+            if not cert.ok:
                 raise WitnessedFault({
                     "check": "tiling algebra not gentle", "quiver": q.to_json(),
                     "violated": cert.violated, "witness": cert.witness})

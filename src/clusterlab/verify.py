@@ -36,12 +36,11 @@ from .explore import (_compatible_multisets, enumerate_monomials, explore,
 from .modules import StringInventory, enumerate_tau_rigid, string_order
 from .quiver import (Arrow, BoundQuiver, StringWord, canonical_word,
                      cartan_matrix, check_gentle, check_qb_conditions,
-                     detect_even_full_cycle, letter_graph_acyclic,
-                     type_c_quiver)
+                     detect_even_full_cycle, letter_graph_acyclic)
 from .tiling import (ArcMultiset, DiscTiling, _chords_in_taxonomy,
                      _noncrossing_chord_sets, b_matrix_from_triangulation,
                      chords_interleave, disc_tilings, geometric_disc_arcs,
-                     seg_profile)
+                     one_holed_disc_tiling, seg_profile)
 from .tracking import check_dual_seeds
 
 
@@ -279,8 +278,9 @@ def _finite_tau_rigid(inv):
     truncates it only when the algebra has infinitely many strings.  No
     algebra that thm1, thm2, fvector or type-c lists has: a disc has no
     closed curves, so its tiling algebra has no bands; thm2 lists strings
-    only where `letter_graph_acyclic` holds; and the C_n quivers have
-    acyclic letter graphs.  So a truncated listing raises `WitnessedFault`."""
+    only where `letter_graph_acyclic` holds; and type-c's one-holed disc
+    algebras have acyclic letter graphs.  So a truncated listing raises
+    `WitnessedFault`."""
     rigid, truncated = enumerate_tau_rigid(inv)
     if truncated:
         raise WitnessedFault({"check": "infinitely many strings",
@@ -874,8 +874,16 @@ def _tau_rigid_pairs(rigid, inv, cap):
 
 @_harness("typec-categorification", "tau", "pairs", "monomials")
 def verify_type_c_categorification(report, rank_max=2, degree_cap=3):
-    """tau-rigid pairs of the type C quiver algebra match cluster monomials
+    """tau-rigid pairs of the type C gentle algebra match cluster monomials
     through the halved first dimension coordinate.
+
+    At rank n the algebra is read off the one-holed disc with n + 1 points,
+    tiled by the loop at point 1 around the hole and the fan of chords from
+    point 1 to points 2..n.  Its vertices are the loop, then the chords, in
+    the vertex order of `standard_matrix("C", n)`: the loop around the hole
+    is the long root, and an arc crosses it twice, hence the halved
+    coordinate.  Beside the loop at vertex 0, the arrows run 0 -> 1 -> ...
+    -> n-1, and the loop squared is the only relation.
 
     Phases, timed once per rank: `tau` (the inventory and its tau-rigid
     strings), `pairs` (tau-rigid pairs and their vectors) and `monomials`
@@ -886,7 +894,8 @@ def verify_type_c_categorification(report, rank_max=2, degree_cap=3):
     report.cache = {"tau_hits": 0, "tau_misses": 0}
     for n in range(2, rank_max + 1):
         base = standard_matrix("C", n)
-        q = type_c_quiver(base)
+        q, _ = one_holed_disc_tiling(
+            n + 1, [(k, n + 1) for k in range(1, n)]).algebra()
         cond = check_qb_conditions(q)
         if not all(cond.values()):
             raise WitnessedFault({"rank": n, "check": "conditions (a)-(e)",

@@ -242,6 +242,7 @@ def test_criterion_11_type_c_categorification():
     ok = r.verdict == "pass" and r.counts == {
         "C2_ind_tau_rigid": 4, "C2_pairs": 36,
         "C3_ind_tau_rigid": 9, "C3_pairs": 146}
-    _criterion(11, "tau-rigid inventory of the loop quiver matches type C "
-                   "cluster data for C2 and C3, with conditions (a)-(e)",
+    _criterion(11, "tau-rigid inventory of the one-holed disc's algebra "
+                   "matches type C cluster data for C2 and C3, with "
+                   "conditions (a)-(e)",
                ok, r.duration_s)

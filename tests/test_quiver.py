@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from clusterlab.errors import InfiniteDimensionalAlgebraError, InvalidStringError
+from clusterlab.errors import (InfiniteDimensionalAlgebraError,
+                               InvalidStringError, NotSkewSymmetrizableError,
+                               WitnessedFault)
 from clusterlab.exchange import ExchangeMatrix
 from clusterlab.explore import explore, standard_matrix
 from clusterlab.quiver import (
     Arrow, BoundQuiver, StringWord, cartan_matrix, canonical_word,
     check_gentle, check_qb_conditions, detect_even_full_cycle,
-    enumerate_strings, letter_graph_acyclic, projective_paths, type_c_quiver,
-    validate_word,
+    enumerate_strings, letter_graph_acyclic, projective_paths, validate_word,
 )
 
 
@@ -280,6 +281,53 @@ def test_truncation_flag():
     assert truncated
 
 
+# -- the quiver attached to a type C exchange matrix --------------------------
+
+
+def type_c_quiver(matrix) -> BoundQuiver:
+    """Gentle bound quiver for a type C exchange matrix.
+
+    Expects the skew-symmetrizer diag{2,1,...,1}: vertex 1 carries the unique
+    loop; positive entries b_ij give b_ij arrows i -> j for j != 1 and
+    b_i1 / 2 arrows into vertex 1.  Relations: the loop squared and every
+    length-2 path lying on an oriented 3-cycle.
+    """
+    s = matrix.skew_symmetrizer()
+    n = matrix.n
+    if s[0] != 2 or any(v != 1 for v in s[1:]):
+        raise NotSkewSymmetrizableError(
+            f"expected skew-symmetrizer diag(2,1,...,1), got {s}")
+    arrows = [Arrow("rho", 0, 0)]
+    for i in range(n):
+        for j in range(n):
+            bij = matrix.b[i][j]
+            if bij <= 0:
+                continue
+            count = bij if j != 0 else bij // 2
+            for c in range(count):
+                suffix = "" if count == 1 else f"_{c + 1}"
+                arrows.append(Arrow(f"a{i + 1}_{j + 1}{suffix}", i, j))
+    relations = [("rho", "rho")]
+    by_pair = {}
+    for a in arrows:
+        by_pair.setdefault((a.src, a.tgt), []).append(a)
+    for a in arrows:
+        for b in arrows:
+            if a.id == "rho" or b.id == "rho":
+                continue
+            if a.tgt != b.src or a.src == a.tgt or b.src == b.tgt:
+                continue
+            if (b.tgt, a.src) in by_pair:  # some arrow closes a 3-cycle
+                relations.append((a.id, b.id))
+    q = BoundQuiver(n, arrows, relations)
+    cert = check_gentle(q)
+    if not cert.ok:
+        raise WitnessedFault({"check": "type C quiver not gentle",
+                              "matrix": matrix.b, "violated": cert.violated,
+                              "witness": cert.witness})
+    return q
+
+
 def test_type_c_quiver_c2():
     m = ExchangeMatrix(((0, 1), (-2, 0)))
     q = type_c_quiver(m)
@@ -291,7 +339,6 @@ def test_type_c_quiver_c2():
 
 
 def test_type_c_quiver_wrong_symmetrizer():
-    from clusterlab.errors import NotSkewSymmetrizableError
     with pytest.raises(NotSkewSymmetrizableError):
         type_c_quiver(ExchangeMatrix(((0, 1), (-1, 0))))
 
@@ -308,6 +355,33 @@ def type_c_seed_quivers():
     for n in (2, 3, 4):
         for t in explore(standard_matrix("C", n)).reps:
             yield type_c_quiver(t.seed.matrix)
+
+
+def test_one_holed_disc_models_type_c():
+    # the fan tiling that verify type-c reads is type_c_quiver's C_n root
+    # quiver vertex for vertex, and the one-holed triangulations with n arcs
+    # realise exactly the classes of type_c_quiver over the reroots of C_n
+    from clusterlab.tiling import one_holed_disc_tiling, one_holed_disc_tilings
+    from clusterlab.verify import _algebra_class
+    for n in range(2, 7):
+        q, _ = one_holed_disc_tiling(
+            n + 1, [(k, n + 1) for k in range(1, n)]).algebra()
+        ref = type_c_quiver(standard_matrix("C", n))
+        ends = {(a.src, a.tgt): a.id for a in q.arrows.values()}
+        ref_ends = {(a.src, a.tgt): a.id for a in ref.arrows.values()}
+        assert len(ends) == len(q.arrows) and ends.keys() == ref_ends.keys()
+        assert (0, 0) in ends
+        assert {(ref_ends[(q.arrows[a].src, q.arrows[a].tgt)],
+                 ref_ends[(q.arrows[b].src, q.arrows[b].tgt)])
+                for a, b in q.relations} == ref.relations
+    classes = {n: set() for n in (2, 3, 4)}
+    for q in type_c_seed_quivers():
+        classes[q.n].add(_algebra_class(q)[0])
+    for n, keys in classes.items():
+        tiled = {_algebra_class(t.algebra()[0])[0]
+                 for t in one_holed_disc_tilings(n + 1) if len(t.arcs) == n}
+        assert len(keys) == [2, 5, 14][n - 2]
+        assert tiled == keys
 
 
 def test_qb_conditions_every_type_c_seed():

@@ -435,8 +435,8 @@ def test_harnesses_fail_on_a_truncated_string_listing(monkeypatch):
     # many strings, so a listing reported as cut short by its cap is a fault
     # that names the algebra: thm1's first class quiver (the square cut by
     # (2, 4) has no arrows), thm2's first representation-finite algebra,
-    # the algebra of fvector's first pentagon triangulation and C2's type C
-    # quiver
+    # the algebra of fvector's first pentagon triangulation and the algebra
+    # of type-c's one-holed disc at rank 2
     from clusterlab import verify
     listing = verify.enumerate_tau_rigid
     monkeypatch.setattr(verify, "enumerate_tau_rigid",
@@ -454,9 +454,9 @@ def test_harnesses_fail_on_a_truncated_string_listing(monkeypatch):
                 "relations": []}),
             (verify_type_c_categorification(2, 2), {
                 "vertices": 2,
-                "arrows": [{"id": "a1_2", "src": 1, "tgt": 2},
-                           {"id": "rho", "src": 1, "tgt": 1}],
-                "relations": [["rho", "rho"]]})):
+                "arrows": [{"id": "r0_0", "src": 1, "tgt": 1},
+                           {"id": "r0_1", "src": 1, "tgt": 2}],
+                "relations": [["r0_0", "r0_0"]]})):
         assert report.verdict == "fail", report.experiment
         assert report.witnesses == [{"check": "infinitely many strings",
                                      "quiver": json.dumps(quiver)}]
@@ -533,17 +533,23 @@ def test_thm2_reports_a_non_gentle_generated_quiver(monkeypatch):
 
 
 def test_type_c_reports_a_non_gentle_quiver(monkeypatch):
-    # type_c_quiver built without its relations: the loop squares freely
-    from clusterlab import quiver
-    real = quiver.BoundQuiver
-    monkeypatch.setattr(quiver, "BoundQuiver",
+    # the one-holed disc's algebra built without its relations: the loop
+    # squares freely
+    from clusterlab import tiling
+    real = tiling.BoundQuiver
+    monkeypatch.setattr(tiling, "BoundQuiver",
                         lambda n, arrows, relations: real(n, arrows, []))
     r = verify_type_c_categorification(2, 2)
     assert r.verdict == "fail"
-    (witness,) = r.witnesses
-    assert witness["check"] == "type C quiver not gentle"
-    assert witness["matrix"] == ((0, 1), (-2, 0))
-    assert witness["violated"] == "G2"
+    assert r.witnesses == [{
+        "check": "tiling algebra not gentle",
+        "quiver": json.dumps({
+            "vertices": 2,
+            "arrows": [{"id": "r0_0", "src": 1, "tgt": 1},
+                       {"id": "r0_1", "src": 1, "tgt": 2}],
+            "relations": []}),
+        "violated": "G2",
+        "witness": "arrow 'r0_0' composes freely with ['r0_0', 'r0_1']"}]
 
 
 def test_thm1_small_run():
