@@ -326,11 +326,13 @@ _CHOICES = {"series": ["A", "B", "C"], "initial_seeds": ["all", "root"]}
 
 def _verify_command(name, harness, help):
     """The `verify name` command: one option per parameter of `harness`,
-    then --report-dir and the format options; a failed report exits 1."""
+    then --report-dir and the format options; a failed report exits 1.
+    The harness is looked up by name when the command runs, so a wrapper
+    put on `verify.<name>` after import (a tracer, a test) is the one run."""
     @click.option("--report-dir", default=None, type=click.Path())
     @format_options
     def run(report_dir, fmt, out, **params):
-        report = harness(**params)
+        report = getattr(verify_mod, harness.__name__)(**params)
         if report_dir:
             verify_mod.write_report(report, report_dir)
         _emit(report.to_dict(), fmt, out)

@@ -44,7 +44,8 @@ class QuiverRep:
     row by row: each row of the second arrow's matrix, over its nonzero
     entries, is summed against the first arrow's rows, exactly and without
     forming the product.  The matrices are kept, not copied, and must not
-    change afterwards; a missing one is zero.
+    change afterwards; a missing one is zero, so it is neither shape-checked
+    nor scanned, as it can break neither.
     """
 
     def __init__(self, quiver: BoundQuiver, dims, mats):
@@ -57,11 +58,13 @@ class QuiverRep:
             m = mats.get(a.id)
             if m is None:
                 m = linalg.zeros(self.dims[a.tgt], self.dims[a.src])
-            if len(m) != self.dims[a.tgt] or any(
+            elif len(m) != self.dims[a.tgt] or any(
                     len(row) != self.dims[a.src] for row in m):
                 raise ValueError(f"matrix for arrow {a.id!r} has wrong shape")
             self.mats[a.id] = m
         for (first, then) in quiver.relations:
+            if mats.get(first) is None or mats.get(then) is None:
+                continue  # a zero matrix makes the composite vanish
             inner = self.mats[first]
             for row in self.mats[then]:
                 terms = [(x, inner[k]) for k, x in enumerate(row) if x]

@@ -694,6 +694,18 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
 # cluster monomials told apart by their vectors
 
 
+def _relabelling(matrix):
+    """(key, p): the least row tuple (b[p[i]][p[j]] for j) for i over all
+    vertex orders p of the exchange matrix's rows b, and the least order
+    attaining it.  Two matrices share a key exactly when renumbering the
+    vertices of one gives the other; position i of the key is vertex p[i]
+    of b.  Signs are kept: B and -B share no key unless a renumbering also
+    maps one to the other."""
+    b = matrix.b
+    return min((tuple(tuple(b[i][j] for j in p) for i in p), p)
+               for p in itertools.permutations(range(len(b))))
+
+
 def _check_injectivity(graph, degree_cap, kind, where, counts, name):
     """Check that no two monomials of degree <= degree_cap have equal `kind`
     vectors ("d" or "fbar"), adding each to counts[name] as it is reached;
@@ -719,10 +731,14 @@ def verify_fvector_injectivity(report, rank_max=3, degree_cap=3):
     """Modified f-vectors separate cluster monomials in type A; intersection
     vectors of polygon arcs match the f-vectors of their cluster variables.
 
-    The f-vectors depend only on the exchange matrix, and triangulations of
-    one polygon share matrices, so each distinct matrix is explored once per
-    call; the arcs are still enumerated for every triangulation.  Phases:
-    `monomials`, timed once per rank, and `triangulations`, once per polygon.
+    The f-vectors depend only on the exchange matrix, and renumbering its
+    vertices carries them over coordinate for coordinate, so one matrix of
+    each `_relabelling` class is explored per call: a later matrix of the
+    class reads the first one's f-vectors through the two vertex orders.
+    The arcs are still enumerated for every triangulation.  Cache counts:
+    `matrix_classes` explored, and `class_reuses`, the triangulations
+    answered from a class already explored.  Phases: `monomials`, timed
+    once per rank, and `triangulations`, once per polygon.
     """
     for n in range(2, rank_max + 1):
         where = f"A{n}"
@@ -740,7 +756,10 @@ def verify_fvector_injectivity(report, rank_max=3, degree_cap=3):
                     "variable": info.poly.to_str(), "d": info.d})
     # cross-check: arcs of triangulated polygons against cluster f-vectors
     report.counts["triangulations_cross_checked"] = 0
-    f_vectors = {}  # matrix -> sorted f-vectors of its non-initial variables
+    report.cache = {"matrix_classes": 0, "class_reuses": 0}
+    orders = {}  # matrix -> its _relabelling
+    # relabelling key -> (order, non-initial f-vectors) of its first matrix
+    f_vectors = {}
     for m in range(5, rank_max + 4):
         with _phase(report, "triangulations"):
             for disc in disc_tilings(m):
@@ -748,16 +767,26 @@ def verify_fvector_injectivity(report, rank_max=3, degree_cap=3):
                     continue
                 t = disc.to_complex()
                 b = b_matrix_from_triangulation(t)
-                if b not in f_vectors:
-                    f_vectors[b] = sorted(
+                if b not in orders:
+                    orders[b] = _relabelling(b)
+                key, p = orders[b]
+                if key in f_vectors:
+                    report.cache["class_reuses"] += 1
+                else:
+                    f_vectors[key] = p, [
                         info.f for info in explore(b).variables
-                        if not info.initial)
+                        if not info.initial]
+                    report.cache["matrix_classes"] += 1
+                p0, fs = f_vectors[key]
+                # coordinate p0[i] of the class's first matrix is p[i] of b
+                source = [p0[p.index(v)] for v in range(len(p))]
+                fvecs = sorted(tuple(f[s] for s in source) for f in fs)
                 arcs = [t.arc_from_word(w)
                         for w, _ in _finite_tau_rigid(t.inventory())]
                 ivecs = sorted(a.intersection for a in arcs)
-                if f_vectors[b] != ivecs:
+                if fvecs != ivecs:
                     raise WitnessedFault({"triangulation": (m, disc.chords),
-                                          "f_vectors": f_vectors[b],
+                                          "f_vectors": fvecs,
                                           "intersection_vectors": ivecs})
                 report.counts["triangulations_cross_checked"] += 1
 
@@ -794,29 +823,39 @@ def verify_denominator(report, series="C", rank_max=3, degree_cap=3,
     every cluster of every explored finite-type pattern in the series.
 
     The explored graph and both checks depend only on the exchange matrix,
-    and rerooted matrices repeat, so each distinct matrix is explored and
-    checked once: the check adds its monomials to the count as it reaches
-    them, and each later reroot at the matrix adds the stored count.
-    Phases: `explore` and `checks` (both d-vector checks), timed once per
-    distinct matrix.
+    and renumbering its vertices carries every d-vector over coordinate for
+    coordinate, so one matrix of each `_relabelling` class is explored and
+    checked: the check adds its monomials to the count as it reaches them,
+    and each later reroot at a matrix of the class adds the stored count.
+    Cache counts: `matrix_classes` explored, and `class_reuses`, the
+    reroots answered from a class already explored.  Phases: `explore` and
+    `checks` (both d-vector checks), timed once per class.
     """
     if initial_seeds not in ("all", "root"):
         raise ValueError(f"initial_seeds must be 'all' or 'root', "
                          f"not {initial_seeds!r}")
     counts = report.counts = {"monomials": 0, "reroots": 0}
+    report.cache = {"matrix_classes": 0, "class_reuses": 0}
     for n in range(2, rank_max + 1):
         base = standard_matrix(series, n)
         graph, count = _d_checks(report, base, degree_cap, f"{series}{n} root")
-        # matrix -> monomial count; counts, not graphs, to keep memory flat
-        counted = {base: count}
+        report.cache["matrix_classes"] += 1
+        keys = {base: _relabelling(base)[0]}  # matrix -> relabelling key
+        # key -> monomial count; counts, not graphs, to keep memory flat
+        counted = {keys[base]: count}
         if initial_seeds == "all":
             for vid, t in enumerate(graph.reps):
                 b_t = t.seed.matrix
-                if b_t in counted:
-                    counts["monomials"] += counted[b_t]
+                if b_t not in keys:
+                    keys[b_t] = _relabelling(b_t)[0]
+                key = keys[b_t]
+                if key in counted:
+                    counts["monomials"] += counted[key]
+                    report.cache["class_reuses"] += 1
                 else:
-                    _, counted[b_t] = _d_checks(
+                    _, counted[key] = _d_checks(
                         report, b_t, degree_cap, f"{series}{n} cluster {vid}")
+                    report.cache["matrix_classes"] += 1
                 counts["reroots"] += 1
 
 

@@ -104,6 +104,18 @@ def test_relation_violation_rejected():
         QuiverRep(q, (1, 1), {"a": [[1]], "b": [[1]]})
 
 
+def test_missing_matrices_are_zero_and_given_ones_checked():
+    # 0 -a-> 1 -b-> 2 with b.a = 0: a missing matrix is zero and breaks
+    # neither a shape nor the relation; a given one is checked in full
+    q = BoundQuiver(3, [Arrow("a", 0, 1), Arrow("b", 1, 2)], [("a", "b")])
+    m = QuiverRep(q, (2, 1, 3), {"a": [[1, 1]]})
+    assert m.mats == {"a": [[1, 1]], "b": [[0], [0], [0]]}
+    with pytest.raises(ValueError, match="wrong shape"):
+        QuiverRep(q, (2, 1, 3), {"b": [[1], [1]]})
+    with pytest.raises(ValueError, match="does not vanish"):
+        QuiverRep(q, (2, 1, 3), {"a": [[1, 0]], "b": [[0], [1], [0]]})
+
+
 def check_relation_against_oracle(dims, a, b):
     """On 0 -a-> 1 -b-> 2 with b.a = 0, `QuiverRep` raises exactly when the
     oracle, which forms the product b.a and looks for a nonzero entry, finds

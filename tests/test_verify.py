@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 from clusterlab.cli import main
 from clusterlab.errors import (InfiniteDimensionalAlgebraError,
                                UnclassifiableTileError, WitnessedFault)
+from clusterlab.exchange import ExchangeMatrix
+from clusterlab.explore import enumerate_monomials, explore, standard_matrix
 from clusterlab.quiver import Arrow, BoundQuiver, cartan_matrix, check_gentle
 from clusterlab.tiling import (ArcMultiset, DiscTiling, TilingComplex,
                                disc_tilings, seg_profile)
@@ -25,7 +27,7 @@ from clusterlab.verify import (
     VerifyReport, _algebra_class, _arc_weights, _arrow_grids,
     _canonical_bound_quiver, _class_arrow, _class_quiver,
     _compatible_multisets, _connected, _dual_path_check, _field_width,
-    _isomorphisms, _least_arrow_list, _pack,
+    _isomorphisms, _least_arrow_list, _pack, _relabelling,
     _relation_choices, _tiling_arcs, _unpack,
     enumerate_gentle_algebras, verify_denominator,
     verify_denominator_duality, verify_fvector_injectivity, verify_thm1,
@@ -772,7 +774,7 @@ def test_fvector_harness():
     assert r.counts["triangulations_cross_checked"] == 19  # 5 + 14
 
 
-def test_fvector_explores_each_distinct_matrix_once(monkeypatch):
+def test_fvector_explores_each_relabelling_class_once(monkeypatch):
     from clusterlab import verify
     calls = []
     real = verify.explore
@@ -783,9 +785,10 @@ def test_fvector_explores_each_distinct_matrix_once(monkeypatch):
 
     monkeypatch.setattr(verify, "explore", counting)
     r = verify_fvector_injectivity(3, 3)
-    # A2 and A3, then the 2 + 8 distinct matrices of the 5 pentagon and
-    # 14 hexagon triangulations
-    assert len(calls) == 12
+    # A2 and A3, then one matrix of each of the 1 + 4 relabelling classes
+    # that the 2 + 8 distinct matrices of the 5 pentagon and 14 hexagon
+    # triangulations fall into
+    assert len(calls) == 7
     assert r.counts == {"A2_monomials": 30, "A3_monomials": 104,
                         "triangulations_cross_checked": 19}
     assert r.result_digest == \
@@ -939,6 +942,78 @@ def test_cluster_harnesses_report_phase_timings():
     cache = verify_type_c_categorification(3, 3).to_dict()["cache"]
     assert set(cache) == {"tau_hits", "tau_misses"}
     assert cache["tau_hits"] > 0 and cache["tau_misses"] > 0
+    # C2 and C3 have 2 + 5 relabelling classes over their 6 + 20 reroots;
+    # the 5 + 14 triangulations have 1 + 4
+    assert verify_denominator("C", 3, 3).to_dict()["cache"] == {
+        "matrix_classes": 7, "class_reuses": 21}
+    assert verify_fvector_injectivity(3, 3).to_dict()["cache"] == {
+        "matrix_classes": 5, "class_reuses": 14}
+
+
+def _carried(vectors, p0, p):
+    """The sorted `vectors` of a matrix with `_relabelling` order p0, read
+    at a matrix of its class with order p: coordinate p0[i] goes to p[i]."""
+    source = [p0[p.index(v)] for v in range(len(p))]
+    return sorted(tuple(v[s] for s in source) for v in vectors)
+
+
+@pytest.mark.parametrize("series, classes", [
+    ("A", (1, 4)), ("B", (2, 5)), ("C", (2, 5))])
+def test_relabelled_reroots_explore_alike(series, classes):
+    # the symmetry the denominator and fvector harnesses share explores
+    # under: every reroot matrix, explored directly, matches the first
+    # matrix of its relabelling class carried through the two orders
+    for n, want in zip((2, 3), classes):
+        first = {}  # relabelling key -> (order, graph) of its first matrix
+        for t in explore(standard_matrix(series, n)).reps:
+            b = t.seed.matrix
+            key, p = _relabelling(b)
+            for q in itertools.permutations(range(n)):
+                renumbered = ExchangeMatrix(
+                    tuple(tuple(b.b[i][j] for j in q) for i in q))
+                assert _relabelling(renumbered)[0] == key
+            graph = explore(b)
+            p0, graph0 = first.setdefault(key, (p, graph))
+            assert sum(1 for _ in enumerate_monomials(graph, 3)) == \
+                sum(1 for _ in enumerate_monomials(graph0, 3))
+            for kind in ("d", "f"):
+                assert sorted(getattr(v, kind) for v in graph.variables) == \
+                    _carried([getattr(v, kind) for v in graph0.variables],
+                             p0, p), (series, n, b)
+        assert len(first) == want, (series, n)
+
+
+def test_rank_four_digests_are_pinned():
+    # read before reroot and triangulation explores were shared per
+    # relabelling class; denominator B(4, 2) reads C's digest
+    for r, digest in (
+            (verify_denominator("A", 4, 2), "22d61656b1e34736052e9adfa7a3d4e9"
+             "6bff89c9201918d41341f3d7eb7c36d3"),
+            (verify_denominator("C", 4, 2), "dfd3f386faef456e741b977a8fdaf41d"
+             "22c4bfd81fcd8b37228e77e89c564307"),
+            (verify_fvector_injectivity(4, 2), "f7d2a00a501ba42c6ceb2cf98738a6"
+             "02cd19743f892eb0d117587e7f9b8e98b5")):
+        assert r.verdict == "pass", r.experiment
+        assert r.result_digest == digest, r.experiment
+
+
+def test_cli_runs_the_harness_bound_at_call_time(monkeypatch):
+    # a wrapper put on the harness after the CLI is imported is the one
+    # that runs
+    from clusterlab import verify
+    calls = []
+    real = verify.verify_denominator
+
+    def counting(**params):
+        calls.append(params)
+        return real(**params)
+
+    monkeypatch.setattr(verify, "verify_denominator", counting)
+    res = CliRunner().invoke(main, ["verify", "denominator", "--rank-max",
+                                    "2", "--format", "json"])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1
+    assert json.loads(res.output)["verdict"] == "pass"
 
 
 def test_type_c_rejects_rank_one():
