@@ -157,7 +157,7 @@ def standard_matrix(series: str, rank: int) -> ExchangeMatrix:
     return ExchangeMatrix(tuple(tuple(r) for r in b))
 
 
-def _compatible_multisets(compatible, weights, cap):
+def _compatible_multisets(clashes, weights, cap):
     """Yield (multiset, weight) for every pairwise compatible multiset of
     total multiplicity <= cap over the indices of `weights`, the empty one
     first.  A multiset is ((index, multiplicity), ...) with increasing
@@ -167,19 +167,17 @@ def _compatible_multisets(compatible, weights, cap):
     `verify._pack`, wide enough that its sums never carry from one field
     into the next, so each step of the sweep is one int addition.
 
-    `compatible(i, j)` is asked once for each j < i, when index i is
-    reached, so a consumer that stops early asks no further questions.
-    Index i extends the multisets found over indices < i in the order they
-    were found; the witnesses callers report depend on this order.
+    `clashes(i)` is the clash mask of index i: bit j is set when j < i is
+    not compatible with i.  It is asked once, when index i is reached, so a
+    consumer that stops early asks no further questions.  Index i extends
+    the multisets found over indices < i in the order they were found; the
+    witnesses callers report depend on this order.
     """
     yield (), 0
     # extendable states: (multiset, total, bitmask of its indices, weight)
     states = [((), 0, 0, 0)] if cap > 0 else []
     for i, row in enumerate(weights):
-        clash = 0
-        for j in range(i):
-            if not compatible(i, j):
-                clash |= 1 << j
+        clash = clashes(i)
         new_states = []
         for chosen, total, mask, weight in states:
             if mask & clash:
@@ -209,7 +207,7 @@ def enumerate_monomials(graph: ExchangeGraph, degree_cap: int):
     # multisets of positions in a cluster, the same for every cluster;
     # [1:] drops the empty one
     multisets = list(_compatible_multisets(
-        lambda i, j: True, [0] * graph.n, degree_cap))[1:]
+        lambda i: 0, [0] * graph.n, degree_cap))[1:]
     seen = set()
     for var_ids in graph.vertices:
         for chosen, _ in multisets:

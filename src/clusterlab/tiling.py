@@ -360,9 +360,14 @@ class DiscTiling:
 
 
 def chords_interleave(c1, c2):
-    """Strict interleaving of two chords given by endpoint pairs (1-based)."""
-    a, b = sorted(c1)
-    c, d = sorted(c2)
+    """Strict interleaving of two chords given by endpoint pairs in either
+    order; chords that share an endpoint do not interleave."""
+    a, b = c1
+    c, d = c2
+    if a > b:
+        a, b = b, a
+    if c > d:
+        c, d = d, c
     return a < c < b < d or c < a < d < b
 
 
@@ -394,22 +399,23 @@ def _noncrossing_chord_sets(n):
     """Every set of pairwise non-crossing chords of the n-gon, each a sorted
     tuple of 1-based (i, j) pairs.  The order is fixed (each chord, in
     sorted order, is first left out, then taken), and the witnesses the
-    harnesses report depend on it."""
+    harnesses report depend on it.  Each chord carries one mask of the
+    chords that cross it, tested against the mask of those taken."""
     chords = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)
               if not (i == 1 and j == n)]
+    crossing = [sum(1 << k for k, d in enumerate(chords)
+                    if chords_interleave(c, d)) for c in chords]
 
-    def rec(idx, chosen):
-        if idx == len(chords):
-            yield tuple(chosen)
-            return
-        yield from rec(idx + 1, chosen)
-        c = chords[idx]
-        if all(not chords_interleave(c, o) for o in chosen):
-            chosen.append(c)
-            yield from rec(idx + 1, chosen)
-            chosen.pop()
+    def extend(start, taken, chosen):
+        # the set that takes no chord from start on comes first, then those
+        # whose next chord is k, for k from the last down: a chord left
+        # out comes before it taken
+        yield chosen
+        for k in range(len(chords) - 1, start - 1, -1):
+            if not crossing[k] & taken:
+                yield from extend(k + 1, taken | 1 << k, chosen + (chords[k],))
 
-    yield from rec(0, [])
+    yield from extend(0, 0, ())
 
 
 def _polygon_fans(n, chords):
@@ -569,20 +575,21 @@ def _cell_edges(disc, cell):
 
 
 def _crossing_sequence(disc, p, q):
-    """T-chords crossed by the arc p-q, ordered from p."""
-    crossed = [c for c in disc.chords if chords_interleave((p, q), c)]
-
-    def pos(x):
-        return (x - p) % disc.m
-
-    def sort_key(c):
-        a, b = c
-        # endpoint on the anticlockwise side of p..q first, partner reversed
-        if pos(a) > pos(q):
-            a, b = b, a
-        return (pos(a), -pos(b))
-
-    return sorted(crossed, key=sort_key)
+    """T-chords crossed by the arc p-q, ordered from p: a chord crosses it
+    when one endpoint lies strictly between p and q anticlockwise and the
+    other strictly beyond q, and the chords come by that first endpoint's
+    offset from p, the farther partner first."""
+    m = disc.m
+    span = (q - p) % m
+    keyed = []
+    for c in disc.chords:
+        near, far = (c[0] - p) % m, (c[1] - p) % m
+        if near > far:
+            near, far = far, near
+        if 0 < near < span < far:
+            keyed.append((near, -far, c))
+    keyed.sort()
+    return [c for _, _, c in keyed]
 
 
 def geometric_disc_arcs(disc: DiscTiling):
@@ -591,18 +598,26 @@ def geometric_disc_arcs(disc: DiscTiling):
     Returns a list of records with endpoints, crossing vector, and profile
     entries keyed by (cell key, marked point), a cell key being the
     frozenset of its edges; used as the independent oracle against the
-    string route.  Each cell's edges and key are built once per call.
+    string route.  Each cell's edges and key are built once per call, and
+    so are two lookups, read by each point pair: the cells that hold both
+    of two chords, and the cells that hold a chord and a point.
     """
     edges_of = {cell: _cell_edges(disc, cell) for cell in disc_cells(disc)}
     key_of = {cell: frozenset(edges) for cell, edges in edges_of.items()}
-    cell_of_edge = {}
-    for cell, edges in edges_of.items():
-        for e in edges:
-            cell_of_edge.setdefault(e, []).append(cell)
     # corner at cell[i] lies between edges (i-1, i); E = edge i+1
     e_maps = {cell: {v: edges[(i + 1) % len(cell)]
                      for i, v in enumerate(cell)}
               for cell, edges in edges_of.items()}
+    cells_of_pair = {}   # (chord, chord) -> cells with both as edges
+    cells_of_point = {}  # (chord, point) -> cells with the chord and point
+    for cell, edges in edges_of.items():
+        chords = [e[1] for e in edges if e[0] == "c"]
+        for c1 in chords:
+            for c2 in chords:
+                if c1 != c2:
+                    cells_of_pair.setdefault((c1, c2), []).append(cell)
+            for v in cell:
+                cells_of_point.setdefault((c1, v), []).append(cell)
     chord_set = set(disc.chords)
     out = []
     for p in range(1, disc.m + 1):
@@ -620,8 +635,7 @@ def geometric_disc_arcs(disc: DiscTiling):
                     ok = False
                     break
                 w = shared.pop()
-                mid = [cell for cell in cell_of_edge[("c", c1)]
-                       if ("c", c2) in key_of[cell]]
+                mid = cells_of_pair.get((c1, c2), ())
                 if len(mid) != 1:
                     ok = False
                     break
@@ -630,8 +644,7 @@ def geometric_disc_arcs(disc: DiscTiling):
                 continue
             p1 = []
             for end, first in ((p, seq[0]), (q, seq[-1])):
-                flank = [cell for cell in cell_of_edge[("c", first)]
-                         if end in cell]
+                flank = cells_of_point.get((first, end), ())
                 if len(flank) != 1 or e_maps[flank[0]].get(end) != ("c", first):
                     ok = False
                     break

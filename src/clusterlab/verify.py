@@ -292,8 +292,9 @@ def _class_record(key):
     """(rigid words, clash masks) of the class quiver.
 
     The words are `_finite_tau_rigid`'s; bit j of clashes[i] is set when
-    words j < i are not compatible.  The inventory is dropped: the sweep asks
-    every such pair anyway, and one int per word is all it needs later.
+    words j < i are not compatible.  Every such pair is asked here, once per
+    class, and the inventory is dropped: one int per word is all that the
+    class's tilings read later (`_tiling_arcs`).
     """
     inv = StringInventory(_class_quiver(key))
     words = [w for w, _ in _finite_tau_rigid(inv)]
@@ -304,20 +305,21 @@ def _class_record(key):
 
 
 def _tiling_arcs(t, classes):
-    """(arcs, compatible(i, j)) of the tiling, read from the record of its
+    """(arcs, clash masks) of the tiling, read from the record of its
     algebra's class in `classes` (built on the class's first tiling).
 
     The class words are mapped back through `_algebra_class`'s (p, name),
     re-canonicalised on the tiling algebra and sorted as
     `enumerate_tau_rigid` sorts, so the arcs come in the order the tiling's
-    own inventory would give.
-    `compatible` reads the clash bit.
+    own inventory would give.  Bit j of clashes[i] is set when arcs j < i
+    are not compatible; the masks are the class record's, renumbered
+    through that order once per tiling, one clashing pair at a time.
     """
     q, _ = t.algebra()
     key, p, name = _algebra_class(q)
     if key not in classes:
         classes[key] = _class_record(key)
-    words, clashes = classes[key]
+    words, class_clashes = classes[key]
     vertex = {label: v for v, label in enumerate(p)}
     arrow = {_class_arrow(name[a]): a for a in q.arrows}
     mapped = []  # (word of q, index of its class word)
@@ -327,12 +329,21 @@ def _tiling_arcs(t, classes):
             (canonical_word(q, StringWord(letters, vertex[w.base])), k))
     mapped.sort(key=lambda wk: string_order(wk[0]))
     arcs = [t.arc_from_word(w) for w, _ in mapped]
-
-    def compatible(i, j):
-        a, b = mapped[i][1], mapped[j][1]
-        return not clashes[max(a, b)] >> min(a, b) & 1
-
-    return arcs, compatible
+    at = [0] * len(mapped)  # class word index -> arc index
+    for i, (_, k) in enumerate(mapped):
+        at[k] = i
+    clashes = [0] * len(mapped)
+    for k, row in enumerate(class_clashes):
+        i = at[k]
+        while row:
+            low = row & -row
+            row ^= low
+            j = at[low.bit_length() - 1]
+            if j < i:
+                clashes[i] |= 1 << j
+            else:
+                clashes[j] |= 1 << i
+    return arcs, clashes
 
 
 @_harness("thm1-intersection-injectivity", "tilings", "arcs", "multisets")
@@ -362,7 +373,7 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
     Phases: `tilings` (chord sets, the taxonomy test, maps and their
     classification; timed once per polygon and once per tiling), `arcs`
     (per-class strings, arcs, the chord oracle and the forbidden-tile
-    cross-check) and `multisets` (the sweep with its compatibility tests),
+    cross-check) and `multisets` (the sweep over the arcs' clash masks),
     both timed once per tiling.
     """
     counts = report.counts = dict.fromkeys(
@@ -385,11 +396,11 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                 t.classify_tiles()
             counts["tilings"] += 1
             with _phase(report, "arcs"):
-                arcs, compatible = _tiling_arcs(t, classes)
+                arcs, clashes = _tiling_arcs(t, classes)
                 report.cache = {
                     "algebra_classes": len(classes),
                     "class_reuses": counts["tilings"] - len(classes)}
-                _dual_path_check(disc, arcs, compatible)
+                _dual_path_check(disc, arcs, clashes)
                 admissible = t.admissible()
                 cycle = detect_even_full_cycle(t.algebra()[0])
                 if admissible != (cycle is None):
@@ -407,8 +418,8 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
                 swept = 0  # multisets swept so far, the empty one included
                 try:
                     for swept, (chosen, weight) in enumerate(
-                            _compatible_multisets(compatible, weights,
-                                                  mult_cap), 1):
+                            _compatible_multisets(clashes.__getitem__,
+                                                  weights, mult_cap), 1):
                         vec = weight & mask
                         if vec in by_vec:
                             collision = (by_vec[vec], chosen, vec)
@@ -455,11 +466,13 @@ def _multiset_desc(arcs, chosen):
              "mult": mult} for i, mult in chosen]
 
 
-def _dual_path_check(disc, arcs, compatible):
+def _dual_path_check(disc, arcs, clashes):
     """Check the string route's arcs of the disc tiling, as (endpoints,
-    intersection vector) pairs, and `compatible(i, j)` against chord
-    geometry: the arcs of `geometric_disc_arcs`, and chords that do not
-    interleave.  A disagreement raises `WitnessedFault`."""
+    intersection vector) pairs, and their clash masks (bit i of clashes[j]
+    is set when arcs i < j are not compatible) against chord geometry: the
+    arcs of `geometric_disc_arcs`, and chords that do not interleave.  A
+    disagreement raises `WitnessedFault`, on the first pair (i, j) in
+    `itertools.combinations` order."""
     string = sorted((tuple(sorted(p + 1 for p in a.endpoints)), a.intersection)
                     for a in arcs)
     geometric = sorted((g["endpoints"], g["vector"])
@@ -469,7 +482,7 @@ def _dual_path_check(disc, arcs, compatible):
                               "tiling": disc.chords, "string": string,
                               "geometric": geometric})
     for i, j in itertools.combinations(range(len(arcs)), 2):
-        ok = compatible(i, j)
+        ok = not clashes[j] >> i & 1
         if ok == chords_interleave(arcs[i].endpoints, arcs[j].endpoints):
             raise WitnessedFault({
                 "check": "module and chord compatibility differ",
@@ -613,12 +626,15 @@ def enumerate_gentle_algebras(vertex_max, arrow_max):
 def _rigid_multisets(rigid, inv, cap):
     """(width, sweep): `_compatible_multisets` over the tau-rigid strings
     `rigid` of the inventory up to total multiplicity `cap`, their
-    compatibility read from the inventory and their dimension vectors
-    packed `width` bits a field (`_pack`)."""
+    dimension vectors packed `width` bits a field (`_pack`).  Each string's
+    clash mask is built from the inventory's compatibility when the sweep
+    reaches it, so a sweep that stops early asks no further Hom
+    questions."""
     words = [w for w, _ in rigid]
     width = _field_width([d for _, d in rigid], cap)
     return width, _compatible_multisets(
-        lambda i, j: inv.compatible(words[i], words[j]),
+        lambda i: sum(1 << j for j in range(i)
+                      if not inv.compatible(words[i], words[j])),
         [_pack(d, width) for _, d in rigid], cap)
 
 
@@ -735,15 +751,29 @@ def verify_fvector_injectivity(report, rank_max=3, degree_cap=3):
     vertices carries them over coordinate for coordinate, so one matrix of
     each `_relabelling` class is explored per call: a later matrix of the
     class reads the first one's f-vectors through the two vertex orders.
-    The arcs are still enumerated for every triangulation.  Cache counts:
+    The `monomials` graphs of A_n come first, and the triangulations of
+    the (n + 3)-gon whose matrices are a relabelled A_n read them.  The
+    arcs are still enumerated for every triangulation.  Cache counts:
     `matrix_classes` explored, and `class_reuses`, the triangulations
     answered from a class already explored.  Phases: `monomials`, timed
     once per rank, and `triangulations`, once per polygon.
     """
+    report.cache = {"matrix_classes": 0, "class_reuses": 0}
+    orders = {}  # matrix -> its _relabelling
+    # relabelling key -> (order, non-initial f-vectors) of its first matrix
+    f_vectors = {}
+
+    def explored(key, p, graph):
+        f_vectors[key] = p, [
+            info.f for info in graph.variables if not info.initial]
+        report.cache["matrix_classes"] += 1
+
     for n in range(2, rank_max + 1):
         where = f"A{n}"
         with _phase(report, "monomials"):
-            graph = explore(standard_matrix("A", n))
+            base = standard_matrix("A", n)
+            graph = explore(base)
+            explored(*_relabelling(base), graph)
             _check_injectivity(graph, degree_cap, "fbar", where,
                                report.counts, f"{where}_monomials")
         # initial fbar vectors are the d-vectors -e_k, so no non-initial
@@ -756,10 +786,6 @@ def verify_fvector_injectivity(report, rank_max=3, degree_cap=3):
                     "variable": info.poly.to_str(), "d": info.d})
     # cross-check: arcs of triangulated polygons against cluster f-vectors
     report.counts["triangulations_cross_checked"] = 0
-    report.cache = {"matrix_classes": 0, "class_reuses": 0}
-    orders = {}  # matrix -> its _relabelling
-    # relabelling key -> (order, non-initial f-vectors) of its first matrix
-    f_vectors = {}
     for m in range(5, rank_max + 4):
         with _phase(report, "triangulations"):
             for disc in disc_tilings(m):
@@ -773,10 +799,7 @@ def verify_fvector_injectivity(report, rank_max=3, degree_cap=3):
                 if key in f_vectors:
                     report.cache["class_reuses"] += 1
                 else:
-                    f_vectors[key] = p, [
-                        info.f for info in explore(b).variables
-                        if not info.initial]
-                    report.cache["matrix_classes"] += 1
+                    explored(key, p, explore(b))
                 p0, fs = f_vectors[key]
                 # coordinate p0[i] of the class's first matrix is p[i] of b
                 source = [p0[p.index(v)] for v in range(len(p))]
@@ -904,7 +927,7 @@ def _tau_rigid_pairs(rigid, inv, cap):
         total = sum(mult for _, mult in chosen)
         allowed = [v for v in range(n) if mdim[v] == 0]
         for part, _ in _compatible_multisets(
-                lambda i, j: True, [0] * len(allowed), cap - total):
+                lambda i: 0, [0] * len(allowed), cap - total):
             if chosen or part:
                 proj = tuple((allowed[k], c) for k, c in part)
                 pairs.append((chosen, proj, mdim))

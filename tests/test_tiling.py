@@ -11,7 +11,8 @@ from clusterlab.errors import UnclassifiableTileError
 from clusterlab.quiver import check_gentle, detect_even_full_cycle
 from clusterlab.tiling import (
     ArcMultiset, DiscTiling, PermissibleArc, TilingComplex,
-    _chords_in_taxonomy, _noncrossing_chord_sets, annulus_digon_tiling,
+    _cell_edges, _chords_in_taxonomy, _crossing_sequence,
+    _noncrossing_chord_sets, annulus_digon_tiling,
     b_matrix_from_triangulation, chords_interleave, disc_cells, disc_tilings,
     geometric_disc_arcs, one_holed_disc_tiling, one_holed_disc_tilings,
     seg_profile,
@@ -231,7 +232,9 @@ def test_annulus_injectivity_and_profiles():
             by_vec = {}
             by_prof = {}
             for chosen, weight in _compatible_multisets(
-                    lambda i, j: t.arcs_compatible(arcs[i], arcs[j]),
+                    lambda i: sum(
+                        1 << j for j in range(i)
+                        if not t.arcs_compatible(arcs[i], arcs[j])),
                     [_pack(a.intersection, width) for a in arcs], 2):
                 ms = ArcMultiset(tuple((arcs[i], mu) for i, mu in chosen))
                 vec = ms.intersection_vector(len(t.arcs))
@@ -431,6 +434,169 @@ def test_chords_interleave():
     assert chords_interleave((2, 4), (3, 5))
     assert not chords_interleave((2, 4), (2, 5))
     assert not chords_interleave((1, 3), (4, 6))
+    # either endpoint order, as `PermissibleArc.endpoints` come unsorted:
+    # reversed chords that interleave
+    assert chords_interleave((4, 2), (5, 3))
+    assert chords_interleave((3, 5), (4, 2))
+    # shared endpoints never interleave, whatever the order
+    assert not chords_interleave((4, 2), (2, 5))
+    assert not chords_interleave((5, 2), (4, 2))
+    assert not chords_interleave((2, 4), (4, 2))
+    assert not chords_interleave((3, 3), (1, 5))
+    # every pair of chords of the 8-gon, each in both orders
+    points = range(1, 9)
+    chords = [(a, b) for a in points for b in points if a != b]
+    for c1 in chords:
+        for c2 in chords:
+            assert chords_interleave(c1, c2) == \
+                _sorting_chords_interleave(c1, c2), (c1, c2)
+
+
+# -- the sorting chord helpers, kept as oracles for the ones in tiling.py ---
+
+
+def _sorting_chords_interleave(c1, c2):
+    """Strict interleaving of two chords given by endpoint pairs (1-based)."""
+    a, b = sorted(c1)
+    c, d = sorted(c2)
+    return a < c < b < d or c < a < d < b
+
+
+def _recursive_chord_sets(n):
+    """Every set of pairwise non-crossing chords of the n-gon, each a sorted
+    tuple of 1-based (i, j) pairs.  The order is fixed (each chord, in
+    sorted order, is first left out, then taken), and the witnesses the
+    harnesses report depend on it."""
+    chords = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)
+              if not (i == 1 and j == n)]
+
+    def rec(idx, chosen):
+        if idx == len(chords):
+            yield tuple(chosen)
+            return
+        yield from rec(idx + 1, chosen)
+        c = chords[idx]
+        if all(not _sorting_chords_interleave(c, o) for o in chosen):
+            chosen.append(c)
+            yield from rec(idx + 1, chosen)
+            chosen.pop()
+
+    yield from rec(0, [])
+
+
+def _sorting_crossing_sequence(disc, p, q):
+    """T-chords crossed by the arc p-q, ordered from p."""
+    crossed = [c for c in disc.chords if _sorting_chords_interleave((p, q), c)]
+
+    def pos(x):
+        return (x - p) % disc.m
+
+    def sort_key(c):
+        a, b = c
+        # endpoint on the anticlockwise side of p..q first, partner reversed
+        if pos(a) > pos(q):
+            a, b = b, a
+        return (pos(a), -pos(b))
+
+    return sorted(crossed, key=sort_key)
+
+
+def _listing_geometric_disc_arcs(disc: DiscTiling):
+    """Permissible arcs of a disc tiling straight from chord geometry.
+
+    Returns a list of records with endpoints, crossing vector, and profile
+    entries keyed by (cell key, marked point), a cell key being the
+    frozenset of its edges; used as the independent oracle against the
+    string route.  Each cell's edges and key are built once per call.
+    """
+    edges_of = {cell: _cell_edges(disc, cell) for cell in disc_cells(disc)}
+    key_of = {cell: frozenset(edges) for cell, edges in edges_of.items()}
+    cell_of_edge = {}
+    for cell, edges in edges_of.items():
+        for e in edges:
+            cell_of_edge.setdefault(e, []).append(cell)
+    # corner at cell[i] lies between edges (i-1, i); E = edge i+1
+    e_maps = {cell: {v: edges[(i + 1) % len(cell)]
+                     for i, v in enumerate(cell)}
+              for cell, edges in edges_of.items()}
+    chord_set = set(disc.chords)
+    out = []
+    for p in range(1, disc.m + 1):
+        for q in range(p + 1, disc.m + 1):
+            if (p, q) in chord_set or q - p < 2 or (p == 1 and q == disc.m):
+                continue
+            seq = _sorting_crossing_sequence(disc, p, q)
+            if not seq:
+                continue  # one-segment arcs have no permissible shape
+            ok = True
+            p2 = []
+            for c1, c2 in zip(seq, seq[1:]):
+                shared = set(c1) & set(c2)
+                if len(shared) != 1:
+                    ok = False
+                    break
+                w = shared.pop()
+                mid = [cell for cell in cell_of_edge[("c", c1)]
+                       if ("c", c2) in key_of[cell]]
+                if len(mid) != 1:
+                    ok = False
+                    break
+                p2.append((key_of[mid[0]], w))
+            if not ok:
+                continue
+            p1 = []
+            for end, first in ((p, seq[0]), (q, seq[-1])):
+                flank = [cell for cell in cell_of_edge[("c", first)]
+                         if end in cell]
+                if len(flank) != 1 or e_maps[flank[0]].get(end) != ("c", first):
+                    ok = False
+                    break
+                p1.append((key_of[flank[0]], end))
+            if not ok:
+                continue
+            vec = tuple(int(c in seq) for c in disc.chords)
+            out.append({"endpoints": (p, q), "vector": vec,
+                        "p2": tuple(p2), "p1": tuple(p1)})
+    return out
+
+
+def test_chord_sets_come_in_the_recursive_order():
+    # the order the harnesses' witnesses depend on, for the cut polygons of
+    # one-holed discs (from the triangle) and the discs up to the 11-gon
+    for n in range(3, 12):
+        assert list(_noncrossing_chord_sets(n)) == \
+            list(_recursive_chord_sets(n)), n
+
+
+def test_crossing_sequences_match_the_sorting_oracle():
+    # every point pair of every chord set of the 4- to 10-gon, the chords
+    # of the tiling among them
+    discs = 0
+    for m in range(4, 11):
+        pairs = [(p, q) for p in range(1, m + 1) for q in range(p + 1, m + 1)]
+        for chords in _noncrossing_chord_sets(m):
+            disc = DiscTiling(m, chords)
+            discs += 1
+            assert [_crossing_sequence(disc, p, q) for p, q in pairs] == \
+                [_sorting_crossing_sequence(disc, p, q) for p, q in pairs], \
+                (m, chords)
+    assert discs == 26231
+
+
+def test_geometric_disc_arcs_match_the_listing_oracle():
+    # whole records, cell keys of the profile entries included, on every
+    # classifiable dissection of the 4- to 9-gons
+    discs = arcs = 0
+    for m in range(4, 10):
+        for chords in _noncrossing_chord_sets(m):
+            if not _chords_in_taxonomy(m, chords):
+                continue
+            disc = DiscTiling(m, chords)
+            got = geometric_disc_arcs(disc)
+            assert got == _listing_geometric_disc_arcs(disc), (m, chords)
+            discs += 1
+            arcs += len(got)
+    assert discs == 951 and arcs > 0
 
 
 def test_triangulation_algebras_have_no_even_full_cycle():

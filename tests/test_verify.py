@@ -155,19 +155,19 @@ def test_compatible_multisets_match_brute_force(problem):
     compat, weights, cap = problem
     asked = []
 
-    def compatible(i, j):
-        asked.append((i, j))
-        return compat[i][j]
+    def clashes(i):
+        asked.append(i)
+        return sum(1 << j for j in range(i) if not compat[i][j])
 
-    sweep = _compatible_multisets(compatible, weights, cap)
+    sweep = _compatible_multisets(clashes, weights, cap)
     first = next(sweep)
     assert asked == []  # nothing is asked before index 0 is reached
     out = [first] + list(sweep)
     assert [chosen for chosen, _ in out] == list(_brute_multisets(compat, cap))
     for chosen, weight in out:
         assert weight == sum(mult * weights[i] for i, mult in chosen)
-    n = len(weights)
-    assert sorted(asked) == [(i, j) for i in range(n) for j in range(i)]
+    # each row once, in index order
+    assert asked == list(range(len(weights)))
 
 
 def _classified_disc_complexes(m_max):
@@ -195,7 +195,9 @@ def test_thm1_weights_split_into_vector_and_profile():
         n_arcs = len(t.arcs)
         shift = width * n_arcs
         for chosen, weight in _compatible_multisets(
-                lambda i, j: t.arcs_compatible(arcs[i], arcs[j]), weights, 3):
+                lambda i: sum(1 << j for j in range(i)
+                              if not t.arcs_compatible(arcs[i], arcs[j])),
+                weights, 3):
             multisets += 1
             ms = ArcMultiset(tuple((arcs[i], mult) for i, mult in chosen))
             vec = ms.intersection_vector(n_arcs)
@@ -242,17 +244,44 @@ def test_class_route_matches_per_tiling_inventories():
     tilings = 0
     for t in _classified_disc_complexes(8):
         tilings += 1
-        arcs, compatible = _tiling_arcs(t, classes)
+        arcs, clashes = _tiling_arcs(t, classes)
         want, truncated = t.enumerate_permissible_arcs()
         assert not truncated
         assert [(a.endpoints, a.word, a.intersection) for a in arcs] == \
             [(a.endpoints, a.word, a.intersection) for a in want]
         inv = t.inventory()
-        for i in range(len(arcs)):
-            for j in range(i):
-                ok = inv.compatible(want[i].word, want[j].word)
-                assert compatible(i, j) == compatible(j, i) == ok
+        assert clashes == [
+            sum(1 << j for j in range(i)
+                if not inv.compatible(want[i].word, want[j].word))
+            for i in range(len(want))]
     assert (tilings, len(classes)) == (252, 39)
+
+
+def test_thm1_asks_each_class_pair_once(monkeypatch):
+    # the class records ask every pair of their words once; no tiling asks
+    # a pair question of its own, neither in the chord oracle nor the sweep
+    from clusterlab import modules, verify
+    asked = []
+    real_compatible = modules.StringInventory.compatible
+
+    def compatible(inv, w1, w2):
+        asked.append((w1, w2))
+        return real_compatible(inv, w1, w2)
+
+    records = []
+    real_record = verify._class_record
+
+    def record(key):
+        records.append(real_record(key))
+        return records[-1]
+
+    monkeypatch.setattr(modules.StringInventory, "compatible", compatible)
+    monkeypatch.setattr(verify, "_class_record", record)
+    r = verify_thm1(8, 3)
+    assert r.verdict == "pass"
+    assert len(records) == 39
+    assert len(asked) == sum(len(words) * (len(words) - 1) // 2
+                             for words, _ in records)
 
 
 @functools.cache
@@ -467,11 +496,15 @@ def test_harnesses_fail_on_a_truncated_string_listing(monkeypatch):
 def test_dual_path_check_catches_a_wrong_compatibility():
     disc = DiscTiling(5, ((1, 3), (1, 4)))
     arcs, _ = disc.to_complex().enumerate_permissible_arcs()
+    # the all-compatible masks
     with pytest.raises(WitnessedFault) as fault:
-        _dual_path_check(disc, arcs, lambda i, j: True)
+        _dual_path_check(disc, arcs, [0] * len(arcs))
     witness = fault.value.witness
     assert witness["check"] == "module and chord compatibility differ"
     assert witness["tiling"] == disc.chords and witness["module"] is True
+    # the first crossing pair in combinations order, as the per-pair
+    # compatibility test named it; the arcs' endpoints come unsorted
+    assert witness["endpoints"] == [(4, 2), (5, 3)]
 
 
 def test_thm2_reports_an_arrow_stability_fault(monkeypatch):
@@ -787,8 +820,10 @@ def test_fvector_explores_each_relabelling_class_once(monkeypatch):
     r = verify_fvector_injectivity(3, 3)
     # A2 and A3, then one matrix of each of the 1 + 4 relabelling classes
     # that the 2 + 8 distinct matrices of the 5 pentagon and 14 hexagon
-    # triangulations fall into
-    assert len(calls) == 7
+    # triangulations fall into, less the classes of A2 and A3 themselves,
+    # which the monomials graphs answer
+    assert len(calls) == 5
+    assert [len(b.b) for b in calls] == [2, 3, 3, 3, 3]
     assert r.counts == {"A2_monomials": 30, "A3_monomials": 104,
                         "triangulations_cross_checked": 19}
     assert r.result_digest == \
@@ -943,11 +978,12 @@ def test_cluster_harnesses_report_phase_timings():
     assert set(cache) == {"tau_hits", "tau_misses"}
     assert cache["tau_hits"] > 0 and cache["tau_misses"] > 0
     # C2 and C3 have 2 + 5 relabelling classes over their 6 + 20 reroots;
-    # the 5 + 14 triangulations have 1 + 4
+    # the 5 + 14 triangulations fall into 1 + 4, those of A2 and A3 among
+    # them, so 3 more are explored and the other 16 triangulations reuse one
     assert verify_denominator("C", 3, 3).to_dict()["cache"] == {
         "matrix_classes": 7, "class_reuses": 21}
     assert verify_fvector_injectivity(3, 3).to_dict()["cache"] == {
-        "matrix_classes": 5, "class_reuses": 14}
+        "matrix_classes": 5, "class_reuses": 16}
 
 
 def _carried(vectors, p0, p):
