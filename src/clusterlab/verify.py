@@ -26,6 +26,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -102,7 +103,8 @@ def write_report(report: VerifyReport, directory):
 
 @contextlib.contextmanager
 def _phase(report, name):
-    """Add the time the block takes to report.phases[name]."""
+    """Add the time the block takes to report.phases[name]; `report` is a
+    `VerifyReport` or a `_Thm2Member`."""
     start = time.perf_counter()
     try:
         yield
@@ -518,6 +520,9 @@ def _arrow_grids(n, arrow_max):
                 in_deg[j] -= c
 
     rec(0, {}, 0, [0] * n, [0] * n)
+    # rec holds itself through its closure; without this the cycle keeps
+    # `rows` alive until the cycle collector runs
+    del rec
     return rows
 
 
@@ -652,12 +657,111 @@ def _dim_collision(rigid, inv, cap):
     return None
 
 
+@dataclass
+class _Thm2Member:
+    """One bound quiver's share of a thm2 report, as `_thm2_member` found
+    it: the counts it raised, in the order it raised them; `cap`, the least
+    multiplicity of its collision (0 when it looked for none); its `tau` and
+    `collisions` seconds; its translate cache counts; and the witness of its
+    failed check, or None.  A failed member counted nothing after the check
+    that failed and has no cache counts."""
+    counted: list = field(default_factory=list)
+    cap: int = 0
+    phases: dict = field(
+        default_factory=lambda: {"tau": 0.0, "collisions": 0.0})
+    cache: dict = field(default_factory=dict)
+    witness: dict | None = None
+
+
+def _thm2_member(q, mult_cap):
+    """verify_thm2's checks on the bound quiver q, as a `_Thm2Member`.  A
+    failed check ends them and is recorded, not raised, so that the record
+    can come back from a worker process."""
+    member = _Thm2Member()
+    try:
+        acyclic, _ = letter_graph_acyclic(q)
+        if not acyclic:
+            member.counted.append("representation_infinite_skipped")
+            return member
+        member.counted.append("representation_finite")
+        cycle = detect_even_full_cycle(q)
+        _, det = cartan_matrix(q)
+        if (det == 0) != (cycle is not None):
+            raise WitnessedFault({"check": "cartan-determinant",
+                                  "quiver": q.to_json(), "det": det,
+                                  "even_cycle": cycle})
+        with _phase(member, "tau"):
+            inv = StringInventory(q)
+            rigid = _finite_tau_rigid(inv)
+        if cycle is None:
+            member.counted.append("without_even_cycle")
+            with _phase(member, "collisions"):
+                coll = _dim_collision(rigid, inv, mult_cap)
+            if coll is not None:
+                raise WitnessedFault({
+                    "check": "injectivity broken without even cycle",
+                    "quiver": q.to_json(), "vector": coll[2]})
+        else:
+            member.counted.append("with_even_cycle")
+            with _phase(member, "collisions"):
+                for cap in range(2, max(mult_cap, q.n + 2) + 1):
+                    if _dim_collision(rigid, inv, cap) is not None:
+                        member.cap = cap
+                        break
+            if not member.cap:
+                raise WitnessedFault({
+                    "check": "no collision despite even cycle",
+                    "quiver": q.to_json()})
+        member.cache = {"tau_hits": inv.tau_hits,
+                        "tau_misses": inv.tau_misses}
+    except WitnessedFault as fault:
+        member.witness = fault.witness
+    return member
+
+
+@contextlib.contextmanager
+def _mapped_in_order(fn, items):
+    """Yield an iterator of fn(item) for each item of the list `items`, in
+    order.  It runs in this process when this process may use one CPU or
+    cannot tell, and otherwise on a pool of one forked worker per CPU it may
+    use; forked workers see the program as this process has it.  The items
+    go out in chunks of the size `Pool.map` would choose, four per worker.
+    The pool is closed and joined when the block is left, and its workers
+    are stopped first when the block is left by an exception."""
+    # where the affinity call is missing (macOS, Windows), so is a safe fork
+    workers = (len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else 1)
+    if workers == 1:
+        yield map(fn, items)
+        return
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        yield pool.imap(fn, items,
+                        max(1, -(-len(items) // (4 * workers))))
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+
+
 @_harness("thm2-dimension-dichotomy", "enumerate", "tau", "collisions")
 def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
     """Even full-relation cycles exist exactly when distinct tau-rigid
     modules share a dimension vector; Cartan determinant cross-check.  The
     `collisions` phase includes the Hom computations of the compatibility
-    tests."""
+    tests.
+
+    The algebras are checked one by one (`_thm2_member`), on every CPU the
+    process may use, and their records are read back in enumeration order;
+    at the first failed check the counts are those made up to it, as if the
+    algebras had been checked in turn.  So the `tau` and `collisions`
+    phases are seconds summed over the algebras, and can exceed the call's
+    duration."""
     with _phase(report, "enumerate"):
         algebras = enumerate_gentle_algebras(vertex_max, arrow_max)
     counts = report.counts = {
@@ -665,45 +769,19 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
         "representation_infinite_skipped": 0, "with_even_cycle": 0,
         "without_even_cycle": 0, "max_multiplicity_needed": 0}
     report.cache = {"tau_hits": 0, "tau_misses": 0}
-    for q in algebras:
-        acyclic, _ = letter_graph_acyclic(q)
-        if not acyclic:
-            counts["representation_infinite_skipped"] += 1
-            continue
-        counts["representation_finite"] += 1
-        cycle = detect_even_full_cycle(q)
-        _, det = cartan_matrix(q)
-        if (det == 0) != (cycle is not None):
-            raise WitnessedFault({"check": "cartan-determinant",
-                                  "quiver": q.to_json(), "det": det,
-                                  "even_cycle": cycle})
-        with _phase(report, "tau"):
-            inv = StringInventory(q)
-            rigid = _finite_tau_rigid(inv)
-        if cycle is None:
-            counts["without_even_cycle"] += 1
-            with _phase(report, "collisions"):
-                coll = _dim_collision(rigid, inv, mult_cap)
-            if coll is not None:
-                raise WitnessedFault({
-                    "check": "injectivity broken without even cycle",
-                    "quiver": q.to_json(), "vector": coll[2]})
-        else:
-            counts["with_even_cycle"] += 1
-            found = None
-            with _phase(report, "collisions"):
-                for cap in range(2, max(mult_cap, q.n + 2) + 1):
-                    found = _dim_collision(rigid, inv, cap)
-                    if found is not None:
-                        counts["max_multiplicity_needed"] = max(
-                            counts["max_multiplicity_needed"], cap)
-                        break
-            if found is None:
-                raise WitnessedFault({
-                    "check": "no collision despite even cycle",
-                    "quiver": q.to_json()})
-        report.cache["tau_hits"] += inv.tau_hits
-        report.cache["tau_misses"] += inv.tau_misses
+    check = functools.partial(_thm2_member, mult_cap=mult_cap)
+    with _mapped_in_order(check, algebras) as members:
+        for member in members:
+            for name in member.counted:
+                counts[name] += 1
+            counts["max_multiplicity_needed"] = max(
+                counts["max_multiplicity_needed"], member.cap)
+            for name, seconds in member.phases.items():
+                report.phases[name] += seconds
+            if member.witness is not None:
+                raise WitnessedFault(member.witness)
+            for name, n in member.cache.items():
+                report.cache[name] += n
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from fractions import Fraction
 
 import pytest
@@ -159,7 +160,9 @@ def test_relation_check_fixed_cases(dims, a, b, fails):
 def test_thm2_round_builds_and_products(monkeypatch):
     # one verify_thm2(4, 4, 3) run checks every one of its 6,075 builds;
     # neither the relation check nor a Hom block forms a product, so the
-    # only products left are the actions of paths of length 2 or more
+    # only products left are the actions of paths of length 2 or more.  The
+    # run stays in this process, on one CPU, so that the counters see it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     counts = {"builds": 0, "products": 0}
     build, product = QuiverRep.__init__, linalg.mat_mul
 

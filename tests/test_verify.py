@@ -1,14 +1,18 @@
 import functools
+import gc
 import hashlib
 import importlib
 import inspect
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -528,6 +532,99 @@ def test_thm2_reports_an_arrow_stability_fault(monkeypatch):
         "without_even_cycle": 0, "max_multiplicity_needed": 0}
 
 
+def _on_cpus(monkeypatch, cpus):
+    """Let the harnesses see `cpus` CPUs: on one, verify_thm2 checks its
+    algebras in this process; on more, it fans them out to one forked
+    worker per CPU.  With `cpus` None the process cannot read its CPUs, as
+    off Linux, and checks them itself."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+
+
+def _wrong_arrow_action(monkeypatch):
+    """The wrong action of test_thm2_reports_an_arrow_stability_fault."""
+    from clusterlab import modules
+    monkeypatch.setattr(modules._ProjectiveSum, "arrow_action",
+                        lambda self, aid, src: [None, 0])
+
+
+def test_thm2_fanned_out_fault_replays_the_one_cpu_report(monkeypatch):
+    # with the wrong action, five of the seven representation-finite
+    # algebras at (2, 3) fail their tau step (the A2 path and the 2-cycle
+    # with full relations do not).  The first of them, the loop, is held
+    # back, so that the other workers reach the later faults first; the
+    # report still names the first and counts what came before its tau
+    # step, as the one-CPU run does
+    from clusterlab import verify
+    _wrong_arrow_action(monkeypatch)
+    finite_tau_rigid = verify._finite_tau_rigid
+
+    def held_back(inv):
+        if inv.q.n == 1:
+            time.sleep(0.5)
+        return finite_tau_rigid(inv)
+
+    monkeypatch.setattr(verify, "_finite_tau_rigid", held_back)
+    reports = {}
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        r = verify_thm2(2, 3)
+        reports[cpus] = r.verdict, r.counts, r.witnesses
+    assert reports[2] == reports[3] == reports[1]
+    verdict, counts, (witness,) = reports[1]
+    assert verdict == "fail"
+    assert witness["check"] == "kernel is not arrow-stable"
+    assert json.loads(witness["quiver"])["relations"] == [["a0_0_0",
+                                                           "a0_0_0"]]
+    assert counts == {
+        "algebras": 23, "representation_finite": 1,
+        "representation_infinite_skipped": 1, "with_even_cycle": 0,
+        "without_even_cycle": 0, "max_multiplicity_needed": 0}
+
+
+def test_thm2_fanned_out_report_equals_the_one_cpu_report(monkeypatch):
+    # every translate is still computed, once per algebra that asks for it;
+    # a family without members passes on every path
+    reports = {}
+    for cpus in (1, 2, None):
+        _on_cpus(monkeypatch, cpus)
+        reports[cpus] = verify_thm2(4, 4, 3)
+        assert verify_thm2(1, 0).counts["algebras"] == 0
+    for r in reports.values():
+        assert r.result_digest == (
+            "8089693f3a2f89e387d11e909f49dd7c0842638da56a165dc2f9def4d057ccda")
+        assert r.cache == {"tau_hits": 12525, "tau_misses": 2025}
+        assert r.counts == reports[1].counts
+
+
+def test_thm2_leaves_no_worker_behind(monkeypatch):
+    # the pool is closed and joined, with its handler threads, before the
+    # harness returns a pass report and a fail report alike
+    _on_cpus(monkeypatch, 2)
+    threads = threading.active_count()
+    assert verify_thm2(2, 3).verdict == "pass"
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+    _wrong_arrow_action(monkeypatch)
+    assert verify_thm2(2, 3).verdict == "fail"
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def test_importing_the_program_loads_no_pool():
+    # the pool machinery is imported by a fanned-out thm2 call alone, so
+    # the CLI's start-up and the other harnesses never load it
+    code = ("import sys\n"
+            "from clusterlab import cli, verify\n"
+            "verify.verify_thm1(5, 2)\n"
+            "verify.verify_denominator('A', 2, 2)\n"
+            "assert 'multiprocessing' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], env=_cli_env(), check=True)
+
+
 def test_denominator_reports_an_explore_vector_fault(monkeypatch):
     # every VariableInfo gets a fresh g-vector, so the second sighting of a
     # cluster variable disagrees with the first
@@ -676,6 +773,19 @@ def test_gentle_enumeration_small():
     algs = enumerate_gentle_algebras(2, 2)
     names = {(len(q.arrows), len(q.relations)) for q in algs}
     assert (2, 2) in names  # the 2-cycle with full relations appears
+
+
+def test_gentle_enumeration_leaves_no_cyclic_garbage():
+    # a fanned-out thm2 process allocates little beyond the enumeration,
+    # so its cycle collector runs rarely; memory held by cycles would build
+    # up over repeated calls
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_gentle_algebras(3, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_gentle_enumeration_matches_brute_force():
