@@ -37,6 +37,7 @@ alone, as an independent oracle for the harnesses to check against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import UnclassifiableTileError, WitnessedFault
@@ -418,6 +419,15 @@ def _noncrossing_chord_sets(n):
     yield from extend(0, 0, ())
 
 
+def _dissection_count(n):
+    """The number of sets of pairwise non-crossing chords of the n-gon,
+    the empty set included: the Kirkman-Cayley count of dissections with k
+    chords, C(n - 3, k) C(n + k - 1, k) / (k + 1), summed over k.  It is
+    the closed form that `_noncrossing_chord_sets` is checked against."""
+    return sum(math.comb(n - 3, k) * math.comb(n + k - 1, k) // (k + 1)
+               for k in range(n - 2))
+
+
 def _polygon_fans(n, chords):
     """The anticlockwise fans of the n-gon's points under `chords` (1-based
     (i, j) pairs), the fan of point p at index p - 1: its (chord index, end)
@@ -651,7 +661,8 @@ def geometric_disc_arcs(disc: DiscTiling):
                 p1.append((key_of[flank[0]], end))
             if not ok:
                 continue
-            vec = tuple(int(c in seq) for c in disc.chords)
+            crossed = set(seq)
+            vec = tuple(int(c in crossed) for c in disc.chords)
             out.append({"endpoints": (p, q), "vector": vec,
                         "p2": tuple(p2), "p1": tuple(p1)})
     return out

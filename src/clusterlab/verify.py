@@ -28,6 +28,7 @@ import itertools
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -39,9 +40,10 @@ from .quiver import (Arrow, BoundQuiver, StringWord, canonical_word,
                      cartan_matrix, check_gentle, check_qb_conditions,
                      detect_even_full_cycle, letter_graph_acyclic)
 from .tiling import (ArcMultiset, DiscTiling, _chords_in_taxonomy,
-                     _noncrossing_chord_sets, b_matrix_from_triangulation,
-                     chords_interleave, disc_tilings, geometric_disc_arcs,
-                     one_holed_disc_tiling, seg_profile)
+                     _dissection_count, _noncrossing_chord_sets,
+                     b_matrix_from_triangulation, chords_interleave,
+                     disc_tilings, geometric_disc_arcs, one_holed_disc_tiling,
+                     seg_profile)
 from .tracking import check_dual_seeds
 
 
@@ -104,7 +106,7 @@ def write_report(report: VerifyReport, directory):
 @contextlib.contextmanager
 def _phase(report, name):
     """Add the time the block takes to report.phases[name]; `report` is a
-    `VerifyReport` or a `_Thm2Member`."""
+    `VerifyReport` or a `_Member`."""
     start = time.perf_counter()
     try:
         yield
@@ -139,6 +141,70 @@ def _harness(experiment, *phases):
         harness.__signature__ = signature
         return harness
     return decorate
+
+
+@dataclass
+class _Member:
+    """One family member's share of a harness report, recorded where the
+    member was checked, which may be a worker process: its phase seconds;
+    the counts it raised, by name; its cache counts; what it found for the
+    harness to read (thm2's least collision multiplicity, thm1's converse
+    witness); and the witness of its failed check, or None.  A failed
+    member counted nothing after the check that failed and has no cache
+    counts."""
+    phases: dict
+    counted: Counter = field(default_factory=Counter)
+    cache: dict = field(default_factory=dict)
+    found: object = None
+    witness: dict | None = None
+
+
+def _replay(report, member):
+    """Add the member's counts and phase seconds to the report, then raise
+    its failed check or add its cache counts: read in the family's order,
+    the members give the report that checking them in turn gives."""
+    for name, n in member.counted.items():
+        report.counts[name] += n
+    for name, seconds in member.phases.items():
+        report.phases[name] += seconds
+    if member.witness is not None:
+        raise WitnessedFault(member.witness)
+    for name, n in member.cache.items():
+        report.cache[name] += n
+
+
+@contextlib.contextmanager
+def _mapped_in_order(fn, items):
+    """Yield an iterator of fn(item) for each item of the list `items`, in
+    order.  It runs in this process when this process may use one CPU or
+    cannot tell, and otherwise on a pool of one forked worker per CPU it may
+    use; forked workers see the program as this process has it.  The items
+    go out in chunks of the size `Pool.map` would choose, four per worker.
+    The pool is closed and joined when the block is left.  When it is left
+    by an error, such as a failed check, the workers first finish the items
+    they were sent, and their results are dropped: a worker stopped while
+    it sends a result would leave the result queue's lock held, and the
+    pool's shutdown would wait on that lock for ever.  Only an interrupt
+    (an exception that is not an `Exception`) stops the workers at once."""
+    # where the affinity call is missing (macOS, Windows), so is a safe fork
+    workers = (len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else 1)
+    if workers == 1:
+        yield map(fn, items)
+        return
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        yield pool.imap(fn, items,
+                        max(1, -(-len(items) // (4 * workers))))
+    except BaseException as error:
+        if not isinstance(error, Exception):
+            pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +372,21 @@ def _class_record(key):
     return words, clashes
 
 
-def _tiling_arcs(t, classes):
-    """(arcs, clash masks) of the tiling, read from the record of its
-    algebra's class in `classes` (built on the class's first tiling).
+def _tiling_arcs(t, record, p, name):
+    """(arcs, clash masks) of the tiling, read from `record`, the
+    `_class_record` of its algebra's class, through (p, name), the
+    isomorphism onto the class quiver that `_algebra_class` gave for the
+    tiling algebra.
 
-    The class words are mapped back through `_algebra_class`'s (p, name),
-    re-canonicalised on the tiling algebra and sorted as
-    `enumerate_tau_rigid` sorts, so the arcs come in the order the tiling's
-    own inventory would give.  Bit j of clashes[i] is set when arcs j < i
-    are not compatible; the masks are the class record's, renumbered
-    through that order once per tiling, one clashing pair at a time.
+    The class words are mapped back through (p, name), re-canonicalised on
+    the tiling algebra and sorted as `enumerate_tau_rigid` sorts, so the
+    arcs come in the order the tiling's own inventory would give.  Bit j of
+    clashes[i] is set when arcs j < i are not compatible; the masks are the
+    class record's, renumbered through that order once per tiling, one
+    clashing pair at a time.
     """
     q, _ = t.algebra()
-    key, p, name = _algebra_class(q)
-    if key not in classes:
-        classes[key] = _class_record(key)
-    words, class_clashes = classes[key]
+    words, class_clashes = record
     vertex = {label: v for v, label in enumerate(p)}
     arrow = {_class_arrow(name[a]): a for a in q.arrows}
     mapped = []  # (word of q, index of its class word)
@@ -348,14 +413,147 @@ def _tiling_arcs(t, classes):
     return arcs, clashes
 
 
+def _thm1_family(marked_max):
+    """(steps, tasks): verify_thm1's disc tilings, one task per algebra
+    class, and the steps that replay them in the order a loop over the
+    tilings meets them.
+
+    For each polygon in turn the chord sets are enumerated, their number is
+    checked against the Kirkman-Cayley count (`_dissection_count`), and
+    those with a tile outside types III-V are counted
+    (`_chords_in_taxonomy`).  Each other tiling's complex is built and
+    classified only long enough to take its class key and isomorphism
+    (`_algebra_class`), then dropped.  tasks holds (key, [(disc, p, name)
+    for each of its tilings]) per class, in order of first appearance.
+    steps holds a `_Member` of each polygon's outside_taxonomy count and,
+    for each tiling, the index of its class's task.  A fault met here ends
+    the steps with a `_Member` that carries its witness, after the counts
+    made before it.
+    """
+    steps, tasks = [], []
+    index = {}  # class key -> index of its task
+    for m in range(4, marked_max + 1):
+        kept, found = [], 0
+        for found, chords in enumerate(_noncrossing_chord_sets(m), 1):
+            if _chords_in_taxonomy(m, chords):
+                kept.append(chords)
+        steps.append(_Member({}, Counter(
+            outside_taxonomy=found - len(kept))))
+        if found != _dissection_count(m):
+            steps.append(_Member({}, witness={
+                "check": "dissection count", "m": m,
+                "expected": _dissection_count(m), "found": found}))
+            return steps, tasks
+        for chords in kept:
+            disc = DiscTiling(m, chords)
+            try:
+                key, p, name = _algebra_class(disc.to_complex().algebra()[0])
+            except WitnessedFault as fault:
+                # met once the tiling is counted, as a loop meets it
+                steps.append(_Member({}, Counter(tilings=1),
+                                     witness=fault.witness))
+                return steps, tasks
+            if key not in index:
+                index[key] = len(tasks)
+                tasks.append((key, []))
+            tasks[index[key]][1].append((disc, p, name))
+            steps.append(index[key])
+    return steps, tasks
+
+
+def _thm1_class(task, mult_cap):
+    """verify_thm1's checks on the tilings of one algebra class, as a list
+    of one `_Member` per tiling.  The class record (`_class_record`) is
+    built once, on the first tiling; each tiling's complex is built again
+    from its disc and read through its isomorphism (`_thm1_tiling`).  A
+    failed check is recorded, not raised, and ends the list, so that the
+    list can come back from a worker process."""
+    key, tilings = task
+    members, record = [], None
+    for disc, p, name in tilings:
+        member = _Member(dict.fromkeys(("arcs", "multisets"), 0.0),
+                         Counter(tilings=1))
+        members.append(member)
+        try:
+            if record is None:
+                with _phase(member, "arcs"):
+                    record = _class_record(key)
+                member.cache = {"algebra_classes": 1}
+            else:
+                member.cache = {"class_reuses": 1}
+            _thm1_tiling(member, disc, record, p, name, mult_cap)
+        except WitnessedFault as fault:
+            member.witness = fault.witness
+            break
+    return members
+
+
+def _thm1_tiling(member, disc, record, p, name, mult_cap):
+    """verify_thm1's checks on one disc tiling, counted into `member`; its
+    converse witness, if any, is `member.found`."""
+    with _phase(member, "arcs"):
+        t = disc.to_complex()
+        arcs, clashes = _tiling_arcs(t, record, p, name)
+        _dual_path_check(disc, arcs, clashes)
+        admissible = t.admissible()
+        cycle = detect_even_full_cycle(t.algebra()[0])
+        if admissible != (cycle is None):
+            raise WitnessedFault({
+                "check": "forbidden tile and even cycle differ",
+                "tiling": disc.chords, "even_cycle": cycle})
+    n_arcs = len(t.arcs)
+    by_vec = {}
+    by_profile = {}
+    collision = None
+    with _phase(member, "multisets"):
+        weights, (_, width) = _arc_weights(t, arcs, mult_cap)
+        shift = width * n_arcs
+        mask = (1 << shift) - 1
+        swept = 0  # multisets swept so far, the empty one included
+        try:
+            for swept, (chosen, weight) in enumerate(
+                    _compatible_multisets(clashes.__getitem__,
+                                          weights, mult_cap), 1):
+                vec = weight & mask
+                if vec in by_vec:
+                    collision = (by_vec[vec], chosen, vec)
+                else:
+                    by_vec[vec] = chosen
+                prof = weight >> shift
+                if prof in by_profile:
+                    raise WitnessedFault({
+                        "check": "seg-profile collision",
+                        "tiling": disc.chords,
+                        "multisets": [by_profile[prof], chosen]})
+                by_profile[prof] = chosen
+        finally:
+            member.counted["multisets"] += swept
+    witness = None if collision is None else {
+        "vector": _unpack(collision[2], n_arcs, width),
+        "multisets": [_multiset_desc(arcs, collision[0]),
+                      _multiset_desc(arcs, collision[1])]}
+    if admissible:
+        member.counted["admissible"] += 1
+        if witness is not None:
+            raise WitnessedFault({
+                "check": "injectivity broken on admissible tiling",
+                "tiling": disc.chords, **witness})
+    else:
+        member.counted["forbidden"] += 1
+        if witness is not None:
+            member.counted["converse_witnesses"] += 1
+            member.found = {"tiling": (disc.m, disc.chords), **witness}
+
+
 @_harness("thm1-intersection-injectivity", "tilings", "arcs", "multisets")
 def verify_thm1(report, marked_max=8, mult_cap=3):
     """Intersection vectors determine compatible multisets on admissible
     disc tilings; even type V tilings yield explicit counterexamples.
 
-    Each dissection of the 4- to marked_max-gon is first tested on its
-    chords (`_chords_in_taxonomy`): those with a tile outside types III-V
-    are counted under `outside_taxonomy`, and only the others are built as
+    The dissections of each of the 4- to marked_max-gons are counted
+    against the Kirkman-Cayley closed form, then tested on their chords
+    (`_chords_in_taxonomy`): those with a tile outside types III-V are
+    counted under `outside_taxonomy`, and only the others are built as
     combinatorial maps and classified, so a classification error on one of
     them is a fault and propagates.
 
@@ -372,86 +570,37 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
     sweep extends it, both packed in one int per multiset (see
     `_arc_weights`); neither is recomputed.
 
-    Phases: `tilings` (chord sets, the taxonomy test, maps and their
-    classification; timed once per polygon and once per tiling), `arcs`
-    (per-class strings, arcs, the chord oracle and the forbidden-tile
-    cross-check) and `multisets` (the sweep over the arcs' clash masks),
-    both timed once per tiling.
+    The tilings are grouped by algebra class (`_thm1_family`), and the
+    classes are checked one by one (`_thm1_class`), on every CPU the
+    process may use.  Their records are read back in the order of the
+    tilings; at the first failed check the counts are those made up to it,
+    as if the tilings had been checked in turn.
+
+    Phases: `tilings` (chord sets, the taxonomy test, maps, their
+    classification and class keys), `arcs` (per-class strings, each
+    tiling's map built again, its arcs, the chord oracle and the
+    forbidden-tile cross-check) and `multisets` (the sweep over the arcs'
+    clash masks).  `arcs` and `multisets` are seconds summed over the
+    tilings, and can exceed the call's duration.
     """
     counts = report.counts = dict.fromkeys(
         ("tilings", "outside_taxonomy", "admissible", "forbidden",
          "multisets", "converse_witnesses"), 0)
+    report.cache = {"algebra_classes": 0, "class_reuses": 0}
     converse_found = []
-    classes = {}  # _algebra_class key -> _class_record
-    for m in range(4, marked_max + 1):
-        with _phase(report, "tilings"):
-            chord_sets = []
-            for chords in _noncrossing_chord_sets(m):
-                if _chords_in_taxonomy(m, chords):
-                    chord_sets.append(chords)
-                else:
-                    counts["outside_taxonomy"] += 1
-        for chords in chord_sets:
-            with _phase(report, "tilings"):
-                disc = DiscTiling(m, chords)
-                t = disc.to_complex()
-                t.classify_tiles()
-            counts["tilings"] += 1
-            with _phase(report, "arcs"):
-                arcs, clashes = _tiling_arcs(t, classes)
-                report.cache = {
-                    "algebra_classes": len(classes),
-                    "class_reuses": counts["tilings"] - len(classes)}
-                _dual_path_check(disc, arcs, clashes)
-                admissible = t.admissible()
-                cycle = detect_even_full_cycle(t.algebra()[0])
-                if admissible != (cycle is None):
-                    raise WitnessedFault({
-                        "check": "forbidden tile and even cycle differ",
-                        "tiling": disc.chords, "even_cycle": cycle})
-            n_arcs = len(t.arcs)
-            by_vec = {}
-            by_profile = {}
-            collision = None
-            with _phase(report, "multisets"):
-                weights, (_, width) = _arc_weights(t, arcs, mult_cap)
-                shift = width * n_arcs
-                mask = (1 << shift) - 1
-                swept = 0  # multisets swept so far, the empty one included
-                try:
-                    for swept, (chosen, weight) in enumerate(
-                            _compatible_multisets(clashes.__getitem__,
-                                                  weights, mult_cap), 1):
-                        vec = weight & mask
-                        if vec in by_vec:
-                            collision = (by_vec[vec], chosen, vec)
-                        else:
-                            by_vec[vec] = chosen
-                        prof = weight >> shift
-                        if prof in by_profile:
-                            raise WitnessedFault({
-                                "check": "seg-profile collision",
-                                "tiling": disc.chords,
-                                "multisets": [by_profile[prof], chosen]})
-                        by_profile[prof] = chosen
-                finally:
-                    counts["multisets"] += swept
-            witness = None if collision is None else {
-                "vector": _unpack(collision[2], n_arcs, width),
-                "multisets": [_multiset_desc(arcs, collision[0]),
-                              _multiset_desc(arcs, collision[1])]}
-            if admissible:
-                counts["admissible"] += 1
-                if witness is not None:
-                    raise WitnessedFault({
-                        "check": "injectivity broken on admissible tiling",
-                        "tiling": disc.chords, **witness})
-            else:
-                counts["forbidden"] += 1
-                if witness is not None:
-                    counts["converse_witnesses"] += 1
-                    converse_found.append(
-                        {"tiling": (m, disc.chords), **witness})
+    with _phase(report, "tilings"):
+        steps, tasks = _thm1_family(marked_max)
+    check = functools.partial(_thm1_class, mult_cap=mult_cap)
+    with _mapped_in_order(check, tasks) as done:
+        classes = []  # per task, an iterator over its members
+        for step in steps:
+            if isinstance(step, int):  # a tiling of task `step`
+                while len(classes) <= step:
+                    classes.append(iter(next(done)))
+                step = next(classes[step])
+            _replay(report, step)
+            if step.found is not None:
+                converse_found.append(step.found)
     if converse_found:
         report.witnesses.append({"converse": converse_found[0]})
     octagon_square = any(w["tiling"] == (8, ((1, 3), (1, 7), (3, 5), (5, 7)))
@@ -657,33 +806,18 @@ def _dim_collision(rigid, inv, cap):
     return None
 
 
-@dataclass
-class _Thm2Member:
-    """One bound quiver's share of a thm2 report, as `_thm2_member` found
-    it: the counts it raised, in the order it raised them; `cap`, the least
-    multiplicity of its collision (0 when it looked for none); its `tau` and
-    `collisions` seconds; its translate cache counts; and the witness of its
-    failed check, or None.  A failed member counted nothing after the check
-    that failed and has no cache counts."""
-    counted: list = field(default_factory=list)
-    cap: int = 0
-    phases: dict = field(
-        default_factory=lambda: {"tau": 0.0, "collisions": 0.0})
-    cache: dict = field(default_factory=dict)
-    witness: dict | None = None
-
-
 def _thm2_member(q, mult_cap):
-    """verify_thm2's checks on the bound quiver q, as a `_Thm2Member`.  A
-    failed check ends them and is recorded, not raised, so that the record
-    can come back from a worker process."""
-    member = _Thm2Member()
+    """verify_thm2's checks on the bound quiver q, as a `_Member` whose
+    `found` is the least multiplicity of its collision (0 when it looked
+    for none).  A failed check ends them and is recorded, not raised, so
+    that the record can come back from a worker process."""
+    member = _Member(dict.fromkeys(("tau", "collisions"), 0.0), found=0)
     try:
         acyclic, _ = letter_graph_acyclic(q)
         if not acyclic:
-            member.counted.append("representation_infinite_skipped")
+            member.counted["representation_infinite_skipped"] += 1
             return member
-        member.counted.append("representation_finite")
+        member.counted["representation_finite"] += 1
         cycle = detect_even_full_cycle(q)
         _, det = cartan_matrix(q)
         if (det == 0) != (cycle is not None):
@@ -694,7 +828,7 @@ def _thm2_member(q, mult_cap):
             inv = StringInventory(q)
             rigid = _finite_tau_rigid(inv)
         if cycle is None:
-            member.counted.append("without_even_cycle")
+            member.counted["without_even_cycle"] += 1
             with _phase(member, "collisions"):
                 coll = _dim_collision(rigid, inv, mult_cap)
             if coll is not None:
@@ -702,13 +836,13 @@ def _thm2_member(q, mult_cap):
                     "check": "injectivity broken without even cycle",
                     "quiver": q.to_json(), "vector": coll[2]})
         else:
-            member.counted.append("with_even_cycle")
+            member.counted["with_even_cycle"] += 1
             with _phase(member, "collisions"):
                 for cap in range(2, max(mult_cap, q.n + 2) + 1):
                     if _dim_collision(rigid, inv, cap) is not None:
-                        member.cap = cap
+                        member.found = cap
                         break
-            if not member.cap:
+            if not member.found:
                 raise WitnessedFault({
                     "check": "no collision despite even cycle",
                     "quiver": q.to_json()})
@@ -717,36 +851,6 @@ def _thm2_member(q, mult_cap):
     except WitnessedFault as fault:
         member.witness = fault.witness
     return member
-
-
-@contextlib.contextmanager
-def _mapped_in_order(fn, items):
-    """Yield an iterator of fn(item) for each item of the list `items`, in
-    order.  It runs in this process when this process may use one CPU or
-    cannot tell, and otherwise on a pool of one forked worker per CPU it may
-    use; forked workers see the program as this process has it.  The items
-    go out in chunks of the size `Pool.map` would choose, four per worker.
-    The pool is closed and joined when the block is left, and its workers
-    are stopped first when the block is left by an exception."""
-    # where the affinity call is missing (macOS, Windows), so is a safe fork
-    workers = (len(os.sched_getaffinity(0))
-               if hasattr(os, "sched_getaffinity") else 1)
-    if workers == 1:
-        yield map(fn, items)
-        return
-    import multiprocessing
-
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        yield pool.imap(fn, items,
-                        max(1, -(-len(items) // (4 * workers))))
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        pool.join()
 
 
 @_harness("thm2-dimension-dichotomy", "enumerate", "tau", "collisions")
@@ -772,16 +876,9 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
     check = functools.partial(_thm2_member, mult_cap=mult_cap)
     with _mapped_in_order(check, algebras) as members:
         for member in members:
-            for name in member.counted:
-                counts[name] += 1
+            _replay(report, member)
             counts["max_multiplicity_needed"] = max(
-                counts["max_multiplicity_needed"], member.cap)
-            for name, seconds in member.phases.items():
-                report.phases[name] += seconds
-            if member.witness is not None:
-                raise WitnessedFault(member.witness)
-            for name, n in member.cache.items():
-                report.cache[name] += n
+                counts["max_multiplicity_needed"], member.found)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from clusterlab.tiling import (ArcMultiset, DiscTiling, TilingComplex,
                                disc_tilings, seg_profile)
 from clusterlab.verify import (
     VerifyReport, _algebra_class, _arc_weights, _arrow_grids,
-    _canonical_bound_quiver, _class_arrow, _class_quiver,
+    _canonical_bound_quiver, _class_arrow, _class_quiver, _class_record,
     _compatible_multisets, _connected, _dual_path_check, _field_width,
     _isomorphisms, _least_arrow_list, _pack, _relabelling,
     _relation_choices, _tiling_arcs, _unpack,
@@ -248,7 +248,10 @@ def test_class_route_matches_per_tiling_inventories():
     tilings = 0
     for t in _classified_disc_complexes(8):
         tilings += 1
-        arcs, clashes = _tiling_arcs(t, classes)
+        key, p, name = _algebra_class(t.algebra()[0])
+        if key not in classes:
+            classes[key] = _class_record(key)
+        arcs, clashes = _tiling_arcs(t, classes[key], p, name)
         want, truncated = t.enumerate_permissible_arcs()
         assert not truncated
         assert [(a.endpoints, a.word, a.intersection) for a in arcs] == \
@@ -263,8 +266,10 @@ def test_class_route_matches_per_tiling_inventories():
 
 def test_thm1_asks_each_class_pair_once(monkeypatch):
     # the class records ask every pair of their words once; no tiling asks
-    # a pair question of its own, neither in the chord oracle nor the sweep
+    # a pair question of its own, neither in the chord oracle nor the sweep.
+    # On one CPU, because counters in forked workers never reach this one
     from clusterlab import modules, verify
+    _on_cpus(monkeypatch, 1)
     asked = []
     real_compatible = modules.StringInventory.compatible
 
@@ -533,10 +538,10 @@ def test_thm2_reports_an_arrow_stability_fault(monkeypatch):
 
 
 def _on_cpus(monkeypatch, cpus):
-    """Let the harnesses see `cpus` CPUs: on one, verify_thm2 checks its
-    algebras in this process; on more, it fans them out to one forked
-    worker per CPU.  With `cpus` None the process cannot read its CPUs, as
-    off Linux, and checks them itself."""
+    """Let the harnesses see `cpus` CPUs: on one, verify_thm1 checks its
+    algebra classes and verify_thm2 its algebras in this process; on more,
+    they fan them out to one forked worker per CPU.  With `cpus` None the
+    process cannot read its CPUs, as off Linux, and checks them itself."""
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity")
     else:
@@ -614,11 +619,138 @@ def test_thm2_leaves_no_worker_behind(monkeypatch):
     assert threading.active_count() == threads
 
 
+THM1_DIGEST_8_3 = (
+    "2854ceacf3c8cb1d2576b67fcfab1a0b2b4d2612018505363aa16d1eccb62d82")
+
+
+def test_thm1_fanned_out_report_equals_the_one_cpu_report(monkeypatch):
+    # the classes' records are built once each: algebra_classes sums the
+    # records the class tasks built
+    reports = {}
+    for cpus in (1, 2, None):
+        _on_cpus(monkeypatch, cpus)
+        reports[cpus] = verify_thm1(8, 3)
+    for r in reports.values():
+        assert r.result_digest == THM1_DIGEST_8_3
+        assert r.counts == reports[1].counts
+        assert r.cache == {"algebra_classes": 39, "class_reuses": 213}
+
+
+def _masked_profiles(monkeypatch):
+    """Drop the segment profiles from thm1's sweep weights, so that the
+    empty multiset and the next one share a profile."""
+    from clusterlab import verify
+    real = verify._arc_weights
+
+    def masked(t, arcs, mult_cap):
+        weights, (keys, width) = real(t, arcs, mult_cap)
+        mask = (1 << width * len(t.arcs)) - 1
+        return [w & mask for w in weights], (keys, width)
+
+    monkeypatch.setattr(verify, "_arc_weights", masked)
+
+
+def _even_cycle_everywhere(monkeypatch):
+    from clusterlab import verify
+    monkeypatch.setattr(verify, "detect_even_full_cycle",
+                        lambda q: ["x", "y"])
+
+
+@pytest.mark.parametrize("fault, witness, swept", [
+    (_drop_first_geometric_arc,
+     {"check": "string and geometric arcs differ", "tiling": ((2, 4),),
+      "string": [((1, 3), (1,))], "geometric": []}, 0),
+    (_masked_profiles,
+     {"check": "seg-profile collision", "tiling": ((2, 4),),
+      "multisets": [(), ((0, 1),)]}, 2),
+    (_even_cycle_everywhere,
+     {"check": "forbidden tile and even cycle differ", "tiling": ((2, 4),),
+      "even_cycle": ["x", "y"]}, 0)])
+def test_thm1_fanned_out_fault_replays_the_one_cpu_report(
+        monkeypatch, fault, witness, swept):
+    # every tiling of the 4- to 6-gons fails the check; the first, the
+    # square cut by (2, 4), is held back in its worker, so that the workers
+    # of the other classes reach their faults first.  The report still
+    # names the first and counts what came before it, as the one-CPU run
+    # does
+    from clusterlab import verify
+    fault(monkeypatch)
+    tiling_arcs = verify._tiling_arcs
+    caller = os.getpid()
+
+    def held_back(t, *isomorphism):
+        if t.n_points == 4 and os.getpid() != caller:
+            time.sleep(0.5)
+        return tiling_arcs(t, *isomorphism)
+
+    monkeypatch.setattr(verify, "_tiling_arcs", held_back)
+    reports = {}
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        r = verify_thm1(6, 2)
+        reports[cpus] = r.verdict, r.counts, r.witnesses
+    assert reports[2] == reports[3] == reports[1]
+    assert reports[1] == ("fail", {
+        "tilings": 1, "outside_taxonomy": 1, "admissible": 0, "forbidden": 0,
+        "multisets": swept, "converse_witnesses": 0},
+        [witness])
+
+
+def test_thm1_checks_the_dissection_count(monkeypatch):
+    # the hexagon's last chord set goes missing: the square's and the
+    # pentagon's tilings are checked, then the hexagon's count fails, after
+    # its 31 chord sets outside the taxonomy are counted
+    from clusterlab import verify
+    chord_sets = verify._noncrossing_chord_sets
+    monkeypatch.setattr(
+        verify, "_noncrossing_chord_sets",
+        lambda n: list(chord_sets(n))[:-1] if n == 6 else chord_sets(n))
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        r = verify_thm1(6, 2)
+        assert r.verdict == "fail"
+        assert r.witnesses == [{"check": "dissection count", "m": 6,
+                                "expected": 45, "found": 44}]
+        assert r.counts == {
+            "tilings": 7, "outside_taxonomy": 7 + 31, "admissible": 7,
+            "forbidden": 0, "multisets": 51, "converse_witnesses": 0}
+
+
+def test_thm1_leaves_no_worker_behind(monkeypatch):
+    # as test_thm2_leaves_no_worker_behind, for the class tasks of thm1
+    _on_cpus(monkeypatch, 2)
+    threads = threading.active_count()
+    assert verify_thm1(6, 2).verdict == "pass"
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+    _drop_first_geometric_arc(monkeypatch)
+    assert verify_thm1(6, 2).verdict == "fail"
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def test_the_pool_stops_its_workers_on_an_interrupt_alone(monkeypatch):
+    # an error leaves the workers to finish their items, as stopping one
+    # while it sends a result can leave the result queue locked and the
+    # pool's shutdown waiting for ever; an interrupt stops them at once
+    from clusterlab.verify import _mapped_in_order
+    _on_cpus(monkeypatch, 2)
+    for error, waited in ((ValueError, True), (KeyboardInterrupt, False)):
+        start = time.perf_counter()
+        with pytest.raises(error):
+            with _mapped_in_order(time.sleep, [1.0, 1.0]):
+                raise error
+        assert (time.perf_counter() - start >= 1.0) == waited, error
+        assert multiprocessing.active_children() == []
+
+
 def test_importing_the_program_loads_no_pool():
-    # the pool machinery is imported by a fanned-out thm2 call alone, so
-    # the CLI's start-up and the other harnesses never load it
-    code = ("import sys\n"
+    # the pool machinery is imported by a fanned-out thm1 or thm2 call
+    # alone, so the CLI's start-up, the other harnesses and a thm1 call
+    # pinned to one CPU never load it
+    code = ("import os, sys\n"
             "from clusterlab import cli, verify\n"
+            "os.sched_setaffinity(0, {0})\n"
             "verify.verify_thm1(5, 2)\n"
             "verify.verify_denominator('A', 2, 2)\n"
             "assert 'multiprocessing' not in sys.modules\n")
