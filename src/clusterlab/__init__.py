@@ -13,8 +13,7 @@ from .quiver import (Arrow, BoundQuiver, StringWord, check_gentle,
 from .modules import (QuiverRep, StringInventory, string_module, hom_dim,
                       ar_translate, enumerate_tau_rigid)
 from .tiling import (TilingComplex, DiscTiling, PermissibleArc, ArcMultiset,
-                     seg_profile, disc_tilings, one_holed_disc_tiling,
-                     one_holed_disc_tilings, b_matrix_from_triangulation)
+                     seg_profile, disc_tilings, b_matrix_from_triangulation)
 from .verify import (VerifyReport, write_report, verify_thm1, verify_thm2,
                      verify_fvector_injectivity, verify_denominator,
                      verify_denominator_duality,

@@ -25,7 +25,7 @@ from .quiver import BoundQuiver, cartan_matrix, check_gentle, \
 from .modules import StringInventory, enumerate_tau_rigid
 from .tracking import ClusterMonomial, d_matrix, run_walk, \
     vectors_of_monomial
-from .tiling import DiscTiling, TilingComplex, one_holed_disc_tiling
+from .tiling import DiscTiling, TilingComplex
 from . import verify as verify_mod
 
 
@@ -63,13 +63,14 @@ def _load_tiling(path):
 
 def _tiling(data):
     surface = data.get("surface", "disc")
-    if surface == "disc":
-        disc = DiscTiling(data["marked"],
-                          tuple(tuple(c) for c in data["chords"]))
-        return disc.to_complex()
-    if surface == "one-holed-disc":
-        return one_holed_disc_tiling(
-            data["marked"], [tuple(c) for c in data.get("occ_chords", ())])
+    if surface in ("disc", "one-holed-disc"):
+        # a one-holed disc's chords join 0-based occurrences, the points of
+        # its cut polygon less one
+        holed = surface == "one-holed-disc"
+        chords = data.get("occ_chords", ()) if holed else data["chords"]
+        return DiscTiling(data["marked"],
+                          [(u + holed, v + holed) for u, v in chords],
+                          holed).to_complex()
     if surface == "general":
         holes = {(a, d): c for a, d, c in data.get("holes", ())}
         fans = {int(p): [tuple(tok) for tok in fan]

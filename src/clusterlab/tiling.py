@@ -25,8 +25,9 @@ arrow's crossing segments cut out, so segment-profile counting keys directly
 off the arrow's corner.
 
 Disc tilings and one-holed-disc tilings (cut along their loop) are both sets
-of chords of a polygon; one chord model checks (`_check_chords`), enumerates
-(`_noncrossing_chord_sets`) and orders (`_polygon_fans`) them for both.
+of chords of a polygon, described alike by `DiscTiling`; one chord model
+checks (`_check_chords`), enumerates (`_noncrossing_chord_sets`) and orders
+(`_polygon_fans`) them for both.
 
 Arcs not in the tiling are represented by strings of the tiling algebra;
 those whose string module is tau-rigid are the self-compatible permissible
@@ -336,28 +337,40 @@ def seg_profile(multiset: ArcMultiset):
 
 @dataclass(frozen=True)
 class DiscTiling:
-    """A partial triangulation of a disc with m marked boundary points.
-
-    Chords use 1-based boundary indices and must be pairwise non-crossing
-    and non-adjacent (`_check_chords`); they are stored sorted.
+    """A chord tiling of the disc with m marked boundary points, or with
+    `holed` of the one-holed disc: the loop at point 1 around the hole plus
+    chords of the (m+1)-gon cut open along the loop, whose point m+1 is
+    point 1 again.  Chords use 1-based polygon indices and must be pairwise
+    non-crossing and non-adjacent (`_check_chords`); they are stored sorted.
     """
 
     m: int
     chords: tuple  # tuple of (i, j) pairs, i < j
+    holed: bool = False
 
     def __post_init__(self):
-        if self.m < 4:
-            raise ValueError("a disc needs at least four marked points")
-        object.__setattr__(
-            self, "chords", tuple(sorted(_check_chords(self.m, self.chords))))
+        if self.m < (2 if self.holed else 4):
+            raise ValueError("a disc needs at least four marked points, a "
+                             "one-holed disc two")
+        object.__setattr__(self, "chords", tuple(sorted(
+            _check_chords(self.m + self.holed, self.chords))))
 
     def to_complex(self) -> TilingComplex:
-        m = self.m
-        arcs = [(f"t{idx}", i - 1, j - 1)
+        """The map: arc t<i> (q<i> when holed) is chord i.  The loop is a
+        one-holed disc's first arc, its ends in point 1's fan between those
+        of cut points 1 and m+1."""
+        m, tag = self.m, "q" if self.holed else "t"
+        arcs = [(f"{tag}{idx}", (i - 1) % m, (j - 1) % m)
                 for idx, (i, j) in enumerate(self.chords)]
-        fans = {p: [(f"t{idx}", e) for idx, e in fan]
-                for p, fan in enumerate(_polygon_fans(m, self.chords))}
-        return TilingComplex(m, [list(range(m))], arcs, fans)
+        fans = [[(f"{tag}{idx}", e) for idx, e in fan]
+                for fan in _polygon_fans(m + self.holed, self.chords)]
+        holes = {}
+        if self.holed:
+            arcs.insert(0, ("loop", 0, 0))
+            fans[0] += [("loop", 0), ("loop", 1)] + fans.pop()
+            holes[("loop", 0)] = 1
+        return TilingComplex(m, [list(range(m))], arcs, dict(enumerate(fans)),
+                             holes)
 
 
 def chords_interleave(c1, c2):
@@ -479,10 +492,12 @@ def _chords_in_taxonomy(m, chords):
     return True
 
 
-def disc_tilings(m):
-    """All DiscTilings of the m-gon: every non-crossing chord subset."""
-    for chords in _noncrossing_chord_sets(m):
-        yield DiscTiling(m, chords)
+def disc_tilings(m, holed=False):
+    """All DiscTilings with m marked points: every non-crossing chord subset
+    of the m-gon, or with `holed` of the cut (m+1)-gon, in the order of
+    `_noncrossing_chord_sets`, whether or not its tiles classify."""
+    for chords in _noncrossing_chord_sets(m + holed):
+        yield DiscTiling(m, chords, holed)
 
 
 def b_matrix_from_triangulation(t: TilingComplex):
@@ -501,50 +516,6 @@ def b_matrix_from_triangulation(t: TilingComplex):
 
 
 # ---------------------------------------------------------------------------
-# one-holed discs
-
-
-def one_holed_disc_tiling(m, q_chords=()):
-    """A disc with an unmarked hole, tiled by a loop and chords of the cut
-    polygon.
-
-    The loop sits at point 1 and encloses the hole; cutting along it leaves
-    an (m+1)-gon whose vertices are the occurrences [1, 2, ..., m, 1'].
-    `q_chords` are chords of that polygon given by occurrence indices
-    0..m (0 and m both map to point 1); they are checked as the chords
-    (u+1, v+1) of the (m+1)-gon, so errors name them that way, and become
-    the arcs q0, q1, ... in input order.
-    """
-    if m < 2:
-        raise ValueError("need at least two marked points")
-    cut = _check_chords(m + 1, [(u + 1, v + 1) for u, v in q_chords])
-    # occurrence o sits at point o % m; occurrence o is cut-polygon point o+1
-    arcs = [("loop", 0, 0)] + [(f"q{idx}", (i - 1) % m, (j - 1) % m)
-                               for idx, (i, j) in enumerate(cut)]
-    occ_fans = [[(f"q{idx}", e) for idx, e in fan]
-                for fan in _polygon_fans(m + 1, cut)]
-    fans = dict(enumerate(occ_fans[:m]))
-    fans[0] = occ_fans[0] + [("loop", 0), ("loop", 1)] + occ_fans[m]
-    return TilingComplex(m, [list(range(m))], arcs, fans,
-                         holes={("loop", 0): 1})
-
-
-def one_holed_disc_tilings(m):
-    """All valid loop-based tilings of the one-holed disc with m points.
-
-    Streams every non-crossing chord subset of the cut (m+1)-gon whose
-    derived tiles all classify to types I-V.
-    """
-    for chords in _noncrossing_chord_sets(m + 1):
-        t = one_holed_disc_tiling(m, [(i - 1, j - 1) for i, j in chords])
-        try:
-            t.classify_tiles()
-        except UnclassifiableTileError:
-            continue
-        yield t
-
-
-# ---------------------------------------------------------------------------
 # independent chord-geometry oracle for discs
 
 
@@ -554,6 +525,8 @@ def disc_cells(disc: DiscTiling):
     Computed by recursive splitting along chords, independently of the
     combinatorial-map face tracing.
     """
+    if disc.holed:
+        raise ValueError("the chord-geometry oracle reads discs only")
     def split(vertices, chords):
         if not chords:
             return [tuple(vertices)]
@@ -610,7 +583,8 @@ def geometric_disc_arcs(disc: DiscTiling):
     frozenset of its edges; used as the independent oracle against the
     string route.  Each cell's edges and key are built once per call, and
     so are two lookups, read by each point pair: the cells that hold both
-    of two chords, and the cells that hold a chord and a point.
+    of two chords, and the cells that hold a chord and a point.  Like
+    `disc_cells`, it raises ValueError on a one-holed description.
     """
     edges_of = {cell: _cell_edges(disc, cell) for cell in disc_cells(disc)}
     key_of = {cell: frozenset(edges) for cell, edges in edges_of.items()}

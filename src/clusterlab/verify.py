@@ -42,8 +42,7 @@ from .quiver import (Arrow, BoundQuiver, StringWord, canonical_word,
 from .tiling import (ArcMultiset, DiscTiling, _chords_in_taxonomy,
                      _dissection_count, _noncrossing_chord_sets,
                      b_matrix_from_triangulation, chords_interleave,
-                     disc_tilings, geometric_disc_arcs, one_holed_disc_tiling,
-                     seg_profile)
+                     disc_tilings, geometric_disc_arcs, seg_profile)
 from .tracking import check_dual_seeds
 
 
@@ -1116,11 +1115,12 @@ def verify_type_c_categorification(report, rank_max=2, degree_cap=3):
 
     At rank n the algebra is read off the one-holed disc with n + 1 points,
     tiled by the loop at point 1 around the hole and the fan of chords from
-    point 1 to points 2..n.  Its vertices are the loop, then the chords, in
-    the vertex order of `standard_matrix("C", n)`: the loop around the hole
-    is the long root, and an arc crosses it twice, hence the halved
-    coordinate.  Beside the loop at vertex 0, the arrows run 0 -> 1 -> ...
-    -> n-1, and the loop squared is the only relation.
+    point 1 to points 2..n, the chords (k, n + 2) of the cut polygon.  Its
+    vertices are the loop, then the chords, in the vertex order of
+    `standard_matrix("C", n)`: the loop around the hole is the long root,
+    and an arc crosses it twice, hence the halved coordinate.  Beside the
+    loop at vertex 0, the arrows run 0 -> 1 -> ... -> n-1, and the loop
+    squared is the only relation.
 
     Phases, timed once per rank: `tau` (the inventory and its tau-rigid
     strings), `pairs` (tau-rigid pairs and their vectors) and `monomials`
@@ -1131,8 +1131,8 @@ def verify_type_c_categorification(report, rank_max=2, degree_cap=3):
     report.cache = {"tau_hits": 0, "tau_misses": 0}
     for n in range(2, rank_max + 1):
         base = standard_matrix("C", n)
-        q, _ = one_holed_disc_tiling(
-            n + 1, [(k, n + 1) for k in range(1, n)]).algebra()
+        q, _ = DiscTiling(n + 1, [(k + 1, n + 2) for k in range(1, n)],
+                          holed=True).to_complex().algebra()
         cond = check_qb_conditions(q)
         if not all(cond.values()):
             raise WitnessedFault({"rank": n, "check": "conditions (a)-(e)",

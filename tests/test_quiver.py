@@ -361,11 +361,11 @@ def test_one_holed_disc_models_type_c():
     # the fan tiling that verify type-c reads is type_c_quiver's C_n root
     # quiver vertex for vertex, and the one-holed triangulations with n arcs
     # realise exactly the classes of type_c_quiver over the reroots of C_n
-    from clusterlab.tiling import one_holed_disc_tiling, one_holed_disc_tilings
+    from clusterlab.tiling import DiscTiling, disc_tilings
     from clusterlab.verify import _algebra_class
     for n in range(2, 7):
-        q, _ = one_holed_disc_tiling(
-            n + 1, [(k, n + 1) for k in range(1, n)]).algebra()
+        q, _ = DiscTiling(n + 1, [(k + 1, n + 2) for k in range(1, n)],
+                          holed=True).to_complex().algebra()
         ref = type_c_quiver(standard_matrix("C", n))
         ends = {(a.src, a.tgt): a.id for a in q.arrows.values()}
         ref_ends = {(a.src, a.tgt): a.id for a in ref.arrows.values()}
@@ -378,8 +378,10 @@ def test_one_holed_disc_models_type_c():
     for q in type_c_seed_quivers():
         classes[q.n].add(_algebra_class(q)[0])
     for n, keys in classes.items():
-        tiled = {_algebra_class(t.algebra()[0])[0]
-                 for t in one_holed_disc_tilings(n + 1) if len(t.arcs) == n}
+        # the loop and n - 1 chords triangulate, so every tile classifies
+        tiled = {_algebra_class(d.to_complex().algebra()[0])[0]
+                 for d in disc_tilings(n + 1, holed=True)
+                 if len(d.chords) == n - 1}
         assert len(keys) == [2, 5, 14][n - 2]
         assert tiled == keys
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import warnings
 from collections import Counter
 
@@ -13,9 +14,8 @@ from clusterlab.tiling import (
     ArcMultiset, DiscTiling, PermissibleArc, TilingComplex,
     _cell_edges, _chords_in_taxonomy, _crossing_sequence,
     _noncrossing_chord_sets, annulus_digon_tiling,
-    b_matrix_from_triangulation, chords_interleave, disc_cells, disc_tilings,
-    geometric_disc_arcs, one_holed_disc_tiling, one_holed_disc_tilings,
-    seg_profile,
+    _dissection_count, b_matrix_from_triangulation, chords_interleave,
+    disc_cells, disc_tilings, geometric_disc_arcs, seg_profile,
 )
 from clusterlab.verify import (_compatible_multisets, _field_width, _pack,
                                _unpack)
@@ -23,6 +23,18 @@ from clusterlab.verify import (_compatible_multisets, _field_width, _pack,
 
 def complex_of(m, chords):
     return DiscTiling(m, tuple(chords)).to_complex()
+
+
+def holed_complexes(m):
+    """The complexes of the one-holed-disc tilings with m points whose
+    tiles classify, in enumeration order."""
+    for disc in disc_tilings(m, holed=True):
+        t = disc.to_complex()
+        try:
+            t.classify_tiles()
+        except UnclassifiableTileError:
+            continue
+        yield t
 
 
 def string_route_profile_keys(t: TilingComplex, arc: PermissibleArc):
@@ -52,11 +64,29 @@ def test_disc_tilings_counts():
     assert sum(1 for _ in disc_tilings(5)) == 11
     # octagon: little Schroeder number
     assert sum(1 for _ in disc_tilings(8)) == 903
+    # the one-holed disc with m points has the chord sets of the cut
+    # (m+1)-gon, and so many of them classify
+    totals, classified = [], []
+    for m in range(2, 8):
+        totals.append(sum(1 for _ in disc_tilings(m, holed=True)))
+        assert totals[-1] == _dissection_count(m + 1)
+        classified.append(sum(1 for _ in holed_complexes(m)))
+    assert totals == [1, 3, 11, 45, 197, 903]
+    assert classified == [1, 2, 5, 17, 61, 228]
+    # a description survives pickling, as sending it to a worker does
+    for disc in (DiscTiling(6, ((1, 3), (3, 5))),
+                 DiscTiling(4, ((1, 3), (3, 5)), holed=True)):
+        copy = pickle.loads(pickle.dumps(disc))
+        assert copy == disc
+        assert copy.to_complex().faces == disc.to_complex().faces
 
 
 def test_disc_validation():
     with pytest.raises(ValueError):
         DiscTiling(3, ())
+    with pytest.raises(ValueError):
+        DiscTiling(1, (), holed=True)
+    assert DiscTiling(2, (), holed=True).to_complex().arcs == [("loop", 0, 0)]
     with pytest.raises(ValueError):
         DiscTiling(5, ((1, 2),))
     with pytest.raises(ValueError):
@@ -64,9 +94,10 @@ def test_disc_validation():
 
 
 def test_builders_fingerprint():
-    # pins what both polygon builders produce: disc chords, arcs and fans
-    # for m = 4..9; one-holed-disc arcs, fans, algebra and each permissible
-    # arc's endpoints and intersection vector for m = 2..7
+    # pins what both polygon surfaces build: disc chords, arcs and fans
+    # for m = 4..9; for the classifiable one-holed-disc tilings with m =
+    # 2..7, arcs, fans, algebra and each permissible arc's endpoints and
+    # intersection vector
     h = hashlib.sha256()
     for m in range(4, 10):
         for disc in disc_tilings(m):
@@ -76,7 +107,7 @@ def test_builders_fingerprint():
     counts = []
     for m in range(2, 8):
         counts.append(0)
-        for t in one_holed_disc_tilings(m):
+        for t in holed_complexes(m):
             counts[-1] += 1
             arcs, _ = t.enumerate_permissible_arcs()
             h.update(repr((t.arcs, sorted(t.fans.items()),
@@ -92,10 +123,11 @@ def test_faces_fingerprint():
     # pins each tiling's faces (directed edges, corner points and holes, in
     # face-id order) and its directed-edge index, which the iso-invariant
     # harness digests do not see: every dissection of the 4- to 9-gons,
-    # every one-holed-disc tiling for m = 2..7, and the annulus digon
+    # every classifiable one-holed-disc tiling for m = 2..7, and the
+    # annulus digon
     h = hashlib.sha256()
     tilings = [d.to_complex() for m in range(4, 10) for d in disc_tilings(m)]
-    tilings += [t for m in range(2, 8) for t in one_holed_disc_tilings(m)]
+    tilings += [t for m in range(2, 8) for t in holed_complexes(m)]
     tilings.append(annulus_digon_tiling())
     for t in tilings:
         h.update(repr(([(f.dedges, f.corner_points, f.holes) for f in t.faces],
@@ -108,12 +140,12 @@ def test_faces_fingerprint():
 def test_algebra_fingerprint():
     # pins each classifiable tiling's algebra and the angle (face id, corner
     # position) of each arrow: the dissections of the 4- to 9-gons inside
-    # the taxonomy, every one-holed-disc tiling for m = 2..7, and the
-    # annulus digon
+    # the taxonomy, every classifiable one-holed-disc tiling for m = 2..7,
+    # and the annulus digon
     tilings = [DiscTiling(m, chords).to_complex() for m in range(4, 10)
                for chords in _noncrossing_chord_sets(m)
                if _chords_in_taxonomy(m, chords)]
-    tilings += [t for m in range(2, 8) for t in one_holed_disc_tilings(m)]
+    tilings += [t for m in range(2, 8) for t in holed_complexes(m)]
     tilings.append(annulus_digon_tiling())
     h = hashlib.sha256()
     for t in tilings:
@@ -125,16 +157,16 @@ def test_algebra_fingerprint():
 
 
 @pytest.mark.parametrize("chords", [
-    [(1, 3), (1, 3)],  # duplicate
-    [(1, 2)],          # adjacent occurrences
-    [(0, 4)],          # occurrences 0 and m are both point 1
-    [(1, 3), (2, 4)],  # crossing
-    [(0, 5)],          # out of range
-    [(-1, 2)],
+    [(2, 4), (2, 4)],  # duplicate
+    [(2, 3)],          # adjacent points of the cut pentagon
+    [(1, 5)],          # cut points 1 and 5 are both point 1
+    [(2, 4), (3, 5)],  # crossing
+    [(1, 6)],          # out of range
+    [(0, 3)],
 ])
 def test_one_holed_rejects_malformed_chords(chords):
     with pytest.raises(ValueError):
-        one_holed_disc_tiling(4, chords)
+        DiscTiling(4, chords, holed=True)
 
 
 def test_classification_triangulation():
@@ -186,7 +218,7 @@ def test_type_ii_flagged():
 
 
 def test_annulus_loop_is_loop_algebra():
-    t = one_holed_disc_tiling(2)
+    t = DiscTiling(2, (), holed=True).to_complex()
     assert sorted(t.classify_tiles().values()) == ["I", "III"]
     q, _ = t.algebra()
     assert len(q.arrows) == 1 and q.relations == {("r0_0", "r0_0")}
@@ -200,7 +232,7 @@ def test_annulus_lemma_one_loop():
     # angle count
     instances = 0
     for m in (2, 3, 4, 5):
-        for t in one_holed_disc_tilings(m):
+        for t in holed_complexes(m):
             instances += 1
             types = t.classify_tiles()
             monogons = [fid for fid, k in types.items() if k == "I"]
@@ -224,7 +256,7 @@ def test_annulus_injectivity_and_profiles():
     # intersection vectors and segment profiles both separate compatible
     # multisets on the admissible one-holed-disc instances
     for m in (2, 3, 4):
-        for t in one_holed_disc_tilings(m):
+        for t in holed_complexes(m):
             if not t.admissible():
                 continue
             arcs, _ = t.enumerate_permissible_arcs()
@@ -428,6 +460,15 @@ def test_disc_cells_cover():
     cells = disc_cells(disc)
     assert sorted(len(c) for c in cells) == [3, 3, 3, 3]
     assert any(set(c) == {1, 3, 5} for c in cells)
+
+
+def test_chord_oracle_refuses_a_one_holed_description():
+    # read as the m-gon, the cut pentagon's chord (2, 4) would pass for a
+    # chord of the square, and the loop would go unseen
+    holed = DiscTiling(4, ((2, 4),), holed=True)
+    for oracle in (disc_cells, geometric_disc_arcs):
+        with pytest.raises(ValueError, match="discs only"):
+            oracle(holed)
 
 
 def test_chords_interleave():

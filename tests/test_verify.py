@@ -549,6 +549,33 @@ def _on_cpus(monkeypatch, cpus):
                             lambda pid: set(range(cpus)))
 
 
+def _hold_back(monkeypatch, name, first):
+    """Patch the harness step `verify.<name>` so that, in a forked worker, a
+    call on the family's first member (one whose arguments pass `first`)
+    waits until a call on a later member has finished, so that the other
+    workers reach their faults before it.  The wait is bounded, so a run
+    where no later member finishes cannot hang.  Returns the function that
+    arms a new handshake before each run: an event made before the pool
+    forks is shared with its workers."""
+    from clusterlab import verify
+    step = getattr(verify, name)
+    caller = os.getpid()
+    finished = []  # the armed handshake's event, last
+
+    def held_back(*args):
+        if first(*args):
+            if os.getpid() != caller:
+                finished[-1].wait(10)
+            return step(*args)
+        try:
+            return step(*args)
+        finally:
+            finished[-1].set()
+
+    monkeypatch.setattr(verify, name, held_back)
+    return lambda: finished.append(multiprocessing.get_context("fork").Event())
+
+
 def _wrong_arrow_action(monkeypatch):
     """The wrong action of test_thm2_reports_an_arrow_stability_fault."""
     from clusterlab import modules
@@ -560,22 +587,16 @@ def test_thm2_fanned_out_fault_replays_the_one_cpu_report(monkeypatch):
     # with the wrong action, five of the seven representation-finite
     # algebras at (2, 3) fail their tau step (the A2 path and the 2-cycle
     # with full relations do not).  The first of them, the loop, is held
-    # back, so that the other workers reach the later faults first; the
-    # report still names the first and counts what came before its tau
-    # step, as the one-CPU run does
-    from clusterlab import verify
+    # back in its worker until a later tau step has finished, so that the
+    # other workers reach the later faults first; the report still names
+    # the first and counts what came before its tau step, as the one-CPU
+    # run does
     _wrong_arrow_action(monkeypatch)
-    finite_tau_rigid = verify._finite_tau_rigid
-
-    def held_back(inv):
-        if inv.q.n == 1:
-            time.sleep(0.5)
-        return finite_tau_rigid(inv)
-
-    monkeypatch.setattr(verify, "_finite_tau_rigid", held_back)
+    arm = _hold_back(monkeypatch, "_finite_tau_rigid", lambda inv: inv.q.n == 1)
     reports = {}
     for cpus in (1, 2, 3):
         _on_cpus(monkeypatch, cpus)
+        arm()
         r = verify_thm2(2, 3)
         reports[cpus] = r.verdict, r.counts, r.witnesses
     assert reports[2] == reports[3] == reports[1]
@@ -669,24 +690,17 @@ def _even_cycle_everywhere(monkeypatch):
 def test_thm1_fanned_out_fault_replays_the_one_cpu_report(
         monkeypatch, fault, witness, swept):
     # every tiling of the 4- to 6-gons fails the check; the first, the
-    # square cut by (2, 4), is held back in its worker, so that the workers
-    # of the other classes reach their faults first.  The report still
-    # names the first and counts what came before it, as the one-CPU run
-    # does
-    from clusterlab import verify
+    # square cut by (2, 4), is held back in its worker until a later tiling
+    # has been checked, so that the workers of the other classes reach
+    # their faults first.  The report still names the first and counts
+    # what came before it, as the one-CPU run does
     fault(monkeypatch)
-    tiling_arcs = verify._tiling_arcs
-    caller = os.getpid()
-
-    def held_back(t, *isomorphism):
-        if t.n_points == 4 and os.getpid() != caller:
-            time.sleep(0.5)
-        return tiling_arcs(t, *isomorphism)
-
-    monkeypatch.setattr(verify, "_tiling_arcs", held_back)
+    arm = _hold_back(monkeypatch, "_thm1_tiling",
+                     lambda member, disc, *rest: disc.m == 4)
     reports = {}
     for cpus in (1, 2, 3):
         _on_cpus(monkeypatch, cpus)
+        arm()
         r = verify_thm1(6, 2)
         reports[cpus] = r.verdict, r.counts, r.witnesses
     assert reports[2] == reports[3] == reports[1]
