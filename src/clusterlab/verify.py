@@ -58,6 +58,8 @@ class VerifyReport:
     phases: dict = field(default_factory=dict)
     # cache and reuse counts; how the work was shared, not part of the result
     cache: dict = field(default_factory=dict)
+    # processes the members were checked on; not part of the result either
+    workers: int = 1
 
     def fail(self, witness):
         self.verdict = "fail"
@@ -79,7 +81,7 @@ class VerifyReport:
                 "verdict": self.verdict, "witnesses": self.witnesses,
                 "counts": self.counts, "duration_s": round(self.duration_s, 3),
                 "phases": {k: round(v, 3) for k, v in self.phases.items()},
-                "cache": self.cache,
+                "cache": self.cache, "workers": self.workers,
                 "result_digest": self.result_digest}
 
     def to_json(self):
@@ -172,22 +174,28 @@ def _replay(report, member):
         report.cache[name] += n
 
 
+def _usable_cpus():
+    """The number of CPUs this process may use, or 1 where it cannot tell:
+    where the affinity call is missing (macOS, Windows), so is a safe
+    fork."""
+    return (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+
+
 @contextlib.contextmanager
 def _mapped_in_order(fn, items):
     """Yield an iterator of fn(item) for each item of the list `items`, in
-    order.  It runs in this process when this process may use one CPU or
-    cannot tell, and otherwise on a pool of one forked worker per CPU it may
-    use; forked workers see the program as this process has it.  The items
-    go out in chunks of the size `Pool.map` would choose, four per worker.
+    order.  It runs in this process when `_usable_cpus` reads 1, and
+    otherwise on a pool of one forked worker per CPU; forked workers see
+    the program as this process has it.  The items go out in chunks of the
+    size `Pool.map` would choose, four per worker.
     The pool is closed and joined when the block is left.  When it is left
     by an error, such as a failed check, the workers first finish the items
     they were sent, and their results are dropped: a worker stopped while
     it sends a result would leave the result queue's lock held, and the
     pool's shutdown would wait on that lock for ever.  Only an interrupt
     (an exception that is not an `Exception`) stops the workers at once."""
-    # where the affinity call is missing (macOS, Windows), so is a safe fork
-    workers = (len(os.sched_getaffinity(0))
-               if hasattr(os, "sched_getaffinity") else 1)
+    workers = _usable_cpus()
     if workers == 1:
         yield map(fn, items)
         return
@@ -413,24 +421,26 @@ def _tiling_arcs(t, record, p, name):
 
 
 def _thm1_family(marked_max):
-    """(steps, tasks): verify_thm1's disc tilings, one task per algebra
-    class, and the steps that replay them in the order a loop over the
-    tilings meets them.
+    """(steps, tasks): verify_thm1's disc tilings, one task per group of
+    equal sorted fan sizes, and the steps that replay them in the order a
+    loop over the tilings meets them.
 
     For each polygon in turn the chord sets are enumerated, their number is
     checked against the Kirkman-Cayley count (`_dissection_count`), and
     those with a tile outside types III-V are counted
-    (`_chords_in_taxonomy`).  Each other tiling's complex is built and
-    classified only long enough to take its class key and isomorphism
-    (`_algebra_class`), then dropped.  tasks holds (key, [(disc, p, name)
-    for each of its tilings]) per class, in order of first appearance.
-    steps holds a `_Member` of each polygon's outside_taxonomy count and,
-    for each tiling, the index of its class's task.  A fault met here ends
-    the steps with a `_Member` that carries its witness, after the counts
-    made before it.
+    (`_chords_in_taxonomy`).  The others are grouped by the sorted degrees
+    of their chords' points; nothing is built here.  A fan of d arcs gives a
+    maximal path of d - 1 arrows without relations (two arrows meeting at
+    the two ends of an arc have their angles in one tile), so isomorphic
+    tiling algebras have equal fan sizes, and each algebra class lies inside
+    one group.  tasks holds the discs of each group, in order of first
+    appearance.  steps holds a `_Member` of each polygon's outside_taxonomy
+    count and, for each tiling, the index of its group's task.  A failed
+    dissection count ends the steps with a `_Member` that carries its
+    witness, after the counts made before it.
     """
     steps, tasks = [], []
-    index = {}  # class key -> index of its task
+    index = {}  # sorted fan sizes -> index of their task
     for m in range(4, marked_max + 1):
         kept, found = [], 0
         for found, chords in enumerate(_noncrossing_chord_sets(m), 1):
@@ -444,54 +454,47 @@ def _thm1_family(marked_max):
                 "expected": _dissection_count(m), "found": found}))
             return steps, tasks
         for chords in kept:
-            disc = DiscTiling(m, chords)
-            try:
-                key, p, name = _algebra_class(disc.to_complex().algebra()[0])
-            except WitnessedFault as fault:
-                # met once the tiling is counted, as a loop meets it
-                steps.append(_Member({}, Counter(tilings=1),
-                                     witness=fault.witness))
-                return steps, tasks
-            if key not in index:
-                index[key] = len(tasks)
-                tasks.append((key, []))
-            tasks[index[key]][1].append((disc, p, name))
-            steps.append(index[key])
+            fans = tuple(sorted(Counter(p for c in chords for p in c).values()))
+            if fans not in index:
+                index[fans] = len(tasks)
+                tasks.append([])
+            tasks[index[fans]].append(DiscTiling(m, chords))
+            steps.append(index[fans])
     return steps, tasks
 
 
-def _thm1_class(task, mult_cap):
-    """verify_thm1's checks on the tilings of one algebra class, as a list
-    of one `_Member` per tiling.  The class record (`_class_record`) is
-    built once, on the first tiling; each tiling's complex is built again
-    from its disc and read through its isomorphism (`_thm1_tiling`).  A
-    failed check is recorded, not raised, and ends the list, so that the
+def _thm1_group(discs, mult_cap):
+    """verify_thm1's checks on one group of tilings (`_thm1_family`), as a
+    list of one `_Member` per tiling.  Each tiling is built and classified
+    here, once (`_algebra_class`); the class record (`_class_record`) is
+    built on the first tiling of each class, which no other group meets.
+    A failed check is recorded, not raised, and ends the list, so that the
     list can come back from a worker process."""
-    key, tilings = task
-    members, record = [], None
-    for disc, p, name in tilings:
+    members, records = [], {}
+    for disc in discs:
         member = _Member(dict.fromkeys(("arcs", "multisets"), 0.0),
                          Counter(tilings=1))
         members.append(member)
         try:
-            if record is None:
-                with _phase(member, "arcs"):
-                    record = _class_record(key)
-                member.cache = {"algebra_classes": 1}
-            else:
-                member.cache = {"class_reuses": 1}
-            _thm1_tiling(member, disc, record, p, name, mult_cap)
+            with _phase(member, "arcs"):
+                t = disc.to_complex()
+                key, p, name = _algebra_class(t.algebra()[0])
+                if key in records:
+                    member.cache = {"class_reuses": 1}
+                else:
+                    records[key] = _class_record(key)
+                    member.cache = {"algebra_classes": 1}
+            _thm1_tiling(member, disc, t, records[key], p, name, mult_cap)
         except WitnessedFault as fault:
             member.witness = fault.witness
             break
     return members
 
 
-def _thm1_tiling(member, disc, record, p, name, mult_cap):
-    """verify_thm1's checks on one disc tiling, counted into `member`; its
-    converse witness, if any, is `member.found`."""
+def _thm1_tiling(member, disc, t, record, p, name, mult_cap):
+    """verify_thm1's checks on one disc tiling and its complex t, counted
+    into `member`; its converse witness, if any, is `member.found`."""
     with _phase(member, "arcs"):
-        t = disc.to_complex()
         arcs, clashes = _tiling_arcs(t, record, p, name)
         _dual_path_check(disc, arcs, clashes)
         admissible = t.admissible()
@@ -569,34 +572,35 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
     sweep extends it, both packed in one int per multiset (see
     `_arc_weights`); neither is recomputed.
 
-    The tilings are grouped by algebra class (`_thm1_family`), and the
-    classes are checked one by one (`_thm1_class`), on every CPU the
-    process may use.  Their records are read back in the order of the
-    tilings; at the first failed check the counts are those made up to it,
-    as if the tilings had been checked in turn.
+    The tilings are grouped by fan sizes (`_thm1_family`), and the groups
+    are checked one by one (`_thm1_group`), on every CPU the process may
+    use.  Their records are read back in the order of the tilings; at the
+    first failed check the counts are those made up to it, as if the
+    tilings had been checked in turn.
 
-    Phases: `tilings` (chord sets, the taxonomy test, maps, their
-    classification and class keys), `arcs` (per-class strings, each
-    tiling's map built again, its arcs, the chord oracle and the
-    forbidden-tile cross-check) and `multisets` (the sweep over the arcs'
-    clash masks).  `arcs` and `multisets` are seconds summed over the
-    tilings, and can exceed the call's duration.
+    Phases: `tilings` (chord sets, the taxonomy test and the grouping),
+    `arcs` (each tiling's map, its classification, the class records, the
+    arcs, the chord oracle and the forbidden-tile cross-check) and
+    `multisets` (the sweep over the arcs' clash masks).  `arcs` and
+    `multisets` are seconds summed over the tilings, and can exceed the
+    call's duration.
     """
     counts = report.counts = dict.fromkeys(
         ("tilings", "outside_taxonomy", "admissible", "forbidden",
          "multisets", "converse_witnesses"), 0)
     report.cache = {"algebra_classes": 0, "class_reuses": 0}
+    report.workers = _usable_cpus()
     converse_found = []
     with _phase(report, "tilings"):
         steps, tasks = _thm1_family(marked_max)
-    check = functools.partial(_thm1_class, mult_cap=mult_cap)
+    check = functools.partial(_thm1_group, mult_cap=mult_cap)
     with _mapped_in_order(check, tasks) as done:
-        classes = []  # per task, an iterator over its members
+        groups = []  # per task, an iterator over its members
         for step in steps:
             if isinstance(step, int):  # a tiling of task `step`
-                while len(classes) <= step:
-                    classes.append(iter(next(done)))
-                step = next(classes[step])
+                while len(groups) <= step:
+                    groups.append(iter(next(done)))
+                step = next(groups[step])
             _replay(report, step)
             if step.found is not None:
                 converse_found.append(step.found)
@@ -872,6 +876,7 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
         "representation_infinite_skipped": 0, "with_even_cycle": 0,
         "without_even_cycle": 0, "max_multiplicity_needed": 0}
     report.cache = {"tau_hits": 0, "tau_misses": 0}
+    report.workers = _usable_cpus()
     check = functools.partial(_thm2_member, mult_cap=mult_cap)
     with _mapped_in_order(check, algebras) as members:
         for member in members:

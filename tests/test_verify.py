@@ -32,7 +32,7 @@ from clusterlab.verify import (
     _canonical_bound_quiver, _class_arrow, _class_quiver, _class_record,
     _compatible_multisets, _connected, _dual_path_check, _field_width,
     _isomorphisms, _least_arrow_list, _pack, _relabelling,
-    _relation_choices, _tiling_arcs, _unpack,
+    _relation_choices, _thm1_family, _tiling_arcs, _unpack,
     enumerate_gentle_algebras, verify_denominator,
     verify_denominator_duality, verify_fvector_injectivity, verify_thm1,
     verify_thm2, verify_type_c_categorification, write_report,
@@ -291,6 +291,38 @@ def test_thm1_asks_each_class_pair_once(monkeypatch):
     assert len(records) == 39
     assert len(asked) == sum(len(words) * (len(words) - 1) // 2
                              for words, _ in records)
+
+
+def test_thm1_builds_each_tiling_once(monkeypatch):
+    # each of the 252 tilings at (8, 3) is built in the one process that
+    # checks and classifies it; the caller that groups them builds none
+    from clusterlab import tiling
+    _on_cpus(monkeypatch, 1)
+    built = []
+    real = tiling.DiscTiling.to_complex
+
+    def to_complex(disc):
+        built.append(disc)
+        return real(disc)
+
+    monkeypatch.setattr(tiling.DiscTiling, "to_complex", to_complex)
+    assert verify_thm1(8, 3).result_digest == THM1_DIGEST_8_3
+    assert len(built) == 252
+
+
+def test_fan_size_groups_never_split_an_algebra_class():
+    # verify_thm1 checks each group of equal sorted fan sizes in one task,
+    # and builds a class record once per task that meets its class; a fan
+    # is a maximal relation-free path of the tiling algebra, so each class
+    # lies inside one group
+    _, tasks = _thm1_family(9)
+    group_of = {}  # class key -> the groups that hold its tilings
+    for g, discs in enumerate(tasks):
+        for disc in discs:
+            key, _, _ = _algebra_class(disc.to_complex().algebra()[0])
+            group_of.setdefault(key, set()).add(g)
+    assert all(len(groups) == 1 for groups in group_of.values())
+    assert (sum(map(len, tasks)), len(group_of), len(tasks)) == (951, 118, 35)
 
 
 @functools.cache
@@ -657,6 +689,19 @@ def test_thm1_fanned_out_report_equals_the_one_cpu_report(monkeypatch):
         assert r.cache == {"algebra_classes": 39, "class_reuses": 213}
 
 
+def test_reports_count_their_workers(monkeypatch):
+    # one per CPU the fanned-out harnesses may use, and one where they
+    # cannot tell; outside the digest, as the cache counts are
+    for cpus, workers in ((1, 1), (2, 2), (None, 1)):
+        _on_cpus(monkeypatch, cpus)
+        for r in (verify_thm1(5, 2), verify_thm2(2, 3)):
+            assert r.workers == r.to_dict()["workers"] == workers
+    assert VerifyReport("demo", {}).workers == 1
+    res = CliRunner().invoke(main, ["verify", "thm1", "--marked-max", "5",
+                                    "--mult-cap", "2"])
+    assert res.exit_code == 0 and "workers: 1" in res.output.splitlines()
+
+
 def _masked_profiles(monkeypatch):
     """Drop the segment profiles from thm1's sweep weights, so that the
     empty multiset and the next one share a profile."""
@@ -727,6 +772,30 @@ def test_thm1_checks_the_dissection_count(monkeypatch):
                                 "expected": 45, "found": 44}]
         assert r.counts == {
             "tilings": 7, "outside_taxonomy": 7 + 31, "admissible": 7,
+            "forbidden": 0, "multisets": 51, "converse_witnesses": 0}
+
+
+def test_thm1_reports_a_classification_fault_on_its_tiling(monkeypatch):
+    # classifying the hexagon's first tiling with three arcs fails: the
+    # report names that tiling's fault once it is counted, after the square's
+    # and the pentagon's tilings and the hexagon's 31 chord sets outside the
+    # taxonomy, whether the group's task ran here or in a worker
+    from clusterlab import verify
+    real = verify._algebra_class
+
+    def classify(q):
+        if q.n == 3:
+            raise WitnessedFault({"check": "planted", "arrows": len(q.arrows)})
+        return real(q)
+
+    monkeypatch.setattr(verify, "_algebra_class", classify)
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        r = verify_thm1(6, 2)
+        assert (r.verdict, r.witnesses) == (
+            "fail", [{"check": "planted", "arrows": 2}])
+        assert r.counts == {
+            "tilings": 8, "outside_taxonomy": 7 + 31, "admissible": 7,
             "forbidden": 0, "multisets": 51, "converse_witnesses": 0}
 
 
