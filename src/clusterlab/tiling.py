@@ -640,12 +640,3 @@ def geometric_disc_arcs(disc: DiscTiling):
             out.append({"endpoints": (p, q), "vector": vec,
                         "p2": tuple(p2), "p1": tuple(p1)})
     return out
-
-
-def annulus_digon_tiling():
-    """Four marked points on the outer boundary, two parallel arcs around
-    the hole bounding a type II digon: the face left of cL's traversal
-    from point 0 to point 2."""
-    arcs = [("cL", 0, 2), ("cR", 0, 2)]
-    fans = {0: [("cL", 0), ("cR", 0)], 1: [], 2: [("cR", 1), ("cL", 1)], 3: []}
-    return TilingComplex(4, [[0, 1, 2, 3]], arcs, fans, holes={("cL", 0): 1})

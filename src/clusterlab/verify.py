@@ -16,6 +16,9 @@ exactly that check's witness.  thm1's converse record is not a failure;
 the body appends it to the witnesses itself.  There is no third verdict: a
 string listing that its length cap cuts short is a fault
 (`_finite_tau_rigid`).
+
+thm1 and thm2 fan out over every CPU the process may use by one path:
+tasks record their members (`_recorded`), replayed in order (`_replayed`).
 """
 
 from __future__ import annotations
@@ -147,31 +150,64 @@ def _harness(experiment, *phases):
 @dataclass
 class _Member:
     """One family member's share of a harness report, recorded where the
-    member was checked, which may be a worker process: its phase seconds;
-    the counts it raised, by name; its cache counts; what it found for the
-    harness to read (thm2's least collision multiplicity, thm1's converse
-    witness); and the witness of its failed check, or None.  A failed
-    member counted nothing after the check that failed and has no cache
-    counts."""
-    phases: dict
+    member was checked, which may be a worker process: its phase seconds
+    and the counts it raised, by name; its cache counts; what it found for
+    the harness to read (thm2's collision multiplicity, thm1's converse
+    witness), or None; and the witness of its failed check, or None.  A
+    failed member counted nothing after the check that failed and has no
+    cache counts."""
+    phases: Counter = field(default_factory=Counter)
     counted: Counter = field(default_factory=Counter)
     cache: dict = field(default_factory=dict)
     found: object = None
     witness: dict | None = None
 
 
-def _replay(report, member):
-    """Add the member's counts and phase seconds to the report, then raise
-    its failed check or add its cache counts: read in the family's order,
-    the members give the report that checking them in turn gives."""
-    for name, n in member.counted.items():
-        report.counts[name] += n
-    for name, seconds in member.phases.items():
-        report.phases[name] += seconds
-    if member.witness is not None:
-        raise WitnessedFault(member.witness)
-    for name, n in member.cache.items():
-        report.cache[name] += n
+def _recorded(check, items, *args):
+    """One `_Member` per item, filled by `check(member, item, *args)`.  A
+    failed check is recorded on its member, not raised, and ends the list,
+    so that the list can come back from a worker process."""
+    members = []
+    for item in items:
+        members.append(_Member())
+        try:
+            check(members[-1], item, *args)
+        except WitnessedFault as fault:
+            members[-1].witness = fault.witness
+            break
+    return members
+
+
+def _replayed(report, check, tasks, steps):
+    """Yield the members of `steps` in turn, each replayed into the report.
+    A step is a `_Member`, or the index of the task whose next member comes
+    there, the tasks being mapped by `check` (`_mapped_in_order`).  A
+    member adds its counts and phase seconds, then raises its failed check
+    or adds its cache counts.  So the report, a failed one included, is the
+    one that checking the members in turn gives, on any number of CPUs,
+    and its phases are seconds summed over the members, which can exceed
+    the call's duration.  A reader that stops early leaves the pool as a
+    failed check does, not as an interrupt."""
+    report.workers = _usable_cpus()
+    with _mapped_in_order(check, tasks) as done:
+        started = []  # per task, an iterator over its members
+        for step in steps:
+            if isinstance(step, int):
+                while len(started) <= step:
+                    started.append(iter(next(done)))
+                step = next(started[step])
+            for name, n in step.counted.items():
+                report.counts[name] += n
+            for name, seconds in step.phases.items():
+                report.phases[name] += seconds
+            if step.witness is not None:
+                raise WitnessedFault(step.witness)
+            for name, n in step.cache.items():
+                report.cache[name] += n
+            try:
+                yield step
+            except GeneratorExit:
+                break
 
 
 def _usable_cpus():
@@ -363,20 +399,24 @@ def _finite_tau_rigid(inv):
     return rigid
 
 
+def _clash_mask(inv, words, i):
+    """The int whose bit j is set when words j < i are not compatible in
+    the inventory, asked in order of j."""
+    return sum(1 << j for j in range(i)
+               if not inv.compatible(words[i], words[j]))
+
+
 def _class_record(key):
     """(rigid words, clash masks) of the class quiver.
 
-    The words are `_finite_tau_rigid`'s; bit j of clashes[i] is set when
-    words j < i are not compatible.  Every such pair is asked here, once per
-    class, and the inventory is dropped: one int per word is all that the
-    class's tilings read later (`_tiling_arcs`).
+    The words are `_finite_tau_rigid`'s, and the masks their `_clash_mask`s.
+    Every pair is asked here, once per class, and the inventory is dropped:
+    one int per word is all that the class's tilings read later
+    (`_tiling_arcs`).
     """
     inv = StringInventory(_class_quiver(key))
     words = [w for w, _ in _finite_tau_rigid(inv)]
-    clashes = [sum(1 << j for j in range(i)
-                   if not inv.compatible(w, words[j]))
-               for i, w in enumerate(words)]
-    return words, clashes
+    return words, [_clash_mask(inv, words, i) for i in range(len(words))]
 
 
 def _tiling_arcs(t, record, p, name):
@@ -435,9 +475,9 @@ def _thm1_family(marked_max):
     tiling algebras have equal fan sizes, and each algebra class lies inside
     one group.  tasks holds the discs of each group, in order of first
     appearance.  steps holds a `_Member` of each polygon's outside_taxonomy
-    count and, for each tiling, the index of its group's task.  A failed
-    dissection count ends the steps with a `_Member` that carries its
-    witness, after the counts made before it.
+    count and, for each tiling, the index of its group's task
+    (`_replayed`).  A failed dissection count ends the steps with a
+    `_Member` that carries its witness, after the counts made before it.
     """
     steps, tasks = [], []
     index = {}  # sorted fan sizes -> index of their task
@@ -446,10 +486,10 @@ def _thm1_family(marked_max):
         for found, chords in enumerate(_noncrossing_chord_sets(m), 1):
             if _chords_in_taxonomy(m, chords):
                 kept.append(chords)
-        steps.append(_Member({}, Counter(
+        steps.append(_Member(counted=Counter(
             outside_taxonomy=found - len(kept))))
         if found != _dissection_count(m):
-            steps.append(_Member({}, witness={
+            steps.append(_Member(witness={
                 "check": "dissection count", "m": m,
                 "expected": _dissection_count(m), "found": found}))
             return steps, tasks
@@ -464,38 +504,27 @@ def _thm1_family(marked_max):
 
 
 def _thm1_group(discs, mult_cap):
-    """verify_thm1's checks on one group of tilings (`_thm1_family`), as a
-    list of one `_Member` per tiling.  Each tiling is built and classified
-    here, once (`_algebra_class`); the class record (`_class_record`) is
-    built on the first tiling of each class, which no other group meets.
-    A failed check is recorded, not raised, and ends the list, so that the
-    list can come back from a worker process."""
-    members, records = [], {}
-    for disc in discs:
-        member = _Member(dict.fromkeys(("arcs", "multisets"), 0.0),
-                         Counter(tilings=1))
-        members.append(member)
-        try:
-            with _phase(member, "arcs"):
-                t = disc.to_complex()
-                key, p, name = _algebra_class(t.algebra()[0])
-                if key in records:
-                    member.cache = {"class_reuses": 1}
-                else:
-                    records[key] = _class_record(key)
-                    member.cache = {"algebra_classes": 1}
-            _thm1_tiling(member, disc, t, records[key], p, name, mult_cap)
-        except WitnessedFault as fault:
-            member.witness = fault.witness
-            break
-    return members
+    """verify_thm1's task: the `_Member`s of one group of tilings
+    (`_thm1_family`), whose class records no other group needs."""
+    return _recorded(_thm1_tiling, discs, {}, mult_cap)
 
 
-def _thm1_tiling(member, disc, t, record, p, name, mult_cap):
-    """verify_thm1's checks on one disc tiling and its complex t, counted
-    into `member`; its converse witness, if any, is `member.found`."""
+def _thm1_tiling(member, disc, records, mult_cap):
+    """verify_thm1's checks on one disc tiling, counted into `member`; its
+    converse witness, if any, is `member.found`.  The tiling is built and
+    classified here, once (`_algebra_class`), and the record of its class
+    (`_class_record`) is built on the first tiling of the class and kept
+    in `records`, by class key."""
+    member.counted["tilings"] += 1
     with _phase(member, "arcs"):
-        arcs, clashes = _tiling_arcs(t, record, p, name)
+        t = disc.to_complex()
+        key, p, name = _algebra_class(t.algebra()[0])
+        if key in records:
+            member.cache = {"class_reuses": 1}
+        else:
+            records[key] = _class_record(key)
+            member.cache = {"algebra_classes": 1}
+        arcs, clashes = _tiling_arcs(t, records[key], p, name)
         _dual_path_check(disc, arcs, clashes)
         admissible = t.admissible()
         cycle = detect_even_full_cycle(t.algebra()[0])
@@ -572,38 +601,23 @@ def verify_thm1(report, marked_max=8, mult_cap=3):
     sweep extends it, both packed in one int per multiset (see
     `_arc_weights`); neither is recomputed.
 
-    The tilings are grouped by fan sizes (`_thm1_family`), and the groups
-    are checked one by one (`_thm1_group`), on every CPU the process may
-    use.  Their records are read back in the order of the tilings; at the
-    first failed check the counts are those made up to it, as if the
-    tilings had been checked in turn.
+    The tilings are grouped by fan sizes (`_thm1_family`), one task per
+    group (`_thm1_group`), and replayed in their order (`_replayed`).
 
     Phases: `tilings` (chord sets, the taxonomy test and the grouping),
     `arcs` (each tiling's map, its classification, the class records, the
     arcs, the chord oracle and the forbidden-tile cross-check) and
-    `multisets` (the sweep over the arcs' clash masks).  `arcs` and
-    `multisets` are seconds summed over the tilings, and can exceed the
-    call's duration.
+    `multisets` (the sweep over the arcs' clash masks).
     """
-    counts = report.counts = dict.fromkeys(
+    report.counts = dict.fromkeys(
         ("tilings", "outside_taxonomy", "admissible", "forbidden",
          "multisets", "converse_witnesses"), 0)
     report.cache = {"algebra_classes": 0, "class_reuses": 0}
-    report.workers = _usable_cpus()
-    converse_found = []
     with _phase(report, "tilings"):
         steps, tasks = _thm1_family(marked_max)
     check = functools.partial(_thm1_group, mult_cap=mult_cap)
-    with _mapped_in_order(check, tasks) as done:
-        groups = []  # per task, an iterator over its members
-        for step in steps:
-            if isinstance(step, int):  # a tiling of task `step`
-                while len(groups) <= step:
-                    groups.append(iter(next(done)))
-                step = next(groups[step])
-            _replay(report, step)
-            if step.found is not None:
-                converse_found.append(step.found)
+    converse_found = [member.found for member in
+                      _replayed(report, check, tasks, steps) if member.found]
     if converse_found:
         report.witnesses.append({"converse": converse_found[0]})
     octagon_square = any(w["tiling"] == (8, ((1, 3), (1, 7), (3, 5), (5, 7)))
@@ -784,14 +798,12 @@ def _rigid_multisets(rigid, inv, cap):
     """(width, sweep): `_compatible_multisets` over the tau-rigid strings
     `rigid` of the inventory up to total multiplicity `cap`, their
     dimension vectors packed `width` bits a field (`_pack`).  Each string's
-    clash mask is built from the inventory's compatibility when the sweep
-    reaches it, so a sweep that stops early asks no further Hom
-    questions."""
+    `_clash_mask` is built when the sweep reaches it, so a sweep that stops
+    early asks no further Hom questions."""
     words = [w for w, _ in rigid]
     width = _field_width([d for _, d in rigid], cap)
     return width, _compatible_multisets(
-        lambda i: sum(1 << j for j in range(i)
-                      if not inv.compatible(words[i], words[j])),
+        functools.partial(_clash_mask, inv, words),
         [_pack(d, width) for _, d in rigid], cap)
 
 
@@ -809,51 +821,45 @@ def _dim_collision(rigid, inv, cap):
     return None
 
 
-def _thm2_member(q, mult_cap):
-    """verify_thm2's checks on the bound quiver q, as a `_Member` whose
-    `found` is the least multiplicity of its collision (0 when it looked
-    for none).  A failed check ends them and is recorded, not raised, so
-    that the record can come back from a worker process."""
-    member = _Member(dict.fromkeys(("tau", "collisions"), 0.0), found=0)
-    try:
-        acyclic, _ = letter_graph_acyclic(q)
-        if not acyclic:
-            member.counted["representation_infinite_skipped"] += 1
-            return member
-        member.counted["representation_finite"] += 1
-        cycle = detect_even_full_cycle(q)
-        _, det = cartan_matrix(q)
-        if (det == 0) != (cycle is not None):
-            raise WitnessedFault({"check": "cartan-determinant",
-                                  "quiver": q.to_json(), "det": det,
-                                  "even_cycle": cycle})
-        with _phase(member, "tau"):
-            inv = StringInventory(q)
-            rigid = _finite_tau_rigid(inv)
-        if cycle is None:
-            member.counted["without_even_cycle"] += 1
-            with _phase(member, "collisions"):
-                coll = _dim_collision(rigid, inv, mult_cap)
-            if coll is not None:
-                raise WitnessedFault({
-                    "check": "injectivity broken without even cycle",
-                    "quiver": q.to_json(), "vector": coll[2]})
-        else:
-            member.counted["with_even_cycle"] += 1
-            with _phase(member, "collisions"):
-                for cap in range(2, max(mult_cap, q.n + 2) + 1):
-                    if _dim_collision(rigid, inv, cap) is not None:
-                        member.found = cap
-                        break
-            if not member.found:
-                raise WitnessedFault({
-                    "check": "no collision despite even cycle",
-                    "quiver": q.to_json()})
-        member.cache = {"tau_hits": inv.tau_hits,
-                        "tau_misses": inv.tau_misses}
-    except WitnessedFault as fault:
-        member.witness = fault.witness
-    return member
+def _thm2_algebra(member, q, mult_cap):
+    """verify_thm2's checks on the bound quiver q, counted into `member`.
+    On an algebra with an even cycle, `member.found` is the least total
+    multiplicity from 2 up at which its tau-rigid modules collide; 1 is not
+    tried, so a collision of two single modules reads 2."""
+    acyclic, _ = letter_graph_acyclic(q)
+    if not acyclic:
+        member.counted["representation_infinite_skipped"] += 1
+        return
+    member.counted["representation_finite"] += 1
+    cycle = detect_even_full_cycle(q)
+    _, det = cartan_matrix(q)
+    if (det == 0) != (cycle is not None):
+        raise WitnessedFault({"check": "cartan-determinant",
+                              "quiver": q.to_json(), "det": det,
+                              "even_cycle": cycle})
+    with _phase(member, "tau"):
+        inv = StringInventory(q)
+        rigid = _finite_tau_rigid(inv)
+    if cycle is None:
+        member.counted["without_even_cycle"] += 1
+        with _phase(member, "collisions"):
+            coll = _dim_collision(rigid, inv, mult_cap)
+        if coll is not None:
+            raise WitnessedFault({
+                "check": "injectivity broken without even cycle",
+                "quiver": q.to_json(), "vector": coll[2]})
+    else:
+        member.counted["with_even_cycle"] += 1
+        with _phase(member, "collisions"):
+            for cap in range(2, max(mult_cap, q.n + 2) + 1):
+                if _dim_collision(rigid, inv, cap) is not None:
+                    member.found = cap
+                    break
+        if member.found is None:
+            raise WitnessedFault({
+                "check": "no collision despite even cycle",
+                "quiver": q.to_json()})
+    member.cache = {"tau_hits": inv.tau_hits, "tau_misses": inv.tau_misses}
 
 
 @_harness("thm2-dimension-dichotomy", "enumerate", "tau", "collisions")
@@ -863,12 +869,9 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
     `collisions` phase includes the Hom computations of the compatibility
     tests.
 
-    The algebras are checked one by one (`_thm2_member`), on every CPU the
-    process may use, and their records are read back in enumeration order;
-    at the first failed check the counts are those made up to it, as if the
-    algebras had been checked in turn.  So the `tau` and `collisions`
-    phases are seconds summed over the algebras, and can exceed the call's
-    duration."""
+    Each algebra is one task (`_thm2_algebra`), replayed in enumeration
+    order (`_replayed`).  `max_multiplicity_needed` is the largest
+    `found` of the algebras with an even cycle, and 0 without one."""
     with _phase(report, "enumerate"):
         algebras = enumerate_gentle_algebras(vertex_max, arrow_max)
     counts = report.counts = {
@@ -876,11 +879,11 @@ def verify_thm2(report, vertex_max=4, arrow_max=6, mult_cap=3):
         "representation_infinite_skipped": 0, "with_even_cycle": 0,
         "without_even_cycle": 0, "max_multiplicity_needed": 0}
     report.cache = {"tau_hits": 0, "tau_misses": 0}
-    report.workers = _usable_cpus()
-    check = functools.partial(_thm2_member, mult_cap=mult_cap)
-    with _mapped_in_order(check, algebras) as members:
-        for member in members:
-            _replay(report, member)
+    check = functools.partial(
+        _recorded, functools.partial(_thm2_algebra, mult_cap=mult_cap))
+    for member in _replayed(report, check, [[q] for q in algebras],
+                            range(len(algebras))):
+        if member.found:
             counts["max_multiplicity_needed"] = max(
                 counts["max_multiplicity_needed"], member.found)
 

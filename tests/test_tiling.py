@@ -13,12 +13,21 @@ from clusterlab.quiver import check_gentle, detect_even_full_cycle
 from clusterlab.tiling import (
     ArcMultiset, DiscTiling, PermissibleArc, TilingComplex,
     _cell_edges, _chords_in_taxonomy, _crossing_sequence,
-    _noncrossing_chord_sets, annulus_digon_tiling,
+    _noncrossing_chord_sets,
     _dissection_count, b_matrix_from_triangulation, chords_interleave,
     disc_cells, disc_tilings, geometric_disc_arcs, seg_profile,
 )
 from clusterlab.verify import (_compatible_multisets, _field_width, _pack,
                                _unpack)
+
+
+def annulus_digon_tiling():
+    """Four marked points on the outer boundary, two parallel arcs around
+    the hole bounding a type II digon: the face left of cL's traversal
+    from point 0 to point 2."""
+    arcs = [("cL", 0, 2), ("cR", 0, 2)]
+    fans = {0: [("cL", 0), ("cR", 0)], 1: [], 2: [("cR", 1), ("cL", 1)], 3: []}
+    return TilingComplex(4, [[0, 1, 2, 3]], arcs, fans, holes={("cL", 0): 1})
 
 
 def complex_of(m, chords):

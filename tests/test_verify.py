@@ -643,6 +643,55 @@ def test_thm2_fanned_out_fault_replays_the_one_cpu_report(monkeypatch):
         "without_even_cycle": 0, "max_multiplicity_needed": 0}
 
 
+def test_a_failed_thm2_report_keeps_what_it_replayed_before_the_fault(
+        monkeypatch):
+    # a Cartan determinant of 1 on the 3-arrow algebras whose determinant
+    # is 0 fails the 2-cycle with a loop at (2, 3), after the first algebra
+    # with an even cycle; its collision multiplicity is replayed into the
+    # report before the fault is, on every path
+    from clusterlab import verify
+    real = verify.cartan_matrix
+
+    def cartan(q):
+        c, det = real(q)
+        return (c, 1) if len(q.arrows) == 3 and det == 0 else (c, det)
+
+    monkeypatch.setattr(verify, "cartan_matrix", cartan)
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        r = verify_thm2(2, 3)
+        assert r.verdict == "fail"
+        (witness,) = r.witnesses
+        assert (witness["check"], witness["det"]) == ("cartan-determinant", 1)
+        assert json.loads(witness["quiver"])["relations"] == [
+            ["a0_1_0", "a1_0_0"], ["a1_0_0", "a0_1_0"], ["a1_1_0", "a1_1_0"]]
+        assert r.counts == {
+            "algebras": 23, "representation_finite": 7,
+            "representation_infinite_skipped": 9, "with_even_cycle": 1,
+            "without_even_cycle": 5, "max_multiplicity_needed": 2}
+
+
+def _sleep(member, seconds):
+    time.sleep(seconds)
+
+
+def test_a_replay_read_in_part_lets_the_workers_finish(monkeypatch):
+    # a harness that stops reading its replay closes it; the pool then lets
+    # its workers finish the items they were sent, as after a failed check,
+    # for only an interrupt stops them at once
+    from clusterlab.verify import _recorded, _replayed
+    _on_cpus(monkeypatch, 2)
+    report = VerifyReport("demo", {})
+    start = time.perf_counter()
+    replay = _replayed(report, functools.partial(_recorded, _sleep),
+                       [[0.0], [1.0]], [0, 1])
+    next(replay)
+    replay.close()
+    assert time.perf_counter() - start >= 1.0
+    assert report.workers == 2
+    assert multiprocessing.active_children() == []
+
+
 def test_thm2_fanned_out_report_equals_the_one_cpu_report(monkeypatch):
     # every translate is still computed, once per algebra that asks for it;
     # a family without members passes on every path
