@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotSkewSymmetrizableError
 from .laurent import LaurentPoly, divide_exact, product
@@ -53,13 +53,9 @@ def find_skew_symmetrizer(b):
                     s[j] = -s[i] * b[i][j] / Fraction(b[j][i])
                     stack.append(j)
         # clear the component's denominators, then reduce it by its gcd
-        denoms = 1
-        for i in members:
-            denoms = denoms * s[i].denominator // gcd(denoms, s[i].denominator)
+        denoms = lcm(*(s[i].denominator for i in members))
         vals = [int(s[i] * denoms) for i in members]
-        g = 0
-        for v in vals:
-            g = gcd(g, v)
+        g = gcd(*vals)
         for i, v in zip(members, vals):
             out[i] = v // g
     for i in range(n):
@@ -173,13 +169,9 @@ def langlands_dual(m: ExchangeMatrix) -> ExchangeMatrix:
 
 def dual_symmetrizer(s):
     """Minimal skew-symmetrizer of B^v given one of B: proportional to 1/s_i."""
-    lcm = 1
-    for v in s:
-        lcm = lcm * v // gcd(lcm, v)
-    vals = [lcm // v for v in s]
-    g = 0
-    for v in vals:
-        g = gcd(g, v)
+    m = lcm(*s)
+    vals = [m // v for v in s]
+    g = gcd(*vals)
     return tuple(v // g for v in vals)
 
 

@@ -49,12 +49,6 @@ class ExchangeGraph:
     variables: list = field(default_factory=list)  # id -> VariableInfo
     reps: list = field(default_factory=list)       # one TrackedSeed per vertex
 
-    @property
-    def edges(self):
-        """The frozenset({v, w}) pairs, w != v, with (v, k) -> w."""
-        return {frozenset({v, w}) for v, targets in enumerate(self.reached)
-                for w in targets if w != v}
-
 
 def explore(matrix: ExchangeMatrix, max_seeds: int = 100000) -> ExchangeGraph:
     """Breadth-first closure of the seed pattern under all n mutations.

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from .errors import WitnessedFault
 from .exchange import (ExchangeMatrix, Seed, dual_symmetrizer, mutate_row,
                        mutate_seed, split_signs)
-from .laurent import LaurentPoly, product
 
 
 @dataclass(frozen=True)
@@ -148,11 +147,6 @@ class ClusterMonomial:
             raise ValueError("exponents must be nonnegative")
         if not any(self.exponents):
             raise ValueError("at least one exponent must be positive")
-
-    def value(self) -> LaurentPoly:
-        return product(self.vertex.n, [
-            p ** e for p, e in zip(self.vertex.seed.cluster, self.exponents)
-            if e])
 
 
 def vectors_of_factors(n, factors):

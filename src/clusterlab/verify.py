@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import WitnessedFault
+from .exchange import langlands_dual
 from .explore import (_compatible_multisets, enumerate_monomials, explore,
                       monomial_vectors, standard_matrix)
 from .modules import StringInventory, enumerate_tau_rigid, string_order
@@ -904,6 +905,35 @@ def _relabelling(matrix):
                for p in itertools.permutations(range(len(b))))
 
 
+def _class_table(report):
+    """`value(matrix, compute) -> (value, m, reused)`, the cluster harnesses'
+    per-call table of exchange matrices up to `_relabelling`.
+
+    Renumbering the vertices carries every vector over coordinate for
+    coordinate, so only the first matrix of a class runs `compute()`; the
+    table keeps what it returns (a count or vectors, never a graph) and
+    hands it to every later matrix of the class with `reused` true.  Vertex
+    v of `matrix` is vertex m[v] of that first matrix.  Cache counts:
+    `matrix_classes`, the classes whose `compute` returned, and
+    `class_reuses`, the matrices answered from the table.
+    """
+    report.cache = {"matrix_classes": 0, "class_reuses": 0}
+    table = {}  # relabelling key -> (order, value) of its first matrix
+
+    def value(matrix, compute):
+        key, p = _relabelling(matrix)
+        reused = key in table
+        if reused:
+            report.cache["class_reuses"] += 1
+        else:
+            table[key] = p, compute()
+            report.cache["matrix_classes"] += 1
+        p0, stored = table[key]
+        # vertex p[i] of `matrix` and vertex p0[i] of the first share key row i
+        return stored, tuple(w for _, w in sorted(zip(p, p0))), reused
+    return value
+
+
 def _check_injectivity(graph, degree_cap, kind, where, counts, name):
     """Check that no two monomials of degree <= degree_cap have equal `kind`
     vectors ("d" or "fbar"), adding each to counts[name] as it is reached;
@@ -929,33 +959,23 @@ def verify_fvector_injectivity(report, rank_max=3, degree_cap=3):
     """Modified f-vectors separate cluster monomials in type A; intersection
     vectors of polygon arcs match the f-vectors of their cluster variables.
 
-    The f-vectors depend only on the exchange matrix, and renumbering its
-    vertices carries them over coordinate for coordinate, so one matrix of
-    each `_relabelling` class is explored per call: a later matrix of the
-    class reads the first one's f-vectors through the two vertex orders.
-    The `monomials` graphs of A_n come first, and the triangulations of
-    the (n + 3)-gon whose matrices are a relabelled A_n read them.  The
-    arcs are still enumerated for every triangulation.  Cache counts:
-    `matrix_classes` explored, and `class_reuses`, the triangulations
-    answered from a class already explored.  Phases: `monomials`, timed
-    once per rank, and `triangulations`, once per polygon.
+    The arcs are enumerated for every triangulation, and the f-vectors
+    are read through `_class_table`: the `monomials` graphs of A_n come
+    first, and a triangulation of the (n + 3)-gon whose matrix is a
+    relabelled A_n reads theirs.  Phases: `monomials`, timed once per rank,
+    and `triangulations`, once per polygon.
     """
-    report.cache = {"matrix_classes": 0, "class_reuses": 0}
-    orders = {}  # matrix -> its _relabelling
-    # relabelling key -> (order, non-initial f-vectors) of its first matrix
-    f_vectors = {}
+    classes = _class_table(report)
 
-    def explored(key, p, graph):
-        f_vectors[key] = p, [
-            info.f for info in graph.variables if not info.initial]
-        report.cache["matrix_classes"] += 1
+    def f_vectors(graph):
+        return [info.f for info in graph.variables if not info.initial]
 
     for n in range(2, rank_max + 1):
         where = f"A{n}"
         with _phase(report, "monomials"):
             base = standard_matrix("A", n)
             graph = explore(base)
-            explored(*_relabelling(base), graph)
+            classes(base, lambda: f_vectors(graph))
             _check_injectivity(graph, degree_cap, "fbar", where,
                                report.counts, f"{where}_monomials")
         # initial fbar vectors are the d-vectors -e_k, so no non-initial
@@ -975,16 +995,7 @@ def verify_fvector_injectivity(report, rank_max=3, degree_cap=3):
                     continue
                 t = disc.to_complex()
                 b = b_matrix_from_triangulation(t)
-                if b not in orders:
-                    orders[b] = _relabelling(b)
-                key, p = orders[b]
-                if key in f_vectors:
-                    report.cache["class_reuses"] += 1
-                else:
-                    explored(key, p, explore(b))
-                p0, fs = f_vectors[key]
-                # coordinate p0[i] of the class's first matrix is p[i] of b
-                source = [p0[p.index(v)] for v in range(len(p))]
+                fs, source, _ = classes(b, lambda: f_vectors(explore(b)))
                 fvecs = sorted(tuple(f[s] for s in source) for f in fs)
                 arcs = [t.arc_from_word(w)
                         for w, _ in _finite_tau_rigid(t.inventory())]
@@ -1027,52 +1038,43 @@ def verify_denominator(report, series="C", rank_max=3, degree_cap=3,
     """Denominator vectors separate bounded-degree cluster monomials, from
     every cluster of every explored finite-type pattern in the series.
 
-    The explored graph and both checks depend only on the exchange matrix,
-    and renumbering its vertices carries every d-vector over coordinate for
-    coordinate, so one matrix of each `_relabelling` class is explored and
-    checked: the check adds its monomials to the count as it reaches them,
-    and each later reroot at a matrix of the class adds the stored count.
-    Cache counts: `matrix_classes` explored, and `class_reuses`, the
-    reroots answered from a class already explored.  Phases: `explore` and
-    `checks` (both d-vector checks), timed once per class.
+    The explored graph and both checks are read through `_class_table`:
+    the check adds its monomials to the count as it reaches them, and each
+    later reroot at a matrix of the class adds the stored count.  Phases:
+    `explore` and `checks` (both d-vector checks), timed once per class.
     """
     if initial_seeds not in ("all", "root"):
         raise ValueError(f"initial_seeds must be 'all' or 'root', "
                          f"not {initial_seeds!r}")
     counts = report.counts = {"monomials": 0, "reroots": 0}
-    report.cache = {"matrix_classes": 0, "class_reuses": 0}
+    classes = _class_table(report)
     for n in range(2, rank_max + 1):
         base = standard_matrix(series, n)
         graph, count = _d_checks(report, base, degree_cap, f"{series}{n} root")
-        report.cache["matrix_classes"] += 1
-        keys = {base: _relabelling(base)[0]}  # matrix -> relabelling key
-        # key -> monomial count; counts, not graphs, to keep memory flat
-        counted = {keys[base]: count}
-        if initial_seeds == "all":
-            for vid, t in enumerate(graph.reps):
-                b_t = t.seed.matrix
-                if b_t not in keys:
-                    keys[b_t] = _relabelling(b_t)[0]
-                key = keys[b_t]
-                if key in counted:
-                    counts["monomials"] += counted[key]
-                    report.cache["class_reuses"] += 1
-                else:
-                    _, counted[key] = _d_checks(
-                        report, b_t, degree_cap, f"{series}{n} cluster {vid}")
-                    report.cache["matrix_classes"] += 1
-                counts["reroots"] += 1
+        classes(base, lambda: count)
+        for vid, t in enumerate(graph.reps if initial_seeds == "all" else ()):
+            count, _, reused = classes(t.seed.matrix, lambda: _d_checks(
+                report, t.seed.matrix, degree_cap,
+                f"{series}{n} cluster {vid}")[1])
+            if reused:
+                counts["monomials"] += count
+            counts["reroots"] += 1
 
 
 @_harness("thm4-bc-duality", "explore", "checks")
 def verify_denominator_duality(report, rank_max=3, degree_cap=3):
-    """C_n = langlands_dual(B_n) seed by seed: both graphs pass the d-vector
-    checks from their roots, equal BFS `reached` tables pair the seeds of one
-    mutation sequence by id, and every pair passes `check_dual_seeds`."""
+    """C_n = langlands_dual(B_n) seed by seed: the standard matrices are
+    dual, both graphs pass the d-vector checks from their roots, equal BFS
+    `reached` tables pair the seeds of one mutation sequence by id, and
+    every pair passes `check_dual_seeds`."""
     counts = report.counts = {"verdicts": {}, "monomials": 0}
     for n in range(2, rank_max + 1):
-        graph, dual = (_d_checks(report, standard_matrix(x, n), degree_cap,
-                                 f"{x}{n} root")[0] for x in "BC")
+        b, c = standard_matrix("B", n), standard_matrix("C", n)
+        if c != langlands_dual(b):
+            raise WitnessedFault({"check": "C_n is not langlands_dual(B_n)",
+                                  "rank": n, "B": b.b, "C": c.b})
+        graph, dual = (_d_checks(report, m, degree_cap, f"{x}{n} root")[0]
+                       for x, m in zip("BC", (b, c)))
         with _phase(report, "checks"):
             for v, (t, tv) in enumerate(zip(graph.reps, dual.reps)):
                 if graph.reached[v] != dual.reached[v]:

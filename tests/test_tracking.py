@@ -170,13 +170,6 @@ def test_monomial_validation():
         ClusterMonomial(t, (1, -1))
 
 
-def test_monomial_value():
-    t = run_walk(A2, [1])
-    m = ClusterMonomial(t, (1, 1))
-    prod = m.value()
-    assert prod == t.seed.cluster[0] * t.seed.cluster[1]
-
-
 def test_f_equals_d_for_non_initial_finite_type():
     for matrix in (A2, C2):
         for walk in itertools.product(range(1, matrix.n + 1), repeat=5):

@@ -1233,6 +1233,32 @@ def test_fvector_reports_a_wrong_initial_d_vector(monkeypatch):
              "d": d} for x, d in witnessed]
 
 
+def test_fvector_reports_a_triangulation_cross_check_fault(monkeypatch):
+    # every triangulation matrix with its vertex order reversed: the
+    # pentagon's stay in A2's class with the same vectors, and the first
+    # hexagon triangulation whose arcs read apart from its carried
+    # f-vectors is the witness
+    from clusterlab import verify
+    real = verify.b_matrix_from_triangulation
+
+    def reversed_order(t):
+        b = real(t).b
+        return ExchangeMatrix(tuple(row[::-1] for row in b[::-1]))
+
+    monkeypatch.setattr(verify, "b_matrix_from_triangulation", reversed_order)
+    r = verify_fvector_injectivity(3, 2)
+    assert r.verdict == "fail"
+    assert r.witnesses == [{
+        "triangulation": (6, ((2, 6), (3, 5), (3, 6))),
+        "f_vectors": [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0),
+                      (1, 1, 1)],
+        "intersection_vectors": [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0),
+                                 (1, 0, 1), (1, 1, 1)]}]
+    assert r.counts == {"A2_monomials": 15, "A3_monomials": 39,
+                        "triangulations_cross_checked": 6}
+    assert r.cache == {"matrix_classes": 3, "class_reuses": 6}
+
+
 def test_a_failed_harness_carries_its_first_witness_only(monkeypatch):
     from clusterlab import linalg, verify
     # thm1 with the profile fields of every weight masked off: the empty
@@ -1294,6 +1320,31 @@ def test_denominator_rejects_unknown_initial_seeds():
             verify_denominator("A", 2, 2, seeds)
 
 
+def test_denominator_reports_a_fault_on_a_rerooted_matrix(monkeypatch):
+    # a check that fails on every reroot explored: the A2 reroots all fall
+    # in the root's class and reuse its count, and so does A3's cluster 0,
+    # so the first explored reroot is A3's cluster 1; the fault stops the
+    # run before that reroot is counted or its class stored
+    from clusterlab import verify
+    real = verify._check_d_columns_independent
+
+    def planted(graph, where):
+        if "cluster" in where:
+            raise WitnessedFault({"where": where, "check": "planted"})
+        real(graph, where)
+
+    monkeypatch.setattr(verify, "_check_d_columns_independent", planted)
+    r = verify_denominator("A", 3, 3)
+    assert r.verdict == "fail"
+    assert r.witnesses == [{"where": "A3 cluster 1", "check": "planted"}]
+    assert r.counts == {"monomials": 492, "reroots": 6}
+    assert r.cache == {"matrix_classes": 2, "class_reuses": 6}
+    # B2's cluster 1 already lies outside the root's class
+    r = verify_denominator("B", 3, 3)
+    assert r.witnesses == [{"where": "B2 cluster 1", "check": "planted"}]
+    assert r.counts == {"monomials": 108, "reroots": 1}
+
+
 def test_denominator_duality():
     r = verify_denominator_duality(2, 2)
     assert r.verdict == "pass"
@@ -1328,6 +1379,19 @@ def test_denominator_duality_reports_a_pairing_fault(monkeypatch):
     assert r.witnesses == [{
         "check": "B and C seeds pair differently", "rank": 2, "vertex": 0,
         "clusters": [["x1", "x2"], ["x1", "x2"]]}]
+
+
+def test_denominator_duality_checks_that_c_is_the_dual_of_b(monkeypatch):
+    # a dual that changes nothing leaves C2 apart from B2, before either
+    # is explored
+    from clusterlab import verify
+    monkeypatch.setattr(verify, "langlands_dual", lambda m: m)
+    r = verify_denominator_duality(3, 3)
+    assert r.verdict == "fail"
+    assert r.witnesses == [{"check": "C_n is not langlands_dual(B_n)",
+                            "rank": 2, "B": ((0, 2), (-1, 0)),
+                            "C": ((0, 1), (-2, 0))}]
+    assert r.counts == {"verdicts": {}, "monomials": 0}
 
 
 def test_duality_cli_has_no_initial_seeds_option():
